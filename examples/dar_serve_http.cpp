@@ -17,7 +17,11 @@
 //
 // The model goes through the full deployment path — train, save a
 // checkpoint bundle, restore it into a fresh InferenceSession — so what
-// serves is what a production restore would serve. SIGINT/SIGTERM drain
+// serves is what a production restore would serve. Training defaults to
+// the quick bench profile (batch 32, lr 2e-3, 8 epochs, 4 of them
+// pretraining the discriminator), which on the default 400/80/100 splits
+// selects ~14 % of tokens at a test F1 of ~87; the test F1 and label
+// accuracy are printed before the server listens. SIGINT/SIGTERM drain
 // gracefully: in-flight requests finish, then the process exits.
 #include <chrono>
 #include <csignal>
@@ -49,7 +53,7 @@ int main(int argc, char** argv) {
   using namespace dar;
 
   int port = 8080;
-  int epochs = 6;
+  int epochs = 8;
   int train_examples = 400;
   // Serving-cache budget in MiB; 0 disables. On by default here — the
   // deployment entry point should demonstrate the deployed configuration
@@ -90,8 +94,10 @@ int main(int argc, char** argv) {
       datasets::BeerAspect::kAppearance,
       {.train = train_examples, .dev = 80, .test = 100}, /*seed=*/42);
   core::TrainConfig config;
+  config.batch_size = 32;
+  config.lr = 2e-3f;
   config.epochs = epochs;
-  config.pretrain_epochs = epochs > 2 ? 2 : 0;
+  config.pretrain_epochs = epochs / 2;
   config = config.WithSparsityTarget(dataset.AnnotationSparsity());
   auto trained = std::make_unique<core::DarModel>(
       eval::BuildEmbeddings(dataset, config), config);
@@ -100,6 +106,13 @@ int main(int argc, char** argv) {
               static_cast<long long>(config.epochs));
   std::fflush(stdout);
   core::Fit(*trained, dataset);
+  eval::MethodResult result = eval::EvaluateOnTest(*trained, dataset);
+  std::printf("test F1 %.2f, label accuracy %.1f %% (%lld reviews, %.1f %% "
+              "of tokens selected)\n",
+              100.0 * result.rationale.f1, 100.0 * result.rationale_acc,
+              static_cast<long long>(dataset.test.size()),
+              100.0 * result.rationale.sparsity);
+  std::fflush(stdout);
 
   // 2. Deployment path: save the checkpoint bundle, restore it fresh.
   const char* path = "/tmp/dar_serve_http.ckpt";

@@ -62,13 +62,9 @@ void RationalizerBase::SetTraining(bool training) {
 Tensor RationalizerBase::EvalMask(const data::Batch& batch) {
   bool was_training = generator_.training();
   SetTraining(false);
-  Tensor mask = EvalMaskConst(batch);
+  Tensor mask = EvalMaskFromStatesConst(batch, GenEncoderStatesConst(batch));
   SetTraining(was_training);
   return mask;
-}
-
-Tensor RationalizerBase::EvalMaskConst(const data::Batch& batch) const {
-  return EvalMaskFromStatesConst(batch, GenEncoderStatesConst(batch));
 }
 
 Tensor RationalizerBase::GenEncoderStatesConst(const data::Batch& batch,
@@ -104,15 +100,10 @@ Tensor RationalizerBase::PredictLogits(const data::Batch& batch,
                                        const Tensor& mask) {
   bool was_training = predictor_.training();
   predictor_.SetTraining(false);
-  Tensor logits = PredictLogitsConst(batch, mask);
+  Tensor logits =
+      PredictLogitsFromStatesConst(batch, PredEncoderStatesConst(batch, mask));
   predictor_.SetTraining(was_training);
   return logits;
-}
-
-Tensor RationalizerBase::PredictLogitsConst(const data::Batch& batch,
-                                            const Tensor& mask) const {
-  return PredictLogitsFromStatesConst(batch,
-                                      PredEncoderStatesConst(batch, mask));
 }
 
 std::vector<nn::NamedModule> RationalizerBase::CheckpointModules() {

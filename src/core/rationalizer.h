@@ -78,29 +78,20 @@ class RationalizerBase {
   /// training-time evaluation goes through here.
   Tensor EvalMask(const data::Batch& batch);
 
-  /// The mask computation behind EvalMask, with no mode toggling: the model
-  /// must already be in eval mode (SetTraining(false)). Const and
-  /// thread-compatible — the serving layer (src/serve/) calls this from
-  /// many worker threads on distinct batches concurrently.
-  ///
-  /// Non-virtual by design: it is defined as the composition
-  /// EvalMaskFromStatesConst(batch, GenEncoderStatesConst(batch)), so a
-  /// serving cache that stores generator encoder states and re-runs only
-  /// the second stage is bit-identical to this cold path by construction.
-  /// Methods customize the selection rule by overriding
-  /// EvalMaskFromStatesConst (VIB/SPECTRA: budgeted top-k; RNP*: best
-  /// sentence).
-  Tensor EvalMaskConst(const data::Batch& batch) const;
-
-  // ---- Serving-cache decomposition -----------------------------------------
+  // ---- Eval-mode forward stages ---------------------------------------------
   //
-  // The serving cache (serve/cache.h) stores the two players' post-encoder
-  // hidden states per token sequence and re-runs only the cheap head
-  // stages on a hit. EvalMaskConst and PredictLogitsConst are defined as
-  // compositions of the four stages below, so "fast path == slow path" is
-  // a structural identity, certified bit-for-bit by
-  // tests/serve_cache_test.cc. All stages require eval mode and are const
-  // and thread-compatible.
+  // The eval forward, split into four stages: generator encoder ->
+  // selection -> predictor encoder -> head. EvalMask and PredictLogits are
+  // compositions of them, and serving (serve::InferenceSession) runs the
+  // same four stages; its cache (serve/cache.h) stores the two encoders'
+  // states per token sequence and re-runs only the selection and head
+  // stages on a hit. So "cached == cold" is a structural identity,
+  // certified bit-for-bit by tests/serve_cache_test.cc. All stages require
+  // eval mode (SetTraining(false)) and are const and thread-compatible: the
+  // serving layer calls them from many worker threads concurrently.
+  // Methods customize the selection rule by overriding
+  // EvalMaskFromStatesConst (VIB/SPECTRA: budgeted top-k; RNP*: best
+  // sentence).
 
   /// Generator's post-encoder hidden states [B, T, H_g]. `embedded`
   /// optionally substitutes the [B, T, E] embedded input (values must
@@ -137,12 +128,6 @@ class RationalizerBase {
   /// Predictor logits for a fixed mask (evaluation mode). Toggles the
   /// predictor into eval mode and back.
   Tensor PredictLogits(const data::Batch& batch, const Tensor& mask);
-
-  /// Non-mutating PredictLogits: same eval-mode contract and thread
-  /// compatibility as EvalMaskConst. Like EvalMaskConst it is the
-  /// composition PredictLogitsFromStatesConst(batch,
-  /// PredEncoderStatesConst(batch, mask)).
-  Tensor PredictLogitsConst(const data::Batch& batch, const Tensor& mask) const;
 
   /// Modules included in a saved model, in a stable order. Subclasses with
   /// auxiliary players that ship with the deployed model (DAR's frozen

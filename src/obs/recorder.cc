@@ -526,7 +526,7 @@ void InstallFlightRecorderCrashDump() {
 // ---- Active-collector plumbing ---------------------------------------------
 
 namespace internal {
-thread_local TraceCollector* g_active_collector = nullptr;
+constinit thread_local TraceCollector* g_active_collector = nullptr;
 
 uint64_t BeginCollectedSpan(TraceCollector* collector) {
   return collector->Open();

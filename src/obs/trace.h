@@ -65,8 +65,10 @@ void RecordSpan(const char* name, int64_t duration_us);
 /// The request collector active on this thread (set by the RAII guards in
 /// recorder.h, null otherwise). Spans at kCoarse or coarser also append
 /// to it, giving completed requests a span tree without any call-site
-/// changes. Reading it costs one thread-local load on the span fast path.
-extern thread_local TraceCollector* g_active_collector;
+/// changes. Reading it costs one thread-local load on the span fast path:
+/// constinit lets other translation units skip the TLS init wrapper call
+/// (whose result GCC 12's UBSan misreports as a null pointer load).
+extern constinit thread_local TraceCollector* g_active_collector;
 
 // Defined in recorder.cc; trace.h stays free of the recorder types.
 uint64_t BeginCollectedSpan(TraceCollector* collector);

@@ -16,14 +16,18 @@
 //       that exact sequence. A hit skips both encoders entirely and
 //       re-runs only the selection/classification heads.
 //
-// Bit-exactness contract. EvalMaskConst / PredictLogitsConst are defined
-// as compositions of the cached stages, per-sequence forwards equal
-// padded-batch forwards at valid positions (the batch-composition
-// invariance the micro-batcher already certifies), and cached values are
-// byte copies of what the cold path computes — so a cached session's
-// responses are bit-identical to an uncached session's on the same
-// checkpoint. tests/serve_cache_test.cc certifies this differentially
-// over randomized request streams, forced evictions, forced hash
+// The cache filters the one serving forward
+// (InferenceSession::PredictTokenBatch): hits re-run only the heads, and
+// all misses run as one padded batch whose rows are then stored.
+//
+// Bit-exactness contract. The serving forward is the composition of the
+// cached stages, each sequence's states at its valid positions are the
+// same in any padded batch (the batch-composition invariance the
+// micro-batcher already certifies), and cached values are byte copies of
+// what the cold path computes — so a cached session's responses are
+// bit-identical to an uncached session's on the same checkpoint.
+// tests/serve_cache_test.cc certifies this differentially over randomized
+// request streams, mixed hit/miss batches, forced evictions, forced hash
 // collisions, and concurrent checkpoint reloads.
 //
 // Keying and collisions. Encoder entries are addressed by a 64-bit FNV-1a

@@ -34,8 +34,8 @@ InferenceSession::InferenceSession(
       vocab_(std::move(vocab)),
       stats_(std::make_unique<ServingStats>()) {
   DAR_CHECK(model_ != nullptr);
-  // Pin eval mode once: dropout becomes the identity and EvalMaskConst is
-  // deterministic, so concurrent const forwards are safe.
+  // Pin eval mode once: dropout becomes the identity and the const
+  // forward stages are deterministic, so concurrent forwards are safe.
   model_->SetTraining(false);
 }
 
@@ -124,41 +124,82 @@ InferenceResult InferenceSession::AssembleResult(
   return r;
 }
 
-Tensor InferenceSession::AssembleEmbedded(const nn::Embedding& table,
-                                          uint32_t table_tag,
-                                          const std::vector<int64_t>& ids,
-                                          bool* any_row_hit) const {
-  int64_t t_len = static_cast<int64_t>(ids.size());
-  int64_t dim = table.dim();
-  Tensor out(Shape{1, t_len, dim});
-  for (int64_t t = 0; t < t_len; ++t) {
-    int64_t token = ids[static_cast<size_t>(t)];
-    float* dst = out.data() + t * dim;
-    if (cache_->LookupEmbeddingRow(cache_model_, table_tag, token, dst, dim)) {
-      *any_row_hit = true;
-    } else {
-      const float* src = table.RowConst(token);
-      std::memcpy(dst, src, static_cast<size_t>(dim) * sizeof(float));
-      cache_->InsertEmbeddingRow(cache_model_, table_tag, token, src, dim);
+Tensor InferenceSession::AssembleEmbedded(
+    const nn::Embedding& table, uint32_t table_tag,
+    const std::vector<std::vector<int64_t>>& sequences, int64_t max_len,
+    std::vector<uint8_t>* reused) const {
+  const int64_t dim = table.dim();
+  const size_t row_bytes = static_cast<size_t>(dim) * sizeof(float);
+  Tensor out(Shape{static_cast<int64_t>(sequences.size()), max_len, dim});
+  float* dst = out.data();
+  for (size_t i = 0; i < sequences.size(); ++i) {
+    const std::vector<int64_t>& ids = sequences[i];
+    for (int64_t t = 0; t < max_len; ++t, dst += dim) {
+      const bool pad = t >= static_cast<int64_t>(ids.size());
+      const int64_t token =
+          pad ? data::Vocabulary::kPadId : ids[static_cast<size_t>(t)];
+      if (!pad && cache_->LookupEmbeddingRow(cache_model_, table_tag, token,
+                                             dst, dim)) {
+        if (reused != nullptr) (*reused)[i] = 1;
+        continue;
+      }
+      std::memcpy(dst, table.RowConst(token), row_bytes);
+      if (!pad) {
+        cache_->InsertEmbeddingRow(cache_model_, table_tag, token, dst, dim);
+      }
     }
   }
   return out;
 }
 
-InferenceResult InferenceSession::PredictOneCached(
-    const std::vector<int64_t>& ids) const {
-  data::Batch batch =
-      data::Batch::FromTokenSequences({ids}, data::Vocabulary::kPadId);
-  CacheOutcome outcome = CacheOutcome::kMiss;
-  Tensor mask;
-  Tensor logits;
-  std::shared_ptr<const EncoderStatesEntry> entry;
-  {
-    obs::Span lookup_span("serve.cache_lookup");
-    entry = cache_->LookupEncoderStates(cache_model_, ids);
+namespace {
+
+/// Softmax over `logits`, scanned as the response surface: the serving
+/// stages run no autograd-level sentinels, so the op-level scans never
+/// see these buffers.
+Tensor ScannedProbs(const Tensor& logits) {
+  Tensor probs = SoftmaxRows(logits);
+  if (check::SentinelEnabled()) {
+    check::ScanForNonFinite("serve.forward", "probs", probs.data(),
+                            probs.numel());
   }
-  if (entry != nullptr) {
-    outcome = CacheOutcome::kHit;
+  return probs;
+}
+
+/// Row `row` of padded [B, T_max, H] states cut to its first `len` steps:
+/// the [1, T, H] shape the encoder tier stores and a B=1 replay of the
+/// head stages reads.
+Tensor ValidSteps(const Tensor& states, int64_t row, int64_t len) {
+  const int64_t hidden = states.size(2);
+  Tensor out(Shape{1, len, hidden});
+  std::memcpy(out.data(), states.data() + row * states.size(1) * hidden,
+              static_cast<size_t>(len * hidden) * sizeof(float));
+  return out;
+}
+
+}  // namespace
+
+std::vector<InferenceResult> InferenceSession::PredictTokenBatch(
+    const std::vector<std::vector<int64_t>>& sequences) const {
+  obs::Span span("serve.forward");
+  const bool cached = cache_ != nullptr && cache_->config().enabled;
+  std::vector<InferenceResult> results(sequences.size());
+
+  // Misses are stored only after their batch has run, so every lookup
+  // precedes every insert: a sequence given twice in one call misses twice.
+  std::vector<size_t> miss_rows;
+  std::vector<std::vector<int64_t>> misses;
+  for (size_t i = 0; i < sequences.size(); ++i) {
+    std::shared_ptr<const EncoderStatesEntry> entry;
+    if (cached) {
+      obs::Span lookup_span("serve.cache_lookup");
+      entry = cache_->LookupEncoderStates(cache_model_, sequences[i]);
+    }
+    if (entry == nullptr) {
+      miss_rows.push_back(i);
+      misses.push_back(sequences[i]);
+      continue;
+    }
     // Restored payloads skipped every autograd-level sentinel when they
     // were computed in some earlier request, so re-scan them here: a
     // corrupted cache entry must be caught at restore time, not shipped
@@ -171,93 +212,62 @@ InferenceResult InferenceSession::PredictOneCached(
                               entry->pred_states.data(),
                               entry->pred_states.numel());
     }
-    mask = model_->EvalMaskFromStatesConst(batch, entry->gen_states);
-    logits = model_->PredictLogitsFromStatesConst(batch, entry->pred_states);
-  } else {
-    bool any_row_hit = false;
-    Tensor gen_states;
-    Tensor pred_states;
-    if (cache_->config().embedding_tier) {
-      bool gen_hit = false;
-      bool pred_hit = false;
-      Tensor gen_emb = AssembleEmbedded(model_->generator().embedding(),
-                                        gen_table_tag_, ids, &gen_hit);
-      gen_states = model_->GenEncoderStatesConst(batch, &gen_emb);
-      mask = model_->EvalMaskFromStatesConst(batch, gen_states);
-      Tensor pred_emb = AssembleEmbedded(model_->predictor().embedding(),
-                                         pred_table_tag_, ids, &pred_hit);
-      pred_states = model_->PredEncoderStatesConst(batch, mask, &pred_emb);
+    data::Batch batch = data::Batch::FromTokenSequences(
+        {sequences[i]}, data::Vocabulary::kPadId);
+    Tensor mask = model_->EvalMaskFromStatesConst(batch, entry->gen_states);
+    Tensor probs = ScannedProbs(
+        model_->PredictLogitsFromStatesConst(batch, entry->pred_states));
+    results[i] = AssembleResult(sequences[i], 0, mask, probs);
+    results[i].cache = CacheOutcome::kHit;
+  }
+
+  if (!misses.empty()) {
+    data::Batch batch =
+        data::Batch::FromTokenSequences(misses, data::Vocabulary::kPadId);
+    // reused[j]: miss j took at least one embedding row from the tier.
+    std::vector<uint8_t> reused(misses.size(), 0);
+    const bool embed = cached && cache_->config().embedding_tier;
+    Tensor gen_emb;
+    Tensor pred_emb;
+    if (embed) {
+      gen_emb = AssembleEmbedded(model_->generator().embedding(),
+                                 gen_table_tag_, misses, batch.max_len(),
+                                 &reused);
       // With a shared key space the predictor pass trivially hits every
-      // row the generator pass just inserted; only cross-request reuse
+      // row the generator pass just inserted; only reuse across requests
       // should count toward the "partial" outcome.
-      any_row_hit =
-          gen_hit || (pred_table_tag_ != gen_table_tag_ && pred_hit);
-    } else {
-      gen_states = model_->GenEncoderStatesConst(batch);
-      mask = model_->EvalMaskFromStatesConst(batch, gen_states);
-      pred_states = model_->PredEncoderStatesConst(batch, mask);
+      pred_emb = AssembleEmbedded(
+          model_->predictor().embedding(), pred_table_tag_, misses,
+          batch.max_len(),
+          pred_table_tag_ != gen_table_tag_ ? &reused : nullptr);
     }
-    logits = model_->PredictLogitsFromStatesConst(batch, pred_states);
-    cache_->InsertEncoderStates(cache_model_, ids, std::move(gen_states),
-                                std::move(pred_states));
-    if (any_row_hit) outcome = CacheOutcome::kPartial;
-  }
-  Tensor probs = SoftmaxRows(logits);
-  // The serving path runs no autograd tape in eval composition stages, so
-  // the op-level sentinels never saw these buffers; scan the response
-  // surface directly.
-  if (check::SentinelEnabled()) {
-    check::ScanForNonFinite("serve.forward", "probs", probs.data(),
-                            probs.numel());
-  }
-  InferenceResult r = AssembleResult(ids, 0, mask, probs);
-  r.cache = outcome;
-  return r;
-}
-
-std::vector<InferenceResult> InferenceSession::PredictTokenBatch(
-    const std::vector<std::vector<int64_t>>& sequences) const {
-  obs::Span span("serve.forward");
-  if (cache_ != nullptr && cache_->config().enabled) {
-    // Cached mode serves per sequence (B=1): each sequence's states are
-    // cacheable independently, and per-sequence forwards are bit-identical
-    // to the padded-batch forward (the micro-batcher's batch-composition
-    // invariance), so responses match the uncached path exactly.
-    std::vector<InferenceResult> results;
-    results.reserve(sequences.size());
-    for (const std::vector<int64_t>& ids : sequences) {
-      results.push_back(PredictOneCached(ids));
-      stats_->RecordBatch(1);
-      stats_->RecordCacheOutcome(results.back().cache);
+    Tensor gen_states =
+        model_->GenEncoderStatesConst(batch, embed ? &gen_emb : nullptr);
+    Tensor mask = model_->EvalMaskFromStatesConst(batch, gen_states);
+    Tensor pred_states = model_->PredEncoderStatesConst(
+        batch, mask, embed ? &pred_emb : nullptr);
+    Tensor probs = ScannedProbs(
+        model_->PredictLogitsFromStatesConst(batch, pred_states));
+    const bool store = cached && cache_->config().encoder_tier;
+    for (size_t j = 0; j < misses.size(); ++j) {
+      const int64_t row = static_cast<int64_t>(j);
+      InferenceResult& r = results[miss_rows[j]];
+      r = AssembleResult(misses[j], row, mask, probs);
+      if (cached) {
+        r.cache = reused[j] ? CacheOutcome::kPartial : CacheOutcome::kMiss;
+      }
+      if (store) {
+        const int64_t len = static_cast<int64_t>(misses[j].size());
+        cache_->InsertEncoderStates(cache_model_, misses[j],
+                                    ValidSteps(gen_states, row, len),
+                                    ValidSteps(pred_states, row, len));
+      }
     }
-    return results;
   }
-  data::Batch batch =
-      data::Batch::FromTokenSequences(sequences, data::Vocabulary::kPadId);
-  Tensor mask = model_->EvalMaskConst(batch);
-  Tensor logits = model_->PredictLogitsConst(batch, mask);
-  Tensor probs = SoftmaxRows(logits);
-  if (check::SentinelEnabled()) {
-    check::ScanForNonFinite("serve.forward", "probs", probs.data(),
-                            probs.numel());
-  }
-  stats_->RecordBatch(batch.batch_size());
 
-  std::vector<InferenceResult> results;
-  results.reserve(sequences.size());
-  for (int64_t i = 0; i < batch.batch_size(); ++i) {
-    results.push_back(
-        AssembleResult(sequences[static_cast<size_t>(i)], i, mask, probs));
-  }
+  stats_->RecordBatch(static_cast<int64_t>(sequences.size()));
+  for (const InferenceResult& r : results) stats_->RecordCacheOutcome(r.cache);
   return results;
-}
-
-std::vector<InferenceResult> InferenceSession::PredictBatch(
-    const std::vector<std::string>& texts) const {
-  std::vector<std::vector<int64_t>> sequences;
-  sequences.reserve(texts.size());
-  for (const std::string& text : texts) sequences.push_back(Encode(text));
-  return PredictTokenBatch(sequences);
 }
 
 }  // namespace serve

@@ -2,11 +2,13 @@
 // extracted rationale out.
 //
 // An InferenceSession owns a trained RationalizerBase, pins it in eval
-// mode, and exposes only the const, thread-compatible forward path
-// (EvalMaskConst / PredictLogitsConst): any number of threads may call
-// Predict / PredictTokenBatch on the same session concurrently. This is the
-// building block the micro-batcher (serve/batcher.h) and the model
-// registry (serve/registry.h) compose into a serving stack.
+// mode, and serves through one forward, PredictTokenBatch, built on the
+// model's four const stages (core/rationalizer.h): any number of threads
+// may call Predict / PredictTokenBatch on the same session concurrently.
+// An attached cache (serve/cache.h) filters that forward: encoder-tier
+// hits re-run only the head stages, and all misses run as one padded
+// batch. This is the building block the micro-batcher (serve/batcher.h)
+// and the model registry (serve/registry.h) compose into a serving stack.
 #ifndef DAR_SERVE_SESSION_H_
 #define DAR_SERVE_SESSION_H_
 
@@ -84,14 +86,14 @@ class InferenceSession {
   /// Serves one text synchronously (no batching). Thread-safe.
   InferenceResult Predict(const std::string& text) const;
 
-  /// Serves a batch of already-encoded requests with a single forward:
-  /// the micro-batcher's execution path. Thread-safe.
+  /// Serves a batch of already-encoded requests: the one serving forward,
+  /// behind Predict and the micro-batcher. With an enabled cache, hits
+  /// re-run only the head stages on their stored states, and all misses
+  /// run as one padded batch and are stored. Every lookup precedes every
+  /// insert, so a sequence given twice misses twice (and leaves one
+  /// entry). Records one batch and one cache outcome per row. Thread-safe.
   std::vector<InferenceResult> PredictTokenBatch(
       const std::vector<std::vector<int64_t>>& sequences) const;
-
-  /// Serves several texts with one forward. Thread-safe.
-  std::vector<InferenceResult> PredictBatch(
-      const std::vector<std::string>& texts) const;
 
   const core::RationalizerBase& model() const { return *model_; }
   const data::Vocabulary& vocab() const { return vocab_; }
@@ -133,20 +135,17 @@ class InferenceSession {
   ServeCache::ModelId cache_model_id() const { return cache_model_; }
 
  private:
-  /// Serves one sequence through the cache (B=1 forward). Bit-identical
-  /// to the batched uncached path by the batch-composition invariance the
-  /// micro-batcher certifies.
-  InferenceResult PredictOneCached(const std::vector<int64_t>& ids) const;
-
-  /// Builds the [1, T, E] embedded input for `ids` from cached rows
-  /// (missing rows are read from `table` and published). Sets
-  /// *any_row_hit when at least one row came from the cache.
+  /// Builds the padded [B, max_len, E] embedded input for `sequences`
+  /// through the embedding tier: each valid position's row is copied from
+  /// the cache, or read from `table` and published. Pad positions copy
+  /// the table's pad row without touching the tier. Sets (*reused)[i]
+  /// when row i took a row from the cache (`reused` may be null).
   Tensor AssembleEmbedded(const nn::Embedding& table, uint32_t table_tag,
-                          const std::vector<int64_t>& ids,
-                          bool* any_row_hit) const;
+                          const std::vector<std::vector<int64_t>>& sequences,
+                          int64_t max_len, std::vector<uint8_t>* reused) const;
 
-  /// Shared result assembly for the batched and cached paths: row `i` of
-  /// `mask` / `probs` rendered against `ids`.
+  /// Result assembly for hits and misses alike: row `i` of `mask` /
+  /// `probs` rendered against `ids`.
   InferenceResult AssembleResult(const std::vector<int64_t>& ids, int64_t i,
                                  const Tensor& mask, const Tensor& probs) const;
 

@@ -71,7 +71,7 @@ TEST(DeterminismTest, EvalMaskDeterministicAcrossRepeatedCalls) {
   }
 }
 
-TEST(DeterminismTest, EvalMaskConstMatchesEvalMask) {
+TEST(DeterminismTest, ServingStagesMatchEvalMaskAndPredictLogits) {
   datasets::SyntheticDataset dataset = TinyDataset();
   core::TrainConfig config = TinyConfig();
   for (const char* method : {"RNP", "DAR", "VIB", "SPECTRA", "RNP*"}) {
@@ -80,18 +80,24 @@ TEST(DeterminismTest, EvalMaskConstMatchesEvalMask) {
         data::Batch::FromExamples(dataset.test, 0, 8, data::Vocabulary::kPadId);
 
     Tensor toggled = model->EvalMask(batch);
+    Tensor logits_toggled = model->PredictLogits(batch, toggled);
+
+    // The four const stages the serving forward runs, on the model pinned
+    // in eval mode: generator encoder -> selection, then predictor
+    // encoder -> head.
     model->SetTraining(false);
     const core::RationalizerBase& const_model = *model;
-    Tensor direct = const_model.EvalMaskConst(batch);
+    Tensor staged = const_model.EvalMaskFromStatesConst(
+        batch, const_model.GenEncoderStatesConst(batch));
+    ASSERT_EQ(staged.numel(), toggled.numel()) << method;
     for (int64_t i = 0; i < toggled.numel(); ++i) {
-      ASSERT_EQ(direct.flat(i), toggled.flat(i)) << method << " element " << i;
+      ASSERT_EQ(staged.flat(i), toggled.flat(i)) << method << " element " << i;
     }
-
-    // The const predictor path agrees with the toggling one as well.
-    Tensor logits_toggled = model->PredictLogits(batch, toggled);
-    Tensor logits_direct = const_model.PredictLogitsConst(batch, direct);
+    Tensor logits_staged = const_model.PredictLogitsFromStatesConst(
+        batch, const_model.PredEncoderStatesConst(batch, staged));
+    ASSERT_EQ(logits_staged.numel(), logits_toggled.numel()) << method;
     for (int64_t i = 0; i < logits_toggled.numel(); ++i) {
-      ASSERT_EQ(logits_direct.flat(i), logits_toggled.flat(i))
+      ASSERT_EQ(logits_staged.flat(i), logits_toggled.flat(i))
           << method << " logit " << i;
     }
   }

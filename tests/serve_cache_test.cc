@@ -19,9 +19,11 @@
 #include <gtest/gtest.h>
 
 #include "check/sentinel.h"
+#include "core/baselines/spectra.h"
 #include "core/baselines/vib.h"
 #include "core/dar.h"
 #include "core/rnp.h"
+#include "core/sentence_level.h"
 #include "datasets/beer.h"
 #include "eval/experiment.h"
 #include "net/routes.h"
@@ -46,11 +48,13 @@ core::TrainConfig TinyConfig(uint64_t seed = 3) {
   return config;
 }
 
-enum class Method { kRnp, kDar, kVib };
+enum class Method { kRnp, kDar, kVib, kSpectra, kRnpStar };
 
-std::unique_ptr<core::RationalizerBase> MakeModel(Method method,
-                                                  const Tensor& embeddings,
-                                                  core::TrainConfig config) {
+/// `period_id` is the sentence delimiter RNP* selects between; the other
+/// methods ignore it.
+std::unique_ptr<core::RationalizerBase> MakeModel(
+    Method method, const Tensor& embeddings, core::TrainConfig config,
+    int64_t period_id = data::Vocabulary::kUnkId) {
   switch (method) {
     case Method::kRnp:
       return std::make_unique<core::RnpModel>(embeddings, config);
@@ -58,6 +62,11 @@ std::unique_ptr<core::RationalizerBase> MakeModel(Method method,
       return std::make_unique<core::DarModel>(embeddings, config);
     case Method::kVib:
       return std::make_unique<core::VibModel>(embeddings, config);
+    case Method::kSpectra:
+      return std::make_unique<core::SpectraModel>(embeddings, config);
+    case Method::kRnpStar:
+      return std::make_unique<core::SentenceRnpModel>(embeddings, config,
+                                                      period_id);
   }
   return nullptr;
 }
@@ -77,7 +86,8 @@ DifferentialPair MakePair(Method method, CacheConfig cache_config,
   core::TrainConfig config = TinyConfig(seed);
   Tensor embeddings = eval::BuildEmbeddings(dataset, config);
 
-  auto source = MakeModel(method, embeddings, config);
+  const int64_t period_id = dataset.vocab.IdOrUnk(".");
+  auto source = MakeModel(method, embeddings, config, period_id);
   std::string path = ::testing::TempDir() + "/serve_cache_diff_" +
                      std::to_string(static_cast<int>(method)) + "_" +
                      std::to_string(seed) + ".ckpt";
@@ -91,12 +101,12 @@ DifferentialPair MakePair(Method method, CacheConfig cache_config,
   core::TrainConfig uncached_config = TinyConfig(seed + 2000);
   std::string error;
   pair.cached = InferenceSession::FromCheckpoint(
-      MakeModel(method, embeddings, cached_config), dataset.vocab, path,
-      &error);
+      MakeModel(method, embeddings, cached_config, period_id), dataset.vocab,
+      path, &error);
   EXPECT_NE(pair.cached, nullptr) << error;
   pair.uncached = InferenceSession::FromCheckpoint(
-      MakeModel(method, embeddings, uncached_config), dataset.vocab, path,
-      &error);
+      MakeModel(method, embeddings, uncached_config, period_id),
+      dataset.vocab, path, &error);
   EXPECT_NE(pair.uncached, nullptr) << error;
   pair.cached->EnableCache(pair.cache.get(), "diff");
   pair.model_id = pair.cached->cache_model_id();
@@ -209,30 +219,86 @@ TEST(ServeCacheDifferentialTest, RandomizedStreamsBitIdenticalAcrossMethods) {
 }
 
 TEST(ServeCacheDifferentialTest, BatchedRequestsMatchUncachedBatches) {
-  CacheConfig config;
-  config.enabled = true;
-  DifferentialPair pair = MakePair(Method::kRnp, config);
+  // RNP and DAR use the base selection rule; VIB, SPECTRA and RNP* override
+  // EvalMaskFromStatesConst, the stage a hit replays on restored states.
+  for (Method method : {Method::kRnp, Method::kDar, Method::kVib,
+                        Method::kSpectra, Method::kRnpStar}) {
+    CacheConfig config;
+    config.enabled = true;
+    DifferentialPair pair = MakePair(method, config);
+    ASSERT_NE(pair.cached, nullptr);
+    ASSERT_NE(pair.uncached, nullptr);
+    const std::string what =
+        "method=" + std::to_string(static_cast<int>(method));
+    const data::Vocabulary& vocab = pair.cached->vocab();
+    ASSERT_GT(vocab.size(), 110) << "fresh texts below need unused words";
 
-  std::vector<std::vector<int64_t>> sequences;
-  for (int64_t i = 0; i < 10; ++i) {
-    sequences.push_back(pair.cached->Encode(
-        DistinctText(pair.cached->vocab(), i * 3, 2 + (i % 7))));
-  }
-  // Twice: the second pass serves fully from the encoder tier, and both
-  // passes must equal the uncached padded-batch forward.
-  for (int pass = 0; pass < 2; ++pass) {
-    std::vector<InferenceResult> cached =
-        pair.cached->PredictTokenBatch(sequences);
-    std::vector<InferenceResult> uncached =
-        pair.uncached->PredictTokenBatch(sequences);
-    ASSERT_EQ(cached.size(), uncached.size());
-    for (size_t i = 0; i < cached.size(); ++i) {
-      ExpectBitIdentical(cached[i], uncached[i],
-                         "pass " + std::to_string(pass) + " row " +
-                             std::to_string(i));
-      if (pass == 1) {
-        EXPECT_EQ(cached[i].cache, CacheOutcome::kHit);
+    std::vector<std::vector<int64_t>> sequences;
+    for (int64_t i = 0; i < 10; ++i) {
+      sequences.push_back(
+          pair.cached->Encode(DistinctText(vocab, i * 3, 2 + (i % 7))));
+    }
+    // Twice: the second pass serves fully from the encoder tier, and both
+    // passes must equal the uncached padded-batch forward.
+    for (int pass = 0; pass < 2; ++pass) {
+      std::vector<InferenceResult> cached =
+          pair.cached->PredictTokenBatch(sequences);
+      std::vector<InferenceResult> uncached =
+          pair.uncached->PredictTokenBatch(sequences);
+      ASSERT_EQ(cached.size(), uncached.size());
+      for (size_t i = 0; i < cached.size(); ++i) {
+        ExpectBitIdentical(cached[i], uncached[i],
+                           what + " pass " + std::to_string(pass) + " row " +
+                               std::to_string(i));
+        if (pass == 1) {
+          EXPECT_EQ(cached[i].cache, CacheOutcome::kHit);
+        }
       }
+    }
+
+    // One call mixing hits with new sequences of other lengths (words no
+    // earlier request used; the first has two sentences for RNP*), one of
+    // them twice. The hits replay their stored states; the four misses run
+    // as one padded batch. The duplicate misses the encoder tier too,
+    // because every lookup runs before any insert; its embedding rows were
+    // published by its first copy one row earlier, so it reports kPartial.
+    const std::vector<std::string> fresh = {
+        DistinctText(vocab, 60, 5) + " . " + DistinctText(vocab, 65, 5),
+        DistinctText(vocab, 75, 4), DistinctText(vocab, 90, 9)};
+    const std::vector<std::vector<int64_t>> mixed = {
+        sequences[2],
+        pair.cached->Encode(fresh[0]),
+        sequences[7],
+        pair.cached->Encode(fresh[1]),
+        pair.cached->Encode(fresh[2]),
+        pair.cached->Encode(fresh[1])};
+    ASSERT_EQ(mixed[1].size(), 11u);
+    const std::vector<CacheOutcome> outcomes = {
+        CacheOutcome::kHit,  CacheOutcome::kMiss, CacheOutcome::kHit,
+        CacheOutcome::kMiss, CacheOutcome::kMiss, CacheOutcome::kPartial};
+    std::vector<InferenceResult> cached = pair.cached->PredictTokenBatch(mixed);
+    std::vector<InferenceResult> uncached =
+        pair.uncached->PredictTokenBatch(mixed);
+    ASSERT_EQ(cached.size(), mixed.size());
+    ASSERT_EQ(uncached.size(), mixed.size());
+    for (size_t i = 0; i < mixed.size(); ++i) {
+      const std::string row = what + " mixed row " + std::to_string(i);
+      EXPECT_EQ(cached[i].cache, outcomes[i]) << row;
+      ExpectBitIdentical(cached[i], uncached[i], row);
+    }
+    // Ten entries from the first pass, one per distinct new sequence.
+    EXPECT_EQ(
+        pair.cache->Stats(pair.model_id, ServeCache::kEncoderTierName).entries,
+        13)
+        << what;
+
+    // A B=1 request for a sequence stored from the padded miss batch (as
+    // [1, T, H] slices, the shorter ones cut from padded rows) hits.
+    for (const std::string& text : fresh) {
+      InferenceResult single = pair.cached->Predict(text);
+      EXPECT_EQ(single.cache, CacheOutcome::kHit) << what << " " << text;
+      ExpectBitIdentical(single, pair.uncached->Predict(text),
+                         what + " single " + text);
     }
   }
 }

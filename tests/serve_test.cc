@@ -2,6 +2,7 @@
 // registry, stats, thread pool, and checkpoint-restored serving.
 #include <atomic>
 #include <future>
+#include <set>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "datasets/beer.h"
 #include "eval/experiment.h"
 #include "serve/batcher.h"
+#include "serve/cache.h"
 #include "serve/registry.h"
 #include "serve/session.h"
 #include "serve/thread_pool.h"
@@ -140,7 +142,11 @@ TEST(InferenceSessionTest, BatchedForwardMatchesSingleRequests) {
   datasets::SyntheticDataset dataset = TinyDataset();
   auto session = MakeSession();
   std::vector<std::string> texts = SampleTexts(dataset, 17);
-  std::vector<InferenceResult> batched = session->PredictBatch(texts);
+  std::vector<std::vector<int64_t>> sequences;
+  for (const std::string& text : texts) {
+    sequences.push_back(session->Encode(text));
+  }
+  std::vector<InferenceResult> batched = session->PredictTokenBatch(sequences);
   ASSERT_EQ(batched.size(), texts.size());
   for (size_t i = 0; i < texts.size(); ++i) {
     InferenceResult single = session->Predict(texts[i]);
@@ -202,6 +208,42 @@ TEST(MicroBatcherTest, BatchedResultsEqualSingleRequestPath) {
     InferenceResult single = session->Predict(texts[i]);
     ExpectSameResult(batched, single);
   }
+}
+
+TEST(MicroBatcherTest, CachedSessionBatchesMisses) {
+  datasets::SyntheticDataset dataset = TinyDataset();
+  auto session = MakeSession();
+  auto uncached = MakeSession();
+  CacheConfig cache_config;
+  cache_config.enabled = true;
+  ServeCache cache(cache_config);
+  session->EnableCache(&cache, "batched");
+  std::vector<std::string> texts = SampleTexts(dataset, 32);
+  // Distinct texts: every request misses the encoder tier, so only
+  // batching the misses can put more than one request in a forward.
+  ASSERT_EQ(std::set<std::string>(texts.begin(), texts.end()).size(),
+            texts.size());
+
+  BatcherConfig config;
+  config.max_batch = 8;
+  config.max_wait_us = 2000;
+  config.num_workers = 1;
+  {
+    MicroBatcher batcher(*session, config);
+    std::vector<std::future<InferenceResult>> futures;
+    for (const std::string& text : texts) {
+      futures.push_back(batcher.Submit(text));
+    }
+    for (size_t i = 0; i < texts.size(); ++i) {
+      InferenceResult batched = futures[i].get();
+      EXPECT_NE(batched.cache, CacheOutcome::kHit);
+      ExpectSameResult(batched, uncached->Predict(texts[i]));
+    }
+  }
+  StatsSnapshot stats = session->stats().Snapshot();
+  EXPECT_EQ(stats.requests, static_cast<int64_t>(texts.size()));
+  EXPECT_LT(stats.batches, stats.requests);
+  EXPECT_GT(stats.mean_batch_size, 1.0);
 }
 
 TEST(MicroBatcherTest, ConcurrentProducersAllResolve) {
