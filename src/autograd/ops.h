@@ -37,9 +37,6 @@ Variable AddBias(const Variable& matrix, const Variable& bias);
 /// Scales each [*, *, e] fiber of x [B, T, E] by s[b, t]. This is the
 /// rationale-masking primitive: Z = M ⊙ X at the embedding level (eq. 1).
 Variable ScaleLastDim(const Variable& x, const Variable& s);
-/// Scales row i of x [m, n] by s[i]. Used to gate GRU state updates at
-/// padded positions.
-Variable ScaleRows(const Variable& x, const Variable& s);
 
 // ---- Matrix multiplication (ops_matmul.cc) ----------------------------------
 
@@ -86,10 +83,6 @@ Variable Reshape(const Variable& a, Shape shape);
 Variable ConcatCols(const Variable& a, const Variable& b);
 /// Columns [start, start + len) of an [m, n] matrix.
 Variable SliceCols(const Variable& a, int64_t start, int64_t len);
-/// Time-step t of [B, T, E] -> [B, E].
-Variable SliceTimeOp(const Variable& x, int64_t t);
-/// Stacks T tensors of shape [B, E] into [B, T, E].
-Variable StackTimeOp(const std::vector<Variable>& steps);
 /// out[b, t] = x[b, t + 1] - x[b, t] for x [B, T] -> [B, T-1]. Coherence
 /// term of the rationale regularizer (eq. 3).
 Variable TimeDiff(const Variable& x);

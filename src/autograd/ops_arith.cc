@@ -132,51 +132,5 @@ Variable ScaleLastDim(const Variable& x, const Variable& s) {
       });
 }
 
-Variable ScaleRows(const Variable& x, const Variable& s) {
-  const Tensor& xv = x.value();
-  const Tensor& sv = s.value();
-  DAR_CHECK_EQ(xv.dim(), 2);
-  DAR_CHECK_EQ(sv.dim(), 1);
-  int64_t m = xv.size(0), c = xv.size(1);
-  DAR_CHECK_EQ(sv.size(0), m);
-  Tensor out(xv.shape());
-  {
-    const float* px = xv.data();
-    const float* ps = sv.data();
-    float* po = out.data();
-    for (int64_t i = 0; i < m; ++i) {
-      float sc = ps[i];
-      for (int64_t j = 0; j < c; ++j) po[i * c + j] = sc * px[i * c + j];
-    }
-  }
-  auto px_node = x.node();
-  auto ps_node = s.node();
-  return MakeOpResult("scale_rows", 
-      std::move(out), {px_node, ps_node}, [px_node, ps_node, m, c](Node& n) {
-        const float* pg = n.grad.data();
-        if (px_node->requires_grad) {
-          Tensor gx(px_node->value.shape());
-          const float* ps = ps_node->value.data();
-          float* pgx = gx.data();
-          for (int64_t i = 0; i < m; ++i) {
-            float sc = ps[i];
-            for (int64_t j = 0; j < c; ++j) pgx[i * c + j] = sc * pg[i * c + j];
-          }
-          px_node->AccumulateGrad(gx);
-        }
-        if (ps_node->requires_grad) {
-          Tensor gs(ps_node->value.shape());
-          const float* px = px_node->value.data();
-          float* pgs = gs.data();
-          for (int64_t i = 0; i < m; ++i) {
-            float acc = 0.0f;
-            for (int64_t j = 0; j < c; ++j) acc += pg[i * c + j] * px[i * c + j];
-            pgs[i] = acc;
-          }
-          ps_node->AccumulateGrad(gs);
-        }
-      });
-}
-
 }  // namespace ag
 }  // namespace dar

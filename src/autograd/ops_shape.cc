@@ -71,42 +71,6 @@ Variable SliceCols(const Variable& a, int64_t start, int64_t len) {
   });
 }
 
-Variable SliceTimeOp(const Variable& x, int64_t t) {
-  Tensor out = dar::SliceTime(x.value(), t);
-  auto pn = x.node();
-  return MakeOpResult("slice_time", std::move(out), {pn}, [pn, t](Node& n) {
-    Tensor g(pn->value.shape());
-    SetTime(g, t, n.grad);
-    pn->AccumulateGrad(g);
-  });
-}
-
-Variable StackTimeOp(const std::vector<Variable>& steps) {
-  DAR_CHECK(!steps.empty());
-  int64_t t_len = static_cast<int64_t>(steps.size());
-  const Tensor& first = steps[0].value();
-  DAR_CHECK_EQ(first.dim(), 2);
-  int64_t b = first.size(0), e = first.size(1);
-  Tensor out(Shape{b, t_len, e});
-  std::vector<std::shared_ptr<Node>> parents;
-  parents.reserve(steps.size());
-  for (int64_t t = 0; t < t_len; ++t) {
-    DAR_CHECK(steps[static_cast<size_t>(t)].value().shape() == first.shape());
-    SetTime(out, t, steps[static_cast<size_t>(t)].value());
-    parents.push_back(steps[static_cast<size_t>(t)].node());
-  }
-  auto parents_copy = parents;
-  return MakeOpResult("stack_time", std::move(out), std::move(parents),
-                      [parents_copy, t_len](Node& n) {
-                        for (int64_t t = 0; t < t_len; ++t) {
-                          const auto& p = parents_copy[static_cast<size_t>(t)];
-                          if (p->requires_grad) {
-                            p->AccumulateGrad(dar::SliceTime(n.grad, t));
-                          }
-                        }
-                      });
-}
-
 Variable TimeDiff(const Variable& x) {
   const Tensor& xv = x.value();
   DAR_CHECK_EQ(xv.dim(), 2);

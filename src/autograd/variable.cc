@@ -108,9 +108,10 @@ void Variable::set_requires_grad(bool requires_grad) {
 namespace {
 
 /// Iterative post-order DFS producing parents-before-children order; the
-/// returned list is consumed back-to-front by Backward. Iterative rather
-/// than recursive: GRU graphs have O(batch * time) depth and would overflow
-/// the stack under recursion.
+/// returned list is consumed back-to-front by Backward. The model zoo's
+/// tapes are shallow (each GRU direction is one nn::GruSequence node), but
+/// a caller looping ops over time steps builds a tape as deep as the loop,
+/// which recursion could overflow — so the walk stays iterative.
 void TopoSort(const std::shared_ptr<Node>& root,
               std::vector<Node*>& order) {
   std::unordered_set<Node*> visited;

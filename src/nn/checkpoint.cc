@@ -40,7 +40,12 @@ void WriteParams(std::ostringstream& os, const Module& module) {
   }
 }
 
-bool ReadParams(std::istringstream& is, Module& module, std::string& error) {
+/// Parses one module's parameter records into `staged` (one tensor per
+/// parameter, in Parameters() order), validating names and shapes against
+/// `module` without modifying it. Loads commit only after the whole file
+/// has validated, so a rejected checkpoint leaves no partial state.
+bool ReadParams(std::istringstream& is, const Module& module,
+                std::vector<Tensor>& staged, std::string& error) {
   std::string keyword;
   size_t count = 0;
   if (!(is >> keyword >> count) || keyword != "params") {
@@ -55,7 +60,8 @@ bool ReadParams(std::istringstream& is, Module& module, std::string& error) {
     error = os.str();
     return false;
   }
-  for (NamedParameter& p : params) {
+  staged.reserve(params.size());
+  for (const NamedParameter& p : params) {
     std::string name;
     if (!(is >> keyword >> name) || keyword != "name") {
       error = "malformed record (expected 'name')";
@@ -94,9 +100,17 @@ bool ReadParams(std::istringstream& is, Module& module, std::string& error) {
       }
       value.flat(i) = v;
     }
-    p.variable.mutable_value() = std::move(value);
+    staged.push_back(std::move(value));
   }
   return true;
+}
+
+void CommitParams(Module& module, std::vector<Tensor>& staged) {
+  std::vector<NamedParameter> params = module.Parameters();
+  DAR_CHECK_EQ(params.size(), staged.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    params[i].variable.mutable_value() = std::move(staged[i]);
+  }
 }
 
 bool ReadHeader(std::istringstream& is, int expected_version,
@@ -152,7 +166,9 @@ CheckpointResult DeserializeCheckpoint(Module& module,
   CheckpointResult result;
   std::istringstream is(text);
   if (!ReadHeader(is, kSingleModuleVersion, result.error)) return result;
-  if (!ReadParams(is, module, result.error)) return result;
+  std::vector<Tensor> staged;
+  if (!ReadParams(is, module, staged, result.error)) return result;
+  CommitParams(module, staged);
   result.ok = true;
   return result;
 }
@@ -175,7 +191,9 @@ CheckpointResult DeserializeCheckpoint(const std::vector<NamedModule>& modules,
     result.error = os.str();
     return result;
   }
-  for (const NamedModule& m : modules) {
+  std::vector<std::vector<Tensor>> staged(modules.size());
+  for (size_t k = 0; k < modules.size(); ++k) {
+    const NamedModule& m = modules[k];
     DAR_CHECK(m.module != nullptr);
     std::string name;
     if (!(is >> keyword >> name) || keyword != "module") {
@@ -187,10 +205,13 @@ CheckpointResult DeserializeCheckpoint(const std::vector<NamedModule>& modules,
                      "' vs target '" + m.name + "'";
       return result;
     }
-    if (!ReadParams(is, *m.module, result.error)) {
+    if (!ReadParams(is, *m.module, staged[k], result.error)) {
       result.error = "module '" + m.name + "': " + result.error;
       return result;
     }
+  }
+  for (size_t k = 0; k < modules.size(); ++k) {
+    CommitParams(*modules[k].module, staged[k]);
   }
   result.ok = true;
   return result;

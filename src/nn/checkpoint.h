@@ -7,6 +7,8 @@
 // bit-exact for IEEE-754 floats — a served model matches the trained one
 // exactly. Loading verifies that names and shapes match the target module
 // exactly — a checkpoint is only valid for the architecture that wrote it.
+// Every record is parsed and validated before any parameter is assigned,
+// so a failed load leaves all target modules unchanged.
 //
 // Two layouts share the same record format:
 //   * version 1 — a single module (SerializeCheckpoint / SaveCheckpoint);

@@ -1,9 +1,10 @@
 #include "nn/gru.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
-#include <vector>
 
+#include "check/sentinel.h"
 #include "obs/trace.h"
 #include "tensor/check.h"
 #include "tensor/fastmath.h"
@@ -12,145 +13,193 @@
 namespace dar {
 namespace nn {
 
-namespace {
-
-/// Extracts column t of a [B, T] mask tensor as a length-B constant vector.
-Tensor MaskColumn(const Tensor& valid, int64_t t) {
-  int64_t b = valid.size(0);
-  Tensor out(Shape{b});
-  for (int64_t i = 0; i < b; ++i) out.at(i) = valid.at(i, t);
-  return out;
-}
-
-/// Fused GRU cell: one op node in place of the ~12 slice/activation/
-/// arithmetic nodes the recurrence used to record per timestep. The two
-/// projections stay ordinary MatMuls (they ride the packed GEMM kernel);
-/// this op fuses everything after them — gates, candidate, state blend,
-/// and the optional padding freeze — into a single pass over [B, H].
-///
-/// Forward, for gate layout [z | r | n] in the 3H projections:
+/// Forward, for gate layout [z | r | n] in the 3H projections, with
+/// p = proj[:, t] and q = h · W_h:
 ///   z = sigmoid(p[:, 0H:1H] + q[:, 0H:1H])
 ///   r = sigmoid(p[:, 1H:2H] + q[:, 1H:2H])
 ///   n = tanh  (p[:, 2H:3H] + r  * q[:, 2H:3H])
 ///   h' = (1 - z) * n + z * h
-///   out = mask * h' + (1 - mask) * h        (mask == nullptr: out = h')
+///   out = mask * h' + (1 - mask) * h        (no mask: out = h')
 ///
-/// The formulas — including FastSigmoid/FastTanh (tensor/fastmath.h) —
-/// are expression-for-expression the composition this replaced; the only
-/// permitted divergence is FP contraction within the fused expressions.
-/// There is exactly one implementation, so every consumer (training,
-/// serving, cached and uncached paths, all replica counts) sees identical
-/// bits — which is what the differential harnesses certify.
-///
-/// Backward (g = d out): with gm = g * mask (or g when unmasked),
+/// Backward of one step (g = the step's state gradient): with
+/// gm = g * mask (or g when unmasked),
 ///   dh  = gm * z + g * (1 - mask)
 ///   dn  = gm * (1 - z);        dt   = dn * (1 - n^2)
 ///   dp2 = dt;                  dq2  = dt * r;   dr = dt * q2
 ///   dp1 = dq1 = dr * r * (1 - r)
 ///   dz  = gm * (h - n);        dp0  = dq0 = dz * z * (1 - z)
-/// Certified by gradcheck in tests/nn_gru_test.cc and tests/gemm_test.cc.
-ag::Variable GruCell(const ag::Variable& p, const ag::Variable& q,
-                     const ag::Variable& h, const Tensor* mask) {
-  const Tensor& pv = p.value();
-  const Tensor& qv = q.value();
-  const Tensor& hv = h.value();
-  const int64_t b = hv.size(0), hd = hv.size(1);
-  DAR_CHECK_EQ(pv.size(0), b);
-  DAR_CHECK_EQ(pv.size(1), 3 * hd);
-  DAR_CHECK_EQ(qv.size(0), b);
-  DAR_CHECK_EQ(qv.size(1), 3 * hd);
-  if (mask != nullptr) DAR_CHECK_EQ(mask->size(0), b);
+///
+/// Keep the cell expressions as written (FastSigmoid/FastTanh from
+/// tensor/fastmath.h included; FP contraction acts per expression): every
+/// consumer — training, serving, cached and uncached paths, all replica
+/// counts — sees the same bits because this is the one implementation, and
+/// tests/nn_gru_test.cc holds it bit for bit to a plain-loop per-step
+/// reference. Gradchecked in tests/autograd_gradcheck_test.cc.
+ag::Variable GruSequence(const ag::Variable& proj, const ag::Variable& w_h,
+                         const Tensor* valid, bool reverse) {
+  const Tensor& pv = proj.value();
+  const Tensor& wv = w_h.value();
+  DAR_CHECK_EQ(pv.dim(), 3);
+  DAR_CHECK_EQ(wv.dim(), 2);
+  const int64_t b = pv.size(0), t_len = pv.size(1), hd = wv.size(0);
+  DAR_CHECK_GT(t_len, 0);
+  DAR_CHECK_EQ(wv.size(1), 3 * hd);
+  DAR_CHECK_EQ(pv.size(2), 3 * hd);
+  if (valid != nullptr) {
+    DAR_CHECK_EQ(valid->dim(), 2);
+    DAR_CHECK_EQ(valid->size(0), b);
+    DAR_CHECK_EQ(valid->size(1), t_len);
+  }
 
-  // Gate activations are retained for the backward closure (and drop with
-  // the node when no input requires grad — inference stays light).
-  Tensor z(Shape{b, hd}), r(Shape{b, hd}), n(Shape{b, hd});
-  Tensor out = Tensor::Scratch(Shape{b, hd});
+  // BPTT state, kept only when the node will be recorded: serving
+  // allocates none of it.
+  const bool keep = proj.requires_grad() || w_h.requires_grad();
+  const Shape kept = keep ? Shape{b, t_len, hd} : Shape{0};
+  Tensor z(kept), r(kept), n(kept), q2(kept);
+  Tensor out = Tensor::Scratch(Shape{b, t_len, hd});
+  Tensor h(Shape{b, hd});  // the state entering the current step
   const float* pp = pv.data();
-  const float* pq = qv.data();
-  const float* ph = hv.data();
-  const float* pm = mask != nullptr ? mask->data() : nullptr;
+  const float* pm = valid != nullptr ? valid->data() : nullptr;
   float* pz = z.data();
   float* pr = r.data();
   float* pn = n.data();
+  float* pq2 = q2.data();
   float* po = out.data();
-  for (int64_t i = 0; i < b; ++i) {
-    const float* prow = pp + i * 3 * hd;
-    const float* qrow = pq + i * 3 * hd;
-    const float* hrow = ph + i * hd;
-    const float mi = pm != nullptr ? pm[i] : 1.0f;
-    const float inv_mi = 1.0f - mi;
-    float* zrow = pz + i * hd;
-    float* rrow = pr + i * hd;
-    float* nrow = pn + i * hd;
-    float* orow = po + i * hd;
-    for (int64_t j = 0; j < hd; ++j) {
-      const float zv = fastmath::FastSigmoid(prow[j] + qrow[j]);
-      const float rv = fastmath::FastSigmoid(prow[hd + j] + qrow[hd + j]);
-      const float nv =
-          fastmath::FastTanh(prow[2 * hd + j] + rv * qrow[2 * hd + j]);
-      const float hprime = (1.0f - zv) * nv + zv * hrow[j];
-      zrow[j] = zv;
-      rrow[j] = rv;
-      nrow[j] = nv;
-      orow[j] = pm != nullptr ? mi * hprime + inv_mi * hrow[j] : hprime;
+  for (int64_t s = 0; s < t_len; ++s) {
+    const int64_t t = reverse ? t_len - 1 - s : s;
+    const Tensor q = dar::MatMul(h, wv);
+    const float* pq = q.data();
+    const float* ph = h.data();
+    for (int64_t i = 0; i < b; ++i) {
+      const int64_t row = i * t_len + t;  // (i, t) in the [B, T, *] buffers
+      const float* prow = pp + row * 3 * hd;
+      const float* qrow = pq + i * 3 * hd;
+      const float* hrow = ph + i * hd;
+      const float mi = pm != nullptr ? pm[row] : 1.0f;
+      const float inv_mi = 1.0f - mi;
+      float* orow = po + row * hd;
+      for (int64_t j = 0; j < hd; ++j) {
+        const float zv = fastmath::FastSigmoid(prow[j] + qrow[j]);
+        const float rv = fastmath::FastSigmoid(prow[hd + j] + qrow[hd + j]);
+        const float nv =
+            fastmath::FastTanh(prow[2 * hd + j] + rv * qrow[2 * hd + j]);
+        const float hprime = (1.0f - zv) * nv + zv * hrow[j];
+        if (keep) {
+          pz[row * hd + j] = zv;
+          pr[row * hd + j] = rv;
+          pn[row * hd + j] = nv;
+          pq2[row * hd + j] = qrow[2 * hd + j];
+        }
+        orow[j] = pm != nullptr ? mi * hprime + inv_mi * hrow[j] : hprime;
+      }
+    }
+    for (int64_t i = 0; i < b; ++i) {
+      const float* orow = po + (i * t_len + t) * hd;
+      std::copy(orow, orow + hd, h.data() + i * hd);
     }
   }
 
-  auto np = p.node();
-  auto nq = q.node();
-  auto nh = h.node();
-  Tensor mask_copy = mask != nullptr ? *mask : Tensor();
-  const bool masked = mask != nullptr;
-  auto backward = [np, nq, nh, z = std::move(z), r = std::move(r),
-                   n = std::move(n), mask_copy = std::move(mask_copy), masked,
-                   b, hd](ag::Node& node) {
-    Tensor dp(Shape{b, 3 * hd}), dq(Shape{b, 3 * hd}), dh(Shape{b, hd});
-    const float* pg = node.grad.data();
+  auto np = proj.node();
+  auto nw = w_h.node();
+  Tensor mask = keep && valid != nullptr ? *valid : Tensor();
+  const bool masked = valid != nullptr;
+  auto backward = [np, nw, z = std::move(z), r = std::move(r),
+                   n = std::move(n), q2 = std::move(q2),
+                   mask = std::move(mask), masked, reverse, b, t_len,
+                   hd](ag::Node& node) {
+    const bool scan = check::SentinelEnabled();
+    const float* pog = node.grad.data();
+    const float* pout = node.value.data();
     const float* pz = z.data();
     const float* pr = r.data();
     const float* pn = n.data();
-    const float* pq2 = nq->value.data();
-    const float* ph = nh->value.data();
-    const float* pm = masked ? mask_copy.data() : nullptr;
-    float* pdp = dp.data();
-    float* pdq = dq.data();
+    const float* pq2 = q2.data();
+    const float* pm = masked ? mask.data() : nullptr;
+    Tensor dproj(Shape{b, t_len, 3 * hd});
+    Tensor g(Shape{b, hd});       // state gradient of the current step
+    Tensor dh(Shape{b, hd});      // its cell term for the previous step
+    Tensor dq(Shape{b, 3 * hd});  // d (h · W_h) of the current step
+    Tensor h_prev(Shape{b, hd});  // the state entering the current step
+    float* pdp = dproj.data();
+    float* pg = g.data();
     float* pdh = dh.data();
-    for (int64_t i = 0; i < b; ++i) {
-      const float* grow = pg + i * hd;
-      const float* zrow = pz + i * hd;
-      const float* rrow = pr + i * hd;
-      const float* nrow = pn + i * hd;
-      const float* q2row = pq2 + i * 3 * hd + 2 * hd;
-      const float* hrow = ph + i * hd;
-      const float mi = pm != nullptr ? pm[i] : 1.0f;
-      float* dprow = pdp + i * 3 * hd;
-      float* dqrow = pdq + i * 3 * hd;
-      float* dhrow = pdh + i * hd;
-      for (int64_t j = 0; j < hd; ++j) {
-        const float g = grow[j];
-        const float gm = g * mi;
-        const float zv = zrow[j], rv = rrow[j], nv = nrow[j];
-        const float dt = gm * (1.0f - zv) * (1.0f - nv * nv);
-        const float ds_r = dt * q2row[j] * rv * (1.0f - rv);
-        const float ds_z = gm * (hrow[j] - nv) * zv * (1.0f - zv);
-        dprow[j] = ds_z;
-        dprow[hd + j] = ds_r;
-        dprow[2 * hd + j] = dt;
-        dqrow[j] = ds_z;
-        dqrow[hd + j] = ds_r;
-        dqrow[2 * hd + j] = dt * rv;
-        dhrow[j] = gm * zv + g * (1.0f - mi);
+    float* pdq = dq.data();
+    float* ph = h_prev.data();
+    const auto time_of = [&](int64_t s) { return reverse ? t_len - 1 - s : s; };
+    // g = 0 + d out[:, t]: the tape's first accumulation into a state.
+    const auto load_out_grad = [&](int64_t t) {
+      for (int64_t i = 0; i < b; ++i) {
+        const float* ogrow = pog + (i * t_len + t) * hd;
+        for (int64_t j = 0; j < hd; ++j) pg[i * hd + j] = 0.0f + ogrow[j];
+      }
+    };
+    load_out_grad(time_of(t_len - 1));
+    for (int64_t s = t_len - 1; s >= 0; --s) {
+      const int64_t t = time_of(s);
+      if (s > 0) {
+        const int64_t tp = time_of(s - 1);
+        for (int64_t i = 0; i < b; ++i) {
+          const float* orow = pout + (i * t_len + tp) * hd;
+          std::copy(orow, orow + hd, ph + i * hd);
+        }
+      } else {
+        h_prev.Zero();
+      }
+      if (scan) check::ScanForNonFinite("gru_sequence", "grad", pg, b * hd);
+      for (int64_t i = 0; i < b; ++i) {
+        const int64_t row = i * t_len + t;
+        const float* grow = pg + i * hd;
+        const float* zrow = pz + row * hd;
+        const float* rrow = pr + row * hd;
+        const float* nrow = pn + row * hd;
+        const float* q2row = pq2 + row * hd;
+        const float* hrow = ph + i * hd;
+        const float mi = pm != nullptr ? pm[row] : 1.0f;
+        float* dprow = pdp + row * 3 * hd;
+        float* dqrow = pdq + i * 3 * hd;
+        float* dhrow = pdh + i * hd;
+        for (int64_t j = 0; j < hd; ++j) {
+          const float g = grow[j];
+          const float gm = g * mi;
+          const float zv = zrow[j], rv = rrow[j], nv = nrow[j];
+          const float dt = gm * (1.0f - zv) * (1.0f - nv * nv);
+          const float ds_r = dt * q2row[j] * rv * (1.0f - rv);
+          const float ds_z = gm * (hrow[j] - nv) * zv * (1.0f - zv);
+          dprow[j] = ds_z;
+          dprow[hd + j] = ds_r;
+          dprow[2 * hd + j] = dt;
+          dqrow[j] = ds_z;
+          dqrow[hd + j] = ds_r;
+          dqrow[2 * hd + j] = dt * rv;
+          dhrow[j] = gm * zv + g * (1.0f - mi);
+        }
+      }
+      if (scan) check::ScanForNonFinite("gru_sequence", "grad", pdq, b * 3 * hd);
+      if (s > 0) {
+        // The previous step's state gradient, in the tape's order:
+        // ((0 + d out) + cell term) + MatMulTB term.
+        const Tensor da = dar::MatMulTB(dq, nw->value);
+        const float* pda = da.data();
+        load_out_grad(time_of(s - 1));
+        for (int64_t k = 0; k < b * hd; ++k) pg[k] = (pg[k] + pdh[k]) + pda[k];
+      }
+      if (nw->requires_grad) {
+        const Tensor dw = dar::MatMulTA(h_prev, dq);
+        if (s == t_len - 1) {
+          nw->AccumulateGrad(dw);
+        } else {
+          AddInPlace(nw->grad, dw);
+        }
       }
     }
-    if (np->requires_grad) np->AccumulateGrad(dp);
-    if (nq->requires_grad) nq->AccumulateGrad(dq);
-    if (nh->requires_grad) nh->AccumulateGrad(dh);
+    if (scan) {
+      check::ScanForNonFinite("gru_sequence", "grad", pdp, dproj.numel());
+    }
+    if (np->requires_grad) np->AccumulateGrad(dproj);
   };
-  return ag::MakeOpResult("gru_cell", std::move(out), {np, nq, nh},
+  return ag::MakeOpResult("gru_sequence", std::move(out), {np, nw},
                           std::move(backward));
 }
-
-}  // namespace
 
 Gru::Gru(int64_t input_dim, int64_t hidden_dim, Pcg32& rng, bool reverse)
     : input_dim_(input_dim), hidden_dim_(hidden_dim), reverse_(reverse) {
@@ -165,24 +214,12 @@ Gru::Gru(int64_t input_dim, int64_t hidden_dim, Pcg32& rng, bool reverse)
   b_ = RegisterParameter("b", Tensor::Zeros(Shape{3 * hidden_dim}));
 }
 
-ag::Variable Gru::Step(const ag::Variable& x_proj, const ag::Variable& h) const {
-  // Hidden projection through the packed GEMM kernel, gates through the
-  // fused cell — the whole recurrent step is two op nodes.
-  ag::Variable h_proj = ag::MatMul(h, w_h_);
-  return GruCell(x_proj, h_proj, h, /*mask=*/nullptr);
-}
-
 ag::Variable Gru::Forward(const ag::Variable& x, const Tensor* valid) const {
   obs::Span span("gru.forward", obs::TraceLevel::kDetailed);
   const Tensor& xv = x.value();
   DAR_CHECK_EQ(xv.dim(), 3);
   int64_t b = xv.size(0), t_len = xv.size(1);
   DAR_CHECK_EQ(xv.size(2), input_dim_);
-  if (valid != nullptr) {
-    DAR_CHECK_EQ(valid->dim(), 2);
-    DAR_CHECK_EQ(valid->size(0), b);
-    DAR_CHECK_EQ(valid->size(1), t_len);
-  }
 
   // Project all timesteps at once: [B*T, E] x [E, 3H] — one large GEMM
   // instead of T small ones; the packed kernel's best case.
@@ -190,22 +227,7 @@ ag::Variable Gru::Forward(const ag::Variable& x, const Tensor* valid) const {
   ag::Variable proj_flat = ag::AddBias(ag::MatMul(x_flat, w_x_), b_);
   ag::Variable proj = ag::Reshape(proj_flat, Shape{b, t_len, 3 * hidden_dim_});
 
-  ag::Variable h = ag::Variable::Constant(Tensor::Zeros(Shape{b, hidden_dim_}));
-  std::vector<ag::Variable> outputs(static_cast<size_t>(t_len));
-  for (int64_t step = 0; step < t_len; ++step) {
-    int64_t t = reverse_ ? t_len - 1 - step : step;
-    // The padding freeze (h = m * h' + (1 - m) * h) is folded into the
-    // fused cell rather than composed from ScaleRows/Add ops.
-    ag::Variable h_proj = ag::MatMul(h, w_h_);
-    if (valid != nullptr) {
-      Tensor m = MaskColumn(*valid, t);
-      h = GruCell(ag::SliceTimeOp(proj, t), h_proj, h, &m);
-    } else {
-      h = GruCell(ag::SliceTimeOp(proj, t), h_proj, h, nullptr);
-    }
-    outputs[static_cast<size_t>(t)] = h;
-  }
-  return ag::StackTimeOp(outputs);
+  return GruSequence(proj, w_h_, valid, reverse_);
 }
 
 BiGru::BiGru(int64_t input_dim, int64_t hidden_dim, Pcg32& rng)

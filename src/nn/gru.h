@@ -13,6 +13,27 @@
 namespace dar {
 namespace nn {
 
+/// One GRU direction as ONE autograd node: the recurrence over a
+/// precomputed input projection `proj` [B, T, 3H] with recurrent weights
+/// `w_h` [H, 3H]. `valid` is the 0/1 [B, T] length mask (nullptr = all
+/// valid); `reverse` runs t = T-1 down to 0. Returns the hidden states
+/// [B, T, H] in original time order.
+///
+/// Each step runs one MatMul(h, w_h) and the fused cell (gates, candidate,
+/// state blend, padding freeze). When a parent requires grad the node
+/// keeps the gates, the candidate third of each step's hidden projection
+/// and the mask, and its backward runs BPTT from the last step to the
+/// first. Gradient-order contract — the per-step recurrence's summation
+/// order, which trained parameters depend on bit for bit
+/// (tests/nn_gru_test.cc holds the op to a per-step reference):
+///   * step s's state gradient is
+///     ((0 + d out[s]) + cell term of step s+1) + MatMulTB(dq[s+1], w_h);
+///   * w_h's gradient adds MatMulTA(h[s-1], dq[s]) for s = T-1 .. 0, the
+///     first through AccumulateGrad (one visit) and the rest in place;
+///   * proj's gradient is assembled step by step and accumulated once.
+ag::Variable GruSequence(const ag::Variable& proj, const ag::Variable& w_h,
+                         const Tensor* valid, bool reverse);
+
 /// Single-direction GRU over a padded batch.
 ///
 /// Gate layout inside the fused [*, 3H] projections: [update z | reset r |
@@ -34,9 +55,6 @@ class Gru : public Module {
   bool reverse() const { return reverse_; }
 
  private:
-  /// One recurrence step from precomputed input projection [B, 3H].
-  ag::Variable Step(const ag::Variable& x_proj, const ag::Variable& h) const;
-
   int64_t input_dim_;
   int64_t hidden_dim_;
   bool reverse_;

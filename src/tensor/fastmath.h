@@ -1,7 +1,7 @@
 // Branch-free scalar math shared by the elementwise kernels.
 //
 // FastExp lived as a private helper inside tensor_ops.cc; it moved here so
-// the fused GRU cell (nn/gru.cc) computes its sigmoid/tanh gates with the
+// the fused GRU op (nn/gru.cc) computes its sigmoid/tanh gates with the
 // EXACT same polynomial the tensor-level Sigmoid/Tanh kernels use — the
 // fused forward stays bit-identical to the op-composed forward it
 // replaced.
@@ -9,6 +9,7 @@
 #define DAR_TENSOR_FASTMATH_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 

@@ -12,6 +12,7 @@
 #include "core/regularizer.h"
 #include "core/train_config.h"
 #include "nn/attention.h"
+#include "nn/gru.h"
 #include "nn/gumbel.h"
 #include "nn/layer_norm.h"
 #include "nn/loss.h"
@@ -78,9 +79,6 @@ std::vector<OpCase> AllOpCases() {
   add("scale_last_dim", {{2, 3, 4}, {2, 3}}, [](const std::vector<Variable>& v) {
     return Sum(Mul(ScaleLastDim(v[0], v[1]), ScaleLastDim(v[0], v[1])));
   });
-  add("scale_rows", {{3, 4}, {3}}, [](const std::vector<Variable>& v) {
-    return Sum(Mul(ScaleRows(v[0], v[1]), ScaleRows(v[0], v[1])));
-  });
   add("matmul", {{3, 4}, {4, 2}},
       [](const std::vector<Variable>& v) {
         Variable y = MatMul(v[0], v[1]);
@@ -132,14 +130,16 @@ std::vector<OpCase> AllOpCases() {
     Variable y = ConcatRows({v[0], v[1]});
     return Sum(Mul(y, y));
   });
-  add("slice_time", {{2, 3, 2}}, [](const std::vector<Variable>& v) {
-    Variable y = SliceTimeOp(v[0], 1);
-    return Sum(Mul(y, y));
-  });
-  add("stack_time", {{2, 2}, {2, 2}}, [](const std::vector<Variable>& v) {
-    Variable y = StackTimeOp({v[0], v[1]});
-    return Sum(Mul(y, y));
-  });
+  // The fused GRU direction, differentiated with respect to its input
+  // projection [B, T, 3H] and W_h [H, 3H], masked and in both directions.
+  for (bool reverse : {false, true}) {
+    add(reverse ? "gru_sequence_reverse" : "gru_sequence",
+        {{2, 4, 9}, {3, 9}}, [reverse](const std::vector<Variable>& v) {
+          const Tensor valid(Shape{2, 4}, {1, 1, 1, 1, 1, 1, 0, 0});
+          Variable y = nn::GruSequence(v[0], v[1], &valid, reverse);
+          return Sum(Mul(y, y));
+        });
+  }
   add("time_diff", {{2, 4}}, [](const std::vector<Variable>& v) {
     Variable y = TimeDiff(v[0]);
     return Sum(Mul(y, y));

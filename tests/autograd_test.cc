@@ -1,11 +1,14 @@
 // Tests for the autograd engine (variable.h + ops.h): graph mechanics,
 // known analytic gradients, gradient-flow control.
 #include <cmath>
+#include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "nn/gru.h"
 #include "tensor/tensor_ops.h"
 
 namespace dar {
@@ -207,14 +210,33 @@ TEST(OpsTest, ScaleLastDimForward) {
   EXPECT_EQ(x.grad().at(0, 1, 0), 0.0f);
 }
 
-TEST(OpsTest, SliceStackTimeRoundTrip) {
-  Variable x = Variable::Param(Tensor(Shape{2, 3, 1}, {1, 2, 3, 4, 5, 6}));
-  std::vector<Variable> steps;
-  for (int64_t t = 0; t < 3; ++t) steps.push_back(SliceTimeOp(x, t));
-  Variable y = StackTimeOp(steps);
-  EXPECT_TRUE(y.value().AllClose(x.value()));
-  Sum(y).Backward();
-  EXPECT_TRUE(x.grad().AllClose(Tensor(Shape{2, 3, 1}, 1.0f)));
+/// Number of distinct nodes reachable from `root` through parent edges.
+size_t CountTapeNodes(const Variable& root) {
+  std::unordered_set<const Node*> seen{root.node().get()};
+  std::vector<const Node*> stack{root.node().get()};
+  while (!stack.empty()) {
+    const Node* n = stack.back();
+    stack.pop_back();
+    for (const auto& p : n->parents) {
+      if (seen.insert(p.get()).second) stack.push_back(p.get());
+    }
+  }
+  return seen.size();
+}
+
+TEST(OpsTest, BiGruTapeSizeIsIndependentOfSequenceLength) {
+  // Each GRU direction is one node however long the sequence: the
+  // recurrence lives inside nn::GruSequence, not on the tape.
+  Pcg32 rng(3);
+  nn::BiGru bigru(4, 3, rng);
+  auto tape_nodes = [&bigru](int64_t t_len) {
+    Pcg32 data_rng(4);
+    Variable x = Variable::Param(Tensor::Randn({2, t_len, 4}, data_rng));
+    Tensor valid(Shape{2, t_len}, 1.0f);
+    valid.at(1, t_len - 1) = 0.0f;
+    return CountTapeNodes(bigru.Forward(x, &valid));
+  };
+  EXPECT_EQ(tape_nodes(1), tape_nodes(40));
 }
 
 TEST(OpsTest, TimeDiffForwardAndGrad) {

@@ -68,13 +68,42 @@ TEST(CheckpointTest, RejectsWrongParameterCount) {
   EXPECT_NE(result.error.find("count mismatch"), std::string::npos);
 }
 
+/// Every parameter value of `modules`, in order.
+std::vector<Tensor> ParameterValues(const std::vector<NamedModule>& modules) {
+  std::vector<Tensor> values;
+  for (const NamedModule& m : modules) {
+    for (const NamedParameter& p : m.module->Parameters()) {
+      values.push_back(p.variable.value());
+    }
+  }
+  return values;
+}
+
+bool SameBits(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].shape() != b[i].shape() ||
+        std::memcmp(a[i].data(), b[i].data(),
+                    sizeof(float) * static_cast<size_t>(a[i].numel())) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(CheckpointTest, RejectsTruncatedValues) {
   Pcg32 rng(6);
   Linear linear(2, 2, rng);
-  std::string text = SerializeCheckpoint(linear);
-  text.resize(text.size() / 2);
+  const std::string text = SerializeCheckpoint(linear);
   Linear other(2, 2, rng);
-  EXPECT_FALSE(DeserializeCheckpoint(other, text).ok);
+  const std::vector<NamedModule> target = {{"linear", &other}};
+  const std::vector<Tensor> before = ParameterValues(target);
+  // Cut midway, and inside the last parameter's values (the weight record
+  // before it is complete and valid).
+  for (size_t cut : {text.size() / 2, text.rfind(' ')}) {
+    EXPECT_FALSE(DeserializeCheckpoint(other, text.substr(0, cut)).ok);
+    EXPECT_TRUE(SameBits(ParameterValues(target), before)) << "cut " << cut;
+  }
 }
 
 TEST(CheckpointTest, FileRoundTrip) {
@@ -189,6 +218,39 @@ TEST(CheckpointTest, BundleRejectsModuleMismatch) {
   EXPECT_FALSE(result.ok);
   result = DeserializeCheckpoint(linear, text);
   EXPECT_FALSE(result.ok);
+}
+
+TEST(CheckpointTest, FailedBundleLoadLeavesEveryModuleUnchanged) {
+  // A bundle that fails validation in its last module must not have
+  // overwritten the modules before it.
+  core::TrainConfig config;
+  config.embedding_dim = 8;
+  config.hidden_dim = 6;
+  Pcg32 rng(23);
+  Tensor embeddings = Tensor::Randn({14, 8}, rng, 0.3f);
+  core::DarModel source(embeddings, config);
+  config.seed = 777;
+  core::DarModel target(embeddings, config);
+  const std::string text = SerializeCheckpoint(source.CheckpointModules());
+  ASSERT_EQ(target.CheckpointModules().size(), 3u);
+  const std::vector<Tensor> before = ParameterValues(target.CheckpointModules());
+  ASSERT_FALSE(SameBits(ParameterValues(source.CheckpointModules()), before));
+
+  // Truncated inside the last module's last parameter.
+  const std::string truncated = text.substr(0, text.rfind(' '));
+  // The last parameter's first dimension gains a leading digit.
+  const size_t dim_at = text.rfind("\nshape ") + std::strlen("\nshape ");
+  const std::string reshaped =
+      text.substr(0, dim_at) + "9" + text.substr(dim_at);
+  for (const std::string& bad : {truncated, reshaped}) {
+    CheckpointResult result =
+        DeserializeCheckpoint(target.CheckpointModules(), bad);
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.error.find("module 'discriminator'"), std::string::npos)
+        << result.error;
+    EXPECT_TRUE(SameBits(ParameterValues(target.CheckpointModules()), before))
+        << result.error;
+  }
 }
 
 TEST(CheckpointTest, PreservesValuesAcrossWholePredictor) {

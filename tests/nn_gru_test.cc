@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "autograd/gradcheck.h"
+#include "tensor/fastmath.h"
+#include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 
 namespace dar {
@@ -11,6 +17,292 @@ namespace nn {
 namespace {
 
 ag::Variable Embed(const Tensor& t) { return ag::Variable::Constant(t); }
+
+// ---- Per-step reference -----------------------------------------------------
+//
+// The recurrence as the per-step tape ran it — one MatMul(h, W_h) and one
+// fused cell per timestep — and its BPTT in that tape's summation order,
+// written as plain loops over std::vector with every product through
+// gemm::GemmReference. It is the oracle the fused GruSequence op is held
+// to bit for bit, kept here the way GemmReference is kept for the GEMM.
+
+using Floats = std::vector<float>;
+
+Floats RefGemm(gemm::Trans trans, int64_t m, int64_t n, int64_t k,
+               const Floats& a, const Floats& b) {
+  Floats c(static_cast<size_t>(m * n), 0.0f);
+  gemm::GemmReference(trans, m, n, k, a.data(), b.data(), c.data());
+  return c;
+}
+
+const Floats& ParamValue(const Gru& gru, const std::string& name) {
+  for (const NamedParameter& p : gru.Parameters()) {
+    if (p.name == name) return p.variable.value().vec();
+  }
+  ADD_FAILURE() << "no parameter " << name;
+  static const Floats kNone;
+  return kNone;
+}
+
+/// One direction's forward, with what its backward reads. Rows of the
+/// [B, T, *] buffers are indexed i * T + t.
+struct RefRun {
+  int64_t b = 0, t_len = 0;
+  Floats x, mask, proj, out, z, r, n, q2;
+};
+
+/// Gradient accumulators, zero-initialized like a fresh Node::grad.
+struct RefGrads {
+  Floats x, w_x, w_h, b;
+};
+
+RefRun RefForward(const Gru& gru, const Tensor& x, const Tensor* valid) {
+  const int64_t e = gru.input_dim(), hd = gru.hidden_dim();
+  const Floats& w_x = ParamValue(gru, "w_x");
+  const Floats& w_h = ParamValue(gru, "w_h");
+  const Floats& bias = ParamValue(gru, "b");
+  RefRun run;
+  run.b = x.size(0);
+  run.t_len = x.size(1);
+  const int64_t rows = run.b * run.t_len;
+  run.x = x.vec();
+  if (valid != nullptr) run.mask = valid->vec();
+  run.proj = RefGemm(gemm::Trans::kNN, rows, 3 * hd, e, run.x, w_x);
+  for (int64_t row = 0; row < rows; ++row) {
+    for (int64_t j = 0; j < 3 * hd; ++j) run.proj[row * 3 * hd + j] += bias[j];
+  }
+  for (Floats* v : {&run.out, &run.z, &run.r, &run.n, &run.q2}) {
+    v->assign(static_cast<size_t>(rows * hd), 0.0f);
+  }
+  Floats h(static_cast<size_t>(run.b * hd), 0.0f);
+  for (int64_t s = 0; s < run.t_len; ++s) {
+    const int64_t t = gru.reverse() ? run.t_len - 1 - s : s;
+    const Floats q = RefGemm(gemm::Trans::kNN, run.b, 3 * hd, hd, h, w_h);
+    for (int64_t i = 0; i < run.b; ++i) {
+      const int64_t row = i * run.t_len + t;
+      const float* p = &run.proj[row * 3 * hd];
+      const float* qi = &q[i * 3 * hd];
+      const bool masked = !run.mask.empty();
+      const float mi = masked ? run.mask[row] : 1.0f;
+      const float inv_mi = 1.0f - mi;
+      for (int64_t j = 0; j < hd; ++j) {
+        const float hv = h[i * hd + j];
+        const float zv = fastmath::FastSigmoid(p[j] + qi[j]);
+        const float rv = fastmath::FastSigmoid(p[hd + j] + qi[hd + j]);
+        const float nv = fastmath::FastTanh(p[2 * hd + j] + rv * qi[2 * hd + j]);
+        const float hprime = (1.0f - zv) * nv + zv * hv;
+        run.z[row * hd + j] = zv;
+        run.r[row * hd + j] = rv;
+        run.n[row * hd + j] = nv;
+        run.q2[row * hd + j] = qi[2 * hd + j];
+        run.out[row * hd + j] = masked ? mi * hprime + inv_mi * hv : hprime;
+      }
+    }
+    for (int64_t i = 0; i < run.b; ++i) {
+      for (int64_t j = 0; j < hd; ++j) {
+        h[i * hd + j] = run.out[(i * run.t_len + t) * hd + j];
+      }
+    }
+  }
+  return run;
+}
+
+void AddInto(Floats& acc, const Floats& g) {
+  if (acc.empty()) acc.assign(g.size(), 0.0f);
+  for (size_t i = 0; i < g.size(); ++i) acc[i] += g[i];
+}
+
+/// BPTT of `run` given d out (`out_grad`, [B, T, H]), accumulating into
+/// `grads` the gradients of the inputs that require them.
+void RefBackward(const Gru& gru, const RefRun& run, const Floats& out_grad,
+                 bool x_grad, bool weight_grad, RefGrads& grads) {
+  const int64_t e = gru.input_dim(), hd = gru.hidden_dim();
+  const int64_t b = run.b, t_len = run.t_len, rows = b * t_len;
+  const Floats& w_x = ParamValue(gru, "w_x");
+  const Floats& w_h = ParamValue(gru, "w_h");
+  auto time_of = [&](int64_t s) { return gru.reverse() ? t_len - 1 - s : s; };
+  Floats dproj(static_cast<size_t>(rows * 3 * hd), 0.0f);
+  Floats g(static_cast<size_t>(b * hd)), dh(static_cast<size_t>(b * hd));
+  Floats h_prev(static_cast<size_t>(b * hd)), dq(static_cast<size_t>(b * 3 * hd));
+  // A state's first accumulation adds d out to a zeroed gradient.
+  auto load_out_grad = [&](int64_t t) {
+    for (int64_t i = 0; i < b; ++i) {
+      for (int64_t j = 0; j < hd; ++j) {
+        g[i * hd + j] = 0.0f + out_grad[(i * t_len + t) * hd + j];
+      }
+    }
+  };
+  load_out_grad(time_of(t_len - 1));
+  for (int64_t s = t_len - 1; s >= 0; --s) {
+    const int64_t t = time_of(s);
+    for (int64_t i = 0; i < b; ++i) {
+      for (int64_t j = 0; j < hd; ++j) {
+        h_prev[i * hd + j] =
+            s > 0 ? run.out[(i * t_len + time_of(s - 1)) * hd + j] : 0.0f;
+      }
+    }
+    for (int64_t i = 0; i < b; ++i) {
+      const int64_t row = i * t_len + t;
+      const float mi = run.mask.empty() ? 1.0f : run.mask[row];
+      for (int64_t j = 0; j < hd; ++j) {
+        const float gv = g[i * hd + j];
+        const float gm = gv * mi;
+        const float zv = run.z[row * hd + j], rv = run.r[row * hd + j],
+                    nv = run.n[row * hd + j];
+        const float dt = gm * (1.0f - zv) * (1.0f - nv * nv);
+        const float ds_r = dt * run.q2[row * hd + j] * rv * (1.0f - rv);
+        const float ds_z = gm * (h_prev[i * hd + j] - nv) * zv * (1.0f - zv);
+        dproj[row * 3 * hd + j] = ds_z;
+        dproj[row * 3 * hd + hd + j] = ds_r;
+        dproj[row * 3 * hd + 2 * hd + j] = dt;
+        dq[i * 3 * hd + j] = ds_z;
+        dq[i * 3 * hd + hd + j] = ds_r;
+        dq[i * 3 * hd + 2 * hd + j] = dt * rv;
+        dh[i * hd + j] = gm * zv + gv * (1.0f - mi);
+      }
+    }
+    if (s > 0) {
+      // Into the previous state: its d out, then this step's cell term,
+      // then the recurrent MatMul's dA.
+      const Floats da = RefGemm(gemm::Trans::kTB, b, hd, 3 * hd, dq, w_h);
+      load_out_grad(time_of(s - 1));
+      for (size_t k = 0; k < g.size(); ++k) g[k] = (g[k] + dh[k]) + da[k];
+    }
+    if (weight_grad) {
+      AddInto(grads.w_h, RefGemm(gemm::Trans::kTA, hd, 3 * hd, b, h_prev, dq));
+    }
+  }
+  // The input projection's Reshape / AddBias / MatMul backward.
+  if (weight_grad) {
+    Floats db(static_cast<size_t>(3 * hd), 0.0f);
+    for (int64_t row = 0; row < rows; ++row) {
+      for (int64_t j = 0; j < 3 * hd; ++j) db[j] += dproj[row * 3 * hd + j];
+    }
+    AddInto(grads.b, db);
+    AddInto(grads.w_x, RefGemm(gemm::Trans::kTA, e, 3 * hd, rows, run.x, dproj));
+  }
+  if (x_grad) {
+    AddInto(grads.x, RefGemm(gemm::Trans::kTB, rows, e, 3 * hd, dproj, w_x));
+  }
+}
+
+bool SameBits(const Tensor& got, const Floats& want) {
+  return got.vec().size() == want.size() &&
+         std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) == 0;
+}
+
+/// [B, T] mask with per-row lengths in [1, T]; row 0 spans all of T.
+Tensor RaggedMask(int64_t b, int64_t t_len, Pcg32& rng) {
+  Tensor valid(Shape{b, t_len});
+  for (int64_t i = 0; i < b; ++i) {
+    const int64_t len =
+        i == 0 ? t_len : 1 + static_cast<int64_t>(rng.NextU32() % t_len);
+    for (int64_t t = 0; t < len; ++t) valid.at(i, t) = 1.0f;
+  }
+  return valid;
+}
+
+enum class Frozen { kNothing, kInput, kWeights };
+
+TEST(GruSequenceTest, MatchesPerStepReferenceBitForBit) {
+  constexpr int64_t kE = 32, kH = 24;
+  const std::vector<std::pair<int64_t, int64_t>> shapes = {
+      {1, 1}, {3, 7}, {5, 38}, {64, 40}};
+  for (const auto& [b, t_len] : shapes) {
+    for (bool reverse : {false, true}) {
+      for (bool masked : {false, true}) {
+        for (Frozen frozen : {Frozen::kNothing, Frozen::kInput,
+                              Frozen::kWeights}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "B=" << b << " T=" << t_len << " reverse=" << reverse
+                       << " masked=" << masked
+                       << " frozen=" << static_cast<int>(frozen));
+          Pcg32 rng(static_cast<uint64_t>(100 * b + t_len));
+          Gru gru(kE, kH, rng, reverse);
+          // The generator's input is a constant embedding; DAR's
+          // discriminator is a frozen module fed a differentiable input.
+          const bool x_grad = frozen != Frozen::kInput;
+          const bool weight_grad = frozen != Frozen::kWeights;
+          if (!weight_grad) {
+            for (NamedParameter& p : gru.Parameters()) {
+              p.variable.set_requires_grad(false);
+            }
+          }
+          Tensor x = Tensor::Randn({b, t_len, kE}, rng, 0.8f);
+          Tensor valid = RaggedMask(b, t_len, rng);
+          Tensor seed = Tensor::Randn({b, t_len, kH}, rng);
+          const Tensor* mask = masked ? &valid : nullptr;
+
+          ag::Variable xv(x, x_grad);
+          ag::Variable y = gru.Forward(xv, mask);
+          y.Backward(seed);
+
+          RefRun run = RefForward(gru, x, mask);
+          RefGrads want;
+          RefBackward(gru, run, seed.vec(), x_grad, weight_grad, want);
+          EXPECT_TRUE(SameBits(y.value(), run.out));
+          if (x_grad) {
+            EXPECT_TRUE(SameBits(xv.grad(), want.x));
+          }
+          if (weight_grad) {
+            for (const NamedParameter& p : gru.Parameters()) {
+              const Floats& w = p.name == "w_x"   ? want.w_x
+                                : p.name == "w_h" ? want.w_h
+                                                  : want.b;
+              EXPECT_TRUE(SameBits(p.variable.grad(), w)) << p.name;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GruSequenceTest, SameGruTwiceInOneLossMatchesReference) {
+  // One loss, two runs of the same Gru (as a predictor reading both the
+  // rationale and the full text): W_h, w_x and b collect both runs'
+  // gradients in the tape's order — the later run's node backpropagates
+  // first.
+  constexpr int64_t kE = 32, kH = 24;
+  for (const auto& [b, t_len] : std::vector<std::pair<int64_t, int64_t>>{
+           {1, 1}, {3, 7}, {5, 38}, {64, 40}}) {
+    for (bool reverse : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "B=" << b << " T=" << t_len
+                                        << " reverse=" << reverse);
+      Pcg32 rng(static_cast<uint64_t>(7 * b + t_len));
+      Gru gru(kE, kH, rng, reverse);
+      Tensor x1 = Tensor::Randn({b, t_len, kE}, rng, 0.8f);
+      Tensor x2 = Tensor::Randn({b, t_len, kE}, rng, 0.8f);
+      Tensor valid = RaggedMask(b, t_len, rng);
+      Tensor seed = Tensor::Randn({b, t_len, kH}, rng);
+
+      ag::Variable v1 = ag::Variable::Param(x1);
+      ag::Variable v2 = ag::Variable::Param(x2);
+      ag::Variable y1 = gru.Forward(v1, &valid);
+      ag::Variable y2 = gru.Forward(v2);
+      ag::Add(y1, y2).Backward(seed);
+
+      RefRun run1 = RefForward(gru, x1, &valid);
+      RefRun run2 = RefForward(gru, x2, nullptr);
+      RefGrads want2, want;
+      RefBackward(gru, run2, seed.vec(), true, true, want2);
+      want.w_x = want2.w_x;
+      want.w_h = want2.w_h;
+      want.b = want2.b;
+      RefBackward(gru, run1, seed.vec(), true, true, want);
+      EXPECT_TRUE(SameBits(y1.value(), run1.out));
+      EXPECT_TRUE(SameBits(y2.value(), run2.out));
+      EXPECT_TRUE(SameBits(v1.grad(), want.x));
+      EXPECT_TRUE(SameBits(v2.grad(), want2.x));
+      for (const NamedParameter& p : gru.Parameters()) {
+        const Floats& w = p.name == "w_x"   ? want.w_x
+                          : p.name == "w_h" ? want.w_h
+                                            : want.b;
+        EXPECT_TRUE(SameBits(p.variable.grad(), w)) << p.name;
+      }
+    }
+  }
+}
 
 TEST(GruTest, OutputShape) {
   Pcg32 rng(1);
