@@ -4,8 +4,8 @@
 // step engine (core/parallel_trainer.h) at 1/2/4/8 workers and reports
 // wall-clock epoch throughput and speedup over the 1-worker run. Each
 // sweep point uses num_shards == num_workers, i.e. the schedule an actual
-// deployment would run; deterministic_reduce stays on, so the measured
-// configuration is the bit-reproducible one.
+// deployment would run; the reduce always runs in shard order, so each
+// measured configuration is bit-reproducible.
 //
 // Besides the table, the bench records a machine-readable baseline in
 // BENCH_train_scaling.json (cwd; run via run_benches.sh from the repo

@@ -6,36 +6,16 @@
 #include <string>
 #include <utility>
 
-#include "core/telemetry.h"
+#include "core/game_loop.h"
 #include "data/dataloader.h"
 #include "nn/gumbel.h"
 #include "obs/trace.h"
-#include "optim/adam.h"
-#include "optim/clip.h"
-#include "sync/mutex.h"
 #include "tensor/check.h"
 
 namespace dar {
 namespace core {
 
 namespace {
-
-/// Snapshot/restore of parameter values for best-epoch selection (same
-/// protocol as the sequential Fit in trainer.cc).
-std::vector<Tensor> SnapshotValues(const std::vector<ag::Variable>& params) {
-  std::vector<Tensor> values;
-  values.reserve(params.size());
-  for (const ag::Variable& p : params) values.push_back(p.value());
-  return values;
-}
-
-void RestoreValues(std::vector<ag::Variable>& params,
-                   const std::vector<Tensor>& values) {
-  DAR_CHECK_EQ(params.size(), values.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    params[i].mutable_value() = values[i];
-  }
-}
 
 /// Extracts the given rows of a [B, T] tensor into a [rows, T] tensor.
 Tensor SelectRows(const Tensor& full, const std::vector<int64_t>& rows) {
@@ -53,31 +33,19 @@ Tensor SelectRows(const Tensor& full, const std::vector<int64_t>& rows) {
 }  // namespace
 
 std::vector<std::vector<int64_t>> ShardRowSets(int64_t batch_size,
-                                               int64_t num_shards,
-                                               ShardPolicy policy) {
+                                               int64_t num_shards) {
   DAR_CHECK_GT(batch_size, 0);
   const int64_t shards = std::max<int64_t>(1, std::min(num_shards, batch_size));
   std::vector<std::vector<int64_t>> row_sets(shards);
-  switch (policy) {
-    case ShardPolicy::kContiguous: {
-      const int64_t base = batch_size / shards;
-      const int64_t rem = batch_size % shards;
-      int64_t next = 0;
-      for (int64_t s = 0; s < shards; ++s) {
-        const int64_t count = base + (s < rem ? 1 : 0);
-        row_sets[s].reserve(count);
-        for (int64_t i = 0; i < count; ++i) row_sets[s].push_back(next++);
-      }
-      DAR_CHECK_EQ(next, batch_size);
-      break;
-    }
-    case ShardPolicy::kStrided: {
-      for (int64_t r = 0; r < batch_size; ++r) {
-        row_sets[r % shards].push_back(r);
-      }
-      break;
-    }
+  const int64_t base = batch_size / shards;
+  const int64_t rem = batch_size % shards;
+  int64_t next = 0;
+  for (int64_t s = 0; s < shards; ++s) {
+    const int64_t count = base + (s < rem ? 1 : 0);
+    row_sets[s].reserve(count);
+    for (int64_t i = 0; i < count; ++i) row_sets[s].push_back(next++);
   }
+  DAR_CHECK_EQ(next, batch_size);
   return row_sets;
 }
 
@@ -106,12 +74,12 @@ DataParallelTrainer::DataParallelTrainer(RationalizerBase& master,
     : master_(master), config_(config) {
   config_.num_workers = std::max(1, config_.num_workers);
   DAR_CHECK_GE(config_.num_shards, 0);
+  num_shards_ =
+      config_.num_shards > 0 ? config_.num_shards : config_.num_workers;
 }
 
 void DataParallelTrainer::EnsureReplicas() {
   if (!replicas_.empty()) return;
-  num_shards_ =
-      config_.num_shards > 0 ? config_.num_shards : config_.num_workers;
   master_params_ = master_.TrainableParameters();
   replicas_.reserve(num_shards_);
   replica_params_.reserve(num_shards_);
@@ -128,12 +96,6 @@ void DataParallelTrainer::EnsureReplicas() {
   pool_ = std::make_unique<serve::ThreadPool>(config_.num_workers);
 }
 
-void DataParallelTrainer::SetReplicasTraining(bool training) {
-  for (std::unique_ptr<RationalizerBase>& replica : replicas_) {
-    replica->SetTraining(training);
-  }
-}
-
 void DataParallelTrainer::AccumulateReplicaGradients(int64_t s) {
   std::vector<ag::Variable>& rep = replica_params_[s];
   for (size_t j = 0; j < master_params_.size(); ++j) {
@@ -141,12 +103,13 @@ void DataParallelTrainer::AccumulateReplicaGradients(int64_t s) {
   }
 }
 
-float DataParallelTrainer::ReduceGradientsForBatch(const data::Batch& batch) {
+float DataParallelTrainer::ReduceGradientsForBatch(const data::Batch& batch,
+                                                   bool audit) {
   EnsureReplicas();
   const int64_t b = batch.batch_size();
   DAR_CHECK_GT(b, 0);
   const std::vector<std::vector<int64_t>> row_sets =
-      ShardRowSets(b, num_shards_, config_.shard_policy);
+      ShardRowSets(b, num_shards_);
   const int64_t shards = static_cast<int64_t>(row_sets.size());
 
   // Draw the whole batch's Gumbel noise from the master RNG up front — in
@@ -163,13 +126,13 @@ float DataParallelTrainer::ReduceGradientsForBatch(const data::Batch& batch) {
   for (ag::Variable& p : master_params_) p.ZeroGrad();
 
   std::vector<double> shard_loss(shards, 0.0);
-  sync::Mutex reduce_mu(sync::Rank::kStats, "train.reduce");
-  const bool deterministic = config_.deterministic_reduce;
+  ag::Variable audited_loss;  // shard 0's, kept past its task for the audit
   for (int64_t s = 0; s < shards; ++s) {
-    pool_->Submit([this, s, b, training, deterministic, &row_sets, &batch,
-                   &noise, &shard_loss, &reduce_mu] {
+    pool_->Submit([this, s, b, training, audit, &row_sets, &batch, &noise,
+                   &shard_loss, &audited_loss] {
       obs::Span shard_span("train.shard");
       RationalizerBase& replica = *replicas_[s];
+      replica.SetTraining(training);
       const std::vector<int64_t>& rows = row_sets[s];
       const data::Batch shard = data::SelectBatchRows(batch, rows);
       // Seeding the backward with |shard| / |batch| makes the reduced sum
@@ -187,19 +150,14 @@ float DataParallelTrainer::ReduceGradientsForBatch(const data::Batch& batch) {
       loss.Backward(Tensor(loss.value().shape(), weight));
       shard_loss[s] = static_cast<double>(weight) *
                       static_cast<double>(loss.value().item());
-      if (!deterministic) {
-        // Completion-order reduce: lower latency, float summation order
-        // varies run to run. The mutex serializes AccumulateGrad calls into
-        // the shared master leaves (see autograd/variable.h).
-        sync::MutexLock lock(reduce_mu);
-        AccumulateReplicaGradients(s);
-      }
+      if (audit && s == 0) audited_loss = loss;
     });
   }
   pool_->Wait();
-  if (deterministic) {
+  if (audit) AuditFirstStepOrDie(*replicas_[0], audited_loss);
+  {
     // Barrier above, then fixed shard-order reduce: the summation tree is a
-    // function of (num_shards, shard_policy) only, never of thread timing.
+    // function of num_shards only, never of thread timing.
     obs::Span reduce_span("train.reduce");
     for (int64_t s = 0; s < shards; ++s) AccumulateReplicaGradients(s);
   }
@@ -255,103 +213,29 @@ uint64_t DataParallelTrainer::ReplicaChecksum(int64_t i) {
 
 TrainRun DataParallelTrainer::Fit(const datasets::SyntheticDataset& dataset,
                                   bool verbose, obs::TrainObserver* observer) {
-  const TrainConfig& config = master_.config();
-  master_.Prepare(dataset);
   // Replicas must mirror the post-Prepare() state (DAR pretrains and
-  // freezes its discriminator there), so rebuild any that were created
-  // earlier, e.g. by an introspection call.
+  // freezes its discriminator there), so drop any that were created
+  // earlier, e.g. by an introspection call; the first reduce rebuilds them
+  // after RunGame's Prepare().
   replicas_.clear();
   replica_params_.clear();
-  master_params_.clear();
-  pool_.reset();
-  EnsureReplicas();
-
-  // Telemetry fan-out, mirroring the sequential Fit(): the classic verbose
-  // console line is an observer; the display tag carries the shard count.
-  obs::ConsoleTrainLogger console(obs::LogLevel::kInfo);
-  obs::MultiTrainObserver observers;
-  if (verbose) observers.Add(&console);
-  observers.Add(observer);
-  const bool observing = !observers.empty();
-  const std::string model_tag =
-      master_.name() + " x" + std::to_string(num_shards_);
-  // The probe trains on its own RNG streams and only measures on the
-  // master, so the sharded trajectory stays bit-identical with or without
-  // it (asserted in tests/obs_test.cc via the num_shards=1 equivalence).
-  std::unique_ptr<RationaleShiftProbe> probe;
-  if (observing && observers.WantsRationaleShift()) {
-    probe = std::make_unique<RationaleShiftProbe>(master_, dataset);
-  }
-
-  optim::Adam adam(master_params_, {.lr = config.lr});
-  data::DataLoader train_loader(dataset.train, config.batch_size,
-                                /*shuffle=*/true);
-
-  TrainRun run;
-  std::vector<Tensor> best_values;
-  EpochTelemetryAccumulator epoch_acc;
-  for (int64_t epoch = 0; epoch < config.epochs; ++epoch) {
-    master_.SetTraining(true);
-    SetReplicasTraining(true);
-    double loss_sum = 0.0;
-    int64_t batches = 0;
-    for (const data::Batch& batch : train_loader.Epoch(master_.rng())) {
-      obs::Span batch_span("train.batch");
-      const float batch_loss = ReduceGradientsForBatch(batch);
-      const float grad_norm =
-          optim::ClipGradNorm(master_params_, config.grad_clip);
-      {
-        obs::Span step_span("train.step");
-        adam.Step();
-      }
-      {
-        obs::Span broadcast_span("train.broadcast");
-        BroadcastParameters();
-      }
-      ++step_;
-      if (post_step_hook_) post_step_hook_(step_);
-      loss_sum += static_cast<double>(batch_loss);
-      ++batches;
-      if (observing) {
-        obs::BatchTelemetry telemetry =
-            MakeBatchTelemetry(epoch, batches - 1, batch_loss, grad_norm,
-                               last_batch_breakdown_);
-        if (probe != nullptr) {
-          telemetry.rationale_shift = probe->MeasureShift(master_, batch);
-          telemetry.has_shift = true;
-        }
-        observers.OnBatch(telemetry);
-        epoch_acc.Add(telemetry);
-      }
-    }
-
-    master_.SetTraining(false);
-    float dev_acc;
+  auto gradient = [this](const data::Batch& batch, bool audit) {
+    const float loss = ReduceGradientsForBatch(batch, audit);
+    return BatchLoss{loss, last_batch_breakdown_, /*graph=*/{}};
+  };
+  auto after_step = [this] {
     {
-      obs::Span eval_span("train.eval");
-      dev_acc =
-          EvaluateRationaleAccuracy(master_, dataset.dev, config.batch_size);
+      obs::Span broadcast_span("train.broadcast");
+      BroadcastParameters();
     }
-    EpochStats stats;
-    stats.train_loss =
-        static_cast<float>(loss_sum / std::max<int64_t>(batches, 1));
-    stats.dev_acc = dev_acc;
-    run.epochs.push_back(stats);
-    // Same tie-break as the sequential Fit: >= keeps later epochs.
-    if (dev_acc >= run.best_dev_acc || run.best_epoch < 0) {
-      run.best_dev_acc = dev_acc;
-      run.best_epoch = epoch;
-      best_values = SnapshotValues(master_params_);
-    }
-    if (observing) {
-      observers.OnEpoch(
-          epoch_acc.Finish(epoch, model_tag, stats.train_loss, dev_acc));
-    }
-  }
-  if (!best_values.empty()) RestoreValues(master_params_, best_values);
-  master_.SetTraining(false);
+    ++step_;
+    if (post_step_hook_) post_step_hook_(step_);
+  };
+  const std::string tag = master_.name() + " x" + std::to_string(num_shards_);
+  TrainRun run =
+      RunGame(master_, dataset, tag, gradient, after_step, verbose, observer);
+  // The best-epoch restore rewrote the master's values.
   BroadcastParameters();
-  SetReplicasTraining(false);
   return run;
 }
 

@@ -1,6 +1,6 @@
 // Training-telemetry glue between the trainers and src/obs/: the frozen
 // full-text probe behind the rationale-shift gauge, and the per-epoch
-// aggregation both Fit() paths share.
+// aggregation of the game loop both Fit() paths run (core/game_loop.h).
 #ifndef DAR_CORE_TELEMETRY_H_
 #define DAR_CORE_TELEMETRY_H_
 
@@ -60,8 +60,8 @@ class RationaleShiftProbe {
   float dev_acc_ = 0.0f;
 };
 
-/// Accumulates per-batch telemetry into the epoch means both trainers
-/// report through TrainObserver::OnEpoch.
+/// Accumulates per-batch telemetry into the epoch means the game loop
+/// reports through TrainObserver::OnEpoch.
 class EpochTelemetryAccumulator {
  public:
   void Add(const obs::BatchTelemetry& batch);

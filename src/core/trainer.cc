@@ -4,8 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
 
 #include "check/graph_audit.h"
+#include "core/game_loop.h"
 #include "core/parallel_trainer.h"
 #include "core/telemetry.h"
 #include "data/dataloader.h"
@@ -13,8 +15,6 @@
 #include "obs/trace.h"
 #include "optim/adam.h"
 #include "optim/clip.h"
-#include "serve/thread_pool.h"
-#include "sync/mutex.h"
 #include "tensor/check.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
@@ -40,12 +40,8 @@ void RestoreValues(std::vector<ag::Variable>& params,
   }
 }
 
-/// TrainConfig::audit_first_step: cross-check the optimizer's parameter
-/// list against the recorded tape once, on step 0, right after the first
-/// Backward(). Any finding (orphaned parameter, missing/stale/doubled
-/// gradient, shape mismatch, NaN/Inf) aborts before the first optimizer
-/// step can bake the defect into the weights. Runs before gradient
-/// clipping so the audited gradients are exactly what Backward produced.
+}  // namespace
+
 void AuditFirstStepOrDie(RationalizerBase& model, const ag::Variable& loss) {
   check::AuditReport report =
       check::AuditGraph(loss, model.NamedTrainableParameters());
@@ -57,10 +53,11 @@ void AuditFirstStepOrDie(RationalizerBase& model, const ag::Variable& loss) {
   std::abort();
 }
 
-}  // namespace
-
-TrainRun Fit(RationalizerBase& model, const datasets::SyntheticDataset& dataset,
-             bool verbose, obs::TrainObserver* observer) {
+TrainRun RunGame(RationalizerBase& model,
+                 const datasets::SyntheticDataset& dataset,
+                 const std::string& tag, const GradientFn& gradient,
+                 const std::function<void()>& after_step, bool verbose,
+                 obs::TrainObserver* observer) {
   const TrainConfig& config = model.config();
   // Kernel-thread knob: applied at entry (a quiesced point — no forward is
   // in flight). Bit-identical for any value, so training results do not
@@ -76,8 +73,8 @@ TrainRun Fit(RationalizerBase& model, const datasets::SyntheticDataset& dataset,
   observers.Add(observer);
   const bool observing = !observers.empty();
   // The rationale-shift gauge needs a frozen full-text probe; it trains on
-  // its own RNG streams, so building it never perturbs the model's
-  // trajectory (telemetry stays passive).
+  // its own RNG streams and only measures on `model`, so building it never
+  // perturbs the trajectory (telemetry stays passive).
   std::unique_ptr<RationaleShiftProbe> probe;
   if (observing && observers.WantsRationaleShift()) {
     probe = std::make_unique<RationaleShiftProbe>(model, dataset);
@@ -98,22 +95,19 @@ TrainRun Fit(RationalizerBase& model, const datasets::SyntheticDataset& dataset,
     for (const data::Batch& batch : train_loader.Epoch(model.rng())) {
       obs::Span batch_span("train.batch");
       adam.ZeroGrad();
-      ag::Variable loss = model.TrainLoss(batch);
-      loss.Backward();
-      if (config.audit_first_step && epoch == 0 && batches == 0) {
-        AuditFirstStepOrDie(model, loss);
-      }
+      const BatchLoss loss = gradient(
+          batch, config.audit_first_step && epoch == 0 && batches == 0);
       const float grad_norm = optim::ClipGradNorm(params, config.grad_clip);
       {
         obs::Span step_span("train.step");
         adam.Step();
       }
-      loss_sum += loss.value().item();
+      after_step();
+      loss_sum += loss.value;
       ++batches;
       if (observing) {
         obs::BatchTelemetry telemetry = MakeBatchTelemetry(
-            epoch, batches - 1, loss.value().item(), grad_norm,
-            model.last_loss_breakdown());
+            epoch, batches - 1, loss.value, grad_norm, loss.breakdown);
         if (probe != nullptr) {
           telemetry.rationale_shift = probe->MeasureShift(model, batch);
           telemetry.has_shift = true;
@@ -142,13 +136,25 @@ TrainRun Fit(RationalizerBase& model, const datasets::SyntheticDataset& dataset,
       best_values = SnapshotValues(params);
     }
     if (observing) {
-      observers.OnEpoch(epoch_acc.Finish(epoch, model.name(),
-                                         stats.train_loss, dev_acc));
+      observers.OnEpoch(
+          epoch_acc.Finish(epoch, tag, stats.train_loss, dev_acc));
     }
   }
   if (!best_values.empty()) RestoreValues(params, best_values);
   model.SetTraining(false);
   return run;
+}
+
+TrainRun Fit(RationalizerBase& model, const datasets::SyntheticDataset& dataset,
+             bool verbose, obs::TrainObserver* observer) {
+  auto gradient = [&model](const data::Batch& batch, bool audit) {
+    ag::Variable loss = model.TrainLoss(batch);
+    loss.Backward();
+    if (audit) AuditFirstStepOrDie(model, loss);
+    return BatchLoss{loss.value().item(), model.last_loss_breakdown(), loss};
+  };
+  return RunGame(model, dataset, model.name(), gradient, /*after_step=*/[] {},
+                 verbose, observer);
 }
 
 TrainRun Fit(RationalizerBase& model, const datasets::SyntheticDataset& dataset,
@@ -202,110 +208,6 @@ float FitFullTextPredictor(Predictor& predictor,
                            Pcg32& rng) {
   return FitPredictorWithMask(predictor, dataset, epochs, batch_size, lr, rng,
                               /*mask_fn=*/nullptr, /*mask_ctx=*/nullptr);
-}
-
-float FitPredictorWithMaskParallel(Predictor& predictor,
-                                   const Tensor& embeddings,
-                                   const TrainConfig& config,
-                                   const datasets::SyntheticDataset& dataset,
-                                   int64_t epochs, int64_t batch_size, float lr,
-                                   Pcg32& rng,
-                                   const ParallelTrainConfig& parallel,
-                                   MaskFn mask_fn, const void* mask_ctx) {
-  const int num_workers = std::max(1, parallel.num_workers);
-  const int64_t num_shards =
-      parallel.num_shards > 0 ? parallel.num_shards : num_workers;
-
-  // Replica predictors: architecture from (embeddings, config), state
-  // mirrored from the master. The init RNG only feeds initial weights that
-  // CopyStateFrom immediately overwrites.
-  std::vector<std::unique_ptr<Predictor>> replicas;
-  Pcg32 init_rng(config.seed);
-  replicas.reserve(num_shards);
-  for (int64_t s = 0; s < num_shards; ++s) {
-    replicas.push_back(
-        std::make_unique<Predictor>(embeddings, config, init_rng));
-    replicas.back()->CopyStateFrom(predictor);
-  }
-
-  std::vector<ag::Variable> params;
-  for (const nn::NamedParameter& p : predictor.Parameters()) {
-    if (p.variable.requires_grad()) params.push_back(p.variable);
-  }
-  optim::Adam adam(params, {.lr = lr});
-  data::DataLoader train_loader(dataset.train, batch_size, /*shuffle=*/true);
-  data::DataLoader dev_loader(dataset.dev, batch_size, /*shuffle=*/false);
-  serve::ThreadPool pool(num_workers);
-  sync::Mutex reduce_mu(sync::Rank::kStats, "train.reduce");
-
-  for (int64_t epoch = 0; epoch < epochs; ++epoch) {
-    predictor.SetTraining(true);
-    for (std::unique_ptr<Predictor>& replica : replicas) {
-      replica->SetTraining(true);
-    }
-    for (const data::Batch& batch : train_loader.Epoch(rng)) {
-      adam.ZeroGrad();
-      const int64_t b = batch.batch_size();
-      const std::vector<std::vector<int64_t>> row_sets =
-          ShardRowSets(b, num_shards, parallel.shard_policy);
-      for (size_t s = 0; s < row_sets.size(); ++s) {
-        pool.Submit([&, s] {
-          Predictor& replica = *replicas[s];
-          replica.ZeroGrad();
-          const data::Batch shard = data::SelectBatchRows(batch, row_sets[s]);
-          const float weight = static_cast<float>(row_sets[s].size()) /
-                               static_cast<float>(b);
-          // mask_fn is evaluated on the shard sub-batch; all built-in mask
-          // policies are row-wise, so this equals slicing the full mask.
-          Tensor mask = mask_fn ? mask_fn(shard, mask_ctx) : shard.valid;
-          ag::Variable logits = replica.ForwardWithConstMask(shard, mask);
-          ag::Variable loss = nn::CrossEntropy(logits, shard.labels);
-          loss.Backward(Tensor(loss.value().shape(), weight));
-          if (!parallel.deterministic_reduce) {
-            sync::MutexLock lock(reduce_mu);
-            predictor.AccumulateGradientsFrom(replica);
-          }
-        });
-      }
-      pool.Wait();
-      if (parallel.deterministic_reduce) {
-        for (size_t s = 0; s < row_sets.size(); ++s) {
-          predictor.AccumulateGradientsFrom(*replicas[s]);
-        }
-      }
-      optim::ClipGradNorm(params, 5.0f);
-      adam.Step();
-      for (std::unique_ptr<Predictor>& replica : replicas) {
-        replica->CopyParametersFrom(predictor);
-      }
-    }
-  }
-
-  // Same sequential dev evaluation as FitPredictorWithMask.
-  predictor.SetTraining(false);
-  int64_t correct = 0, total = 0;
-  for (const data::Batch& batch : dev_loader.Sequential()) {
-    Tensor mask = mask_fn ? mask_fn(batch, mask_ctx) : batch.valid;
-    Tensor logits = predictor.ForwardWithConstMask(batch, mask).value();
-    float acc = nn::Accuracy(logits, batch.labels);
-    correct += static_cast<int64_t>(acc * static_cast<float>(batch.batch_size()) + 0.5f);
-    total += batch.batch_size();
-  }
-  return total > 0 ? static_cast<float>(correct) / static_cast<float>(total)
-                   : 0.0f;
-}
-
-float FitFullTextPredictorParallel(Predictor& predictor,
-                                   const Tensor& embeddings,
-                                   const TrainConfig& config,
-                                   const datasets::SyntheticDataset& dataset,
-                                   int64_t epochs, int64_t batch_size, float lr,
-                                   Pcg32& rng,
-                                   const ParallelTrainConfig& parallel) {
-  return FitPredictorWithMaskParallel(predictor, embeddings, config, dataset,
-                                      epochs, batch_size, lr, rng, parallel,
-                                      /*mask_fn=*/nullptr,
-                                      /*mask_ctx=*/nullptr);
 }
 
 float EvaluateRationaleAccuracy(RationalizerBase& model,

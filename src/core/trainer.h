@@ -1,4 +1,7 @@
-// Training loops: the rationalization game and full-text pretraining.
+// Training: the rationalization game and full-text pretraining. Both Fit()
+// overloads run one game loop (core/game_loop.h); they differ only in how a
+// batch's gradient is computed — sequentially, or sharded across replicas
+// (core/parallel_trainer.h).
 #ifndef DAR_CORE_TRAINER_H_
 #define DAR_CORE_TRAINER_H_
 
@@ -42,47 +45,33 @@ struct TrainRun {
 TrainRun Fit(RationalizerBase& model, const datasets::SyntheticDataset& dataset,
              bool verbose = false, obs::TrainObserver* observer = nullptr);
 
-/// How a minibatch's rows are assigned to shards.
-enum class ShardPolicy {
-  /// Shard i takes a contiguous row range (sizes differing by at most one).
-  kContiguous,
-  /// Shard i takes rows i, i + num_shards, i + 2*num_shards, ...
-  kStrided,
-};
-
 /// Configuration of the data-parallel training path.
 ///
-/// Each minibatch is split into `num_shards` row shards; shard s runs
-/// forward/backward on an architecture replica of the model, with its
+/// Each minibatch is split into `num_shards` contiguous row shards; shard s
+/// runs forward/backward on an architecture replica of the model, with its
 /// backward seeded by shard_size/batch_size so that the reduced gradient is
-/// the gradient of the per-example-mean batch loss. The reduced gradients
-/// are accumulated into the master parameters and one Optimizer::Step()
-/// is taken, after which the master values are broadcast back to every
-/// replica. The shard count — not the worker count — defines the
-/// floating-point summation tree, so results depend only on
-/// (num_shards, shard_policy), never on how many threads happened to run.
+/// the gradient of the per-example-mean batch loss. After a barrier the
+/// shard gradients are accumulated into the master parameters in shard
+/// order and one Optimizer::Step() is taken, after which the master values
+/// are broadcast back to every replica. The shard count — not the worker
+/// count — defines the floating-point summation tree, so results depend
+/// only on num_shards, never on how many threads happened to run.
 struct ParallelTrainConfig {
   /// Worker threads executing shard tasks (>= 1).
   int num_workers = 1;
   /// Shards per minibatch; 0 means num_workers. Capped at the batch size.
   int64_t num_shards = 0;
-  ShardPolicy shard_policy = ShardPolicy::kContiguous;
-  /// When true (default), shard gradients are reduced in fixed shard order
-  /// after a barrier, making training bit-identical across runs and across
-  /// any num_workers. When false, shards accumulate in completion order
-  /// (lower latency, run-to-run float jitter).
-  bool deterministic_reduce = true;
 };
 
-/// Data-parallel Fit(): same protocol as Fit() above (Prepare, Adam,
-/// clipping, best-epoch snapshot) with the inner per-batch gradient
-/// computed by the shard → replica → reduce → step scheme described on
-/// ParallelTrainConfig. The model must support CloneArchitecture() (RNP and
-/// DAR do). Gumbel noise is drawn per batch from the master RNG in the
-/// sequential order, so with num_shards = 1 this path reproduces the
-/// sequential Fit() bit-exactly; with more shards it computes the same
-/// per-example-mean gradient up to float summation order. `observer` is
-/// the same passive telemetry hook as on the sequential Fit().
+/// Data-parallel Fit(): the same game loop as Fit() above (Prepare, Adam,
+/// clipping, audit_first_step, telemetry, best-epoch snapshot) with each
+/// batch's gradient computed by the shard → replica → reduce scheme
+/// described on ParallelTrainConfig. The model must support
+/// CloneArchitecture() (RNP and DAR do). Gumbel noise is drawn per batch
+/// from the master RNG in the sequential order, so with num_shards = 1 this
+/// path reproduces the sequential Fit() bit-exactly; with more shards it
+/// computes the same per-example-mean gradient up to float summation order.
+/// Epoch telemetry is tagged "<name> x<num_shards>".
 TrainRun Fit(RationalizerBase& model, const datasets::SyntheticDataset& dataset,
              const ParallelTrainConfig& parallel, bool verbose = false,
              obs::TrainObserver* observer = nullptr);
@@ -106,32 +95,6 @@ float FitFullTextPredictor(Predictor& predictor,
                            const datasets::SyntheticDataset& dataset,
                            int64_t epochs, int64_t batch_size, float lr,
                            Pcg32& rng);
-
-/// Data-parallel FitPredictorWithMask: the same shard → replica → reduce →
-/// step scheme applied to fixed-mask predictor training. `embeddings` and
-/// `config` must be the table/config the predictor was constructed with
-/// (they are needed to build replicas). `mask_fn` is evaluated per shard
-/// sub-batch, which is equivalent to slicing the full-batch mask for any
-/// row-wise mask policy (all built-in policies are row-wise). Returns the
-/// final dev accuracy, computed sequentially on the master.
-float FitPredictorWithMaskParallel(Predictor& predictor,
-                                   const Tensor& embeddings,
-                                   const TrainConfig& config,
-                                   const datasets::SyntheticDataset& dataset,
-                                   int64_t epochs, int64_t batch_size, float lr,
-                                   Pcg32& rng,
-                                   const ParallelTrainConfig& parallel,
-                                   MaskFn mask_fn = nullptr,
-                                   const void* mask_ctx = nullptr);
-
-/// Convenience wrapper: data-parallel full-text pretraining (eq. 4).
-float FitFullTextPredictorParallel(Predictor& predictor,
-                                   const Tensor& embeddings,
-                                   const TrainConfig& config,
-                                   const datasets::SyntheticDataset& dataset,
-                                   int64_t epochs, int64_t batch_size, float lr,
-                                   Pcg32& rng,
-                                   const ParallelTrainConfig& parallel);
 
 /// Dev/test accuracy of `model`'s predictor with deterministic rationales.
 float EvaluateRationaleAccuracy(RationalizerBase& model,

@@ -1,7 +1,12 @@
 #include "nn/checkpoint.h"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -140,6 +145,30 @@ std::string ReadFileOrEmpty(const std::string& path, bool& ok) {
   return buffer.str();
 }
 
+/// Replaces `path` with `text` so that no reader ever sees a torn file: the
+/// text goes to a temp file in the same directory, which is flushed to disk
+/// and then renamed over the target. On any failure the temp file is
+/// removed and the old file, if any, is left intact.
+bool WriteFileAtomically(const std::string& path, const std::string& text) {
+  std::string temp = path + ".tmp.XXXXXX";
+  const int fd = ::mkstemp(temp.data());
+  if (fd < 0) return false;
+  // mkstemp creates the file 0600; give it the mode a plain create gets
+  // under the usual umask, so other readers (e.g. a server) can open it.
+  bool ok = ::fchmod(fd, 0644) == 0;
+  for (size_t done = 0; ok && done < text.size();) {
+    const ssize_t n = ::write(fd, text.data() + done, text.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    ok = n > 0;
+    if (ok) done += static_cast<size_t>(n);
+  }
+  ok = ok && ::fsync(fd) == 0;
+  ok = ::close(fd) == 0 && ok;
+  ok = ok && ::rename(temp.c_str(), path.c_str()) == 0;
+  if (!ok) ::unlink(temp.c_str());
+  return ok;
+}
+
 }  // namespace
 
 std::string SerializeCheckpoint(const Module& module) {
@@ -218,18 +247,12 @@ CheckpointResult DeserializeCheckpoint(const std::vector<NamedModule>& modules,
 }
 
 bool SaveCheckpoint(const Module& module, const std::string& path) {
-  std::ofstream file(path);
-  if (!file) return false;
-  file << SerializeCheckpoint(module);
-  return static_cast<bool>(file);
+  return WriteFileAtomically(path, SerializeCheckpoint(module));
 }
 
 bool SaveCheckpoint(const std::vector<NamedModule>& modules,
                     const std::string& path) {
-  std::ofstream file(path);
-  if (!file) return false;
-  file << SerializeCheckpoint(modules);
-  return static_cast<bool>(file);
+  return WriteFileAtomically(path, SerializeCheckpoint(modules));
 }
 
 CheckpointResult LoadCheckpoint(Module& module, const std::string& path) {

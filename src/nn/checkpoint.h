@@ -55,7 +55,10 @@ CheckpointResult DeserializeCheckpoint(Module& module, const std::string& text);
 CheckpointResult DeserializeCheckpoint(const std::vector<NamedModule>& modules,
                                        const std::string& text);
 
-/// SerializeCheckpoint to a file. Returns false on I/O failure.
+/// SerializeCheckpoint to a file, atomically: the file is written under a
+/// temp name in the same directory, synced, and renamed over `path`, so a
+/// crash or a concurrent reader never sees a torn checkpoint. Returns false
+/// on I/O failure, leaving any previous file at `path` intact.
 bool SaveCheckpoint(const Module& module, const std::string& path);
 bool SaveCheckpoint(const std::vector<NamedModule>& modules,
                     const std::string& path);

@@ -59,26 +59,6 @@ void Module::CopyStateFrom(const Module& other) {
   }
 }
 
-void Module::AccumulateGradientsFrom(const Module& other, float scale) {
-  std::vector<NamedParameter> mine = Parameters();
-  std::vector<NamedParameter> theirs = other.Parameters();
-  DAR_CHECK_MSG(mine.size() == theirs.size(),
-                "AccumulateGradientsFrom: parameter count mismatch");
-  for (size_t i = 0; i < mine.size(); ++i) {
-    const ag::Variable& src = theirs[i].variable;
-    if (!src.has_grad()) continue;
-    DAR_CHECK_MSG(mine[i].variable.shape() == src.shape(),
-                  "AccumulateGradientsFrom: parameter shape mismatch");
-    if (scale == 1.0f) {
-      mine[i].variable.AccumulateGrad(src.grad());
-    } else {
-      Tensor scaled = src.grad();
-      for (int64_t j = 0; j < scaled.numel(); ++j) scaled.flat(j) *= scale;
-      mine[i].variable.AccumulateGrad(scaled);
-    }
-  }
-}
-
 void Module::SetRequiresGrad(bool requires_grad) {
   for (NamedParameter& p : Parameters()) {
     p.variable.set_requires_grad(requires_grad);

@@ -57,12 +57,6 @@ class Module {
   /// discriminator — into per-thread replicas.
   void CopyStateFrom(const Module& other);
 
-  /// Accumulates `other`'s parameter gradients into this module's, scaled
-  /// by `scale`. Parameters of `other` without an accumulated gradient are
-  /// skipped. Structures must match exactly. This is the gradient-reduce
-  /// primitive of data-parallel training.
-  void AccumulateGradientsFrom(const Module& other, float scale = 1.0f);
-
   /// Freezes (or unfreezes) every parameter: frozen parameters keep their
   /// values but no longer receive gradients. DAR freezes its pretrained
   /// discriminator this way.

@@ -3,7 +3,10 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -115,6 +118,59 @@ TEST(CheckpointTest, FileRoundTrip) {
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_TRUE(a.weight().value().AllClose(b.weight().value(), 1e-6f));
   std::remove(path.c_str());
+}
+
+// A save replaces the file rather than rewriting it in place: a reader
+// that opened the old checkpoint keeps reading it whole, never a torn mix.
+TEST(CheckpointTest, SaveNeverTearsAnOpenReadersFile) {
+  Pcg32 rng(11);
+  Linear first(6, 5, rng), second(6, 5, rng), restored(6, 5, rng);
+  const std::string path = ::testing::TempDir() + "/dar_checkpoint_swap.ckpt";
+  ASSERT_TRUE(SaveCheckpoint(first, path));
+  std::ifstream reader(path);
+  ASSERT_TRUE(reader);
+  ASSERT_TRUE(SaveCheckpoint(second, path));
+
+  std::ostringstream seen;
+  seen << reader.rdbuf();
+  EXPECT_EQ(seen.str(), SerializeCheckpoint(first));
+  CheckpointResult result = DeserializeCheckpoint(restored, seen.str());
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_TRUE(restored.weight().value().vec() == first.weight().value().vec());
+  // The path itself now holds the second checkpoint.
+  result = LoadCheckpoint(restored, path);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_TRUE(restored.weight().value().vec() ==
+              second.weight().value().vec());
+  std::remove(path.c_str());
+}
+
+// A failed save returns false and leaves nothing behind: no temp file, and
+// no change to what was at the target.
+TEST(CheckpointTest, FailedSaveLeavesNoTempFile) {
+  Pcg32 rng(12);
+  Linear linear(3, 2, rng);
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "dar_checkpoint_fail";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+
+  EXPECT_FALSE(SaveCheckpoint(linear, (dir / "missing" / "x.ckpt").string()));
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+
+  // The temp file is written, but renaming it over a directory fails: it
+  // must be removed again and the directory left as it was.
+  const std::filesystem::path target = dir / "occupied";
+  ASSERT_TRUE(std::filesystem::create_directory(target));
+  EXPECT_FALSE(SaveCheckpoint(linear, target.string()));
+  EXPECT_TRUE(std::filesystem::is_directory(target));
+  int64_t entries = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path(), target);
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CheckpointTest, MissingFileReportsError) {

@@ -5,6 +5,7 @@
 // schedule, never of the worker count.
 #include "core/parallel_trainer.h"
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "datasets/beer.h"
 #include "eval/experiment.h"
 #include "nn/gumbel.h"
+#include "obs/train_observer.h"
 
 namespace dar {
 namespace core {
@@ -63,7 +65,7 @@ void ExpectRunsBitEqual(const TrainRun& a, const TrainRun& b) {
 }
 
 TEST(ShardRowSetsTest, ContiguousPartitionsEveryRowOnce) {
-  const auto sets = ShardRowSets(10, 3, ShardPolicy::kContiguous);
+  const auto sets = ShardRowSets(10, 3);
   ASSERT_EQ(sets.size(), 3u);
   // Sizes differ by at most one, remainder goes to the leading shards.
   EXPECT_EQ(sets[0].size(), 4u);
@@ -77,16 +79,8 @@ TEST(ShardRowSetsTest, ContiguousPartitionsEveryRowOnce) {
   for (int64_t r = 0; r < 10; ++r) EXPECT_EQ(seen[r], r);  // in order
 }
 
-TEST(ShardRowSetsTest, StridedInterleavesRows) {
-  const auto sets = ShardRowSets(7, 3, ShardPolicy::kStrided);
-  ASSERT_EQ(sets.size(), 3u);
-  EXPECT_EQ(sets[0], (std::vector<int64_t>{0, 3, 6}));
-  EXPECT_EQ(sets[1], (std::vector<int64_t>{1, 4}));
-  EXPECT_EQ(sets[2], (std::vector<int64_t>{2, 5}));
-}
-
 TEST(ShardRowSetsTest, ShardCountClampedToBatchSize) {
-  const auto sets = ShardRowSets(3, 8, ShardPolicy::kContiguous);
+  const auto sets = ShardRowSets(3, 8);
   ASSERT_EQ(sets.size(), 3u);  // no empty shards
   for (const auto& s : sets) EXPECT_EQ(s.size(), 1u);
 }
@@ -156,32 +150,20 @@ TEST(ParallelFitTest, ShardedReduceMatchesFullBatchGradients) {
   }
 }
 
-// With deterministic_reduce, the shard count — not the worker count —
-// defines the summation tree: 1 worker and 4 workers over the same 4-shard
-// schedule must train to bit-identical models.
+// The shard count — not the worker count — defines the summation tree:
+// 1 worker and 4 workers over the same 4-shard schedule must train to
+// bit-identical models.
 TEST(ParallelFitTest, WorkerCountDoesNotChangeResults) {
   auto one_worker = eval::MakeMethod("RNP", ParallelDataset(), TinyConfig());
   auto four_workers = eval::MakeMethod("RNP", ParallelDataset(), TinyConfig());
   TrainRun run_one =
       Fit(*one_worker, ParallelDataset(),
-          ParallelTrainConfig{.num_workers = 1, .num_shards = 4,
-                              .deterministic_reduce = true});
+          ParallelTrainConfig{.num_workers = 1, .num_shards = 4});
   TrainRun run_four =
       Fit(*four_workers, ParallelDataset(),
-          ParallelTrainConfig{.num_workers = 4, .num_shards = 4,
-                              .deterministic_reduce = true});
+          ParallelTrainConfig{.num_workers = 4, .num_shards = 4});
   ExpectRunsBitEqual(run_one, run_four);
   ExpectParamsBitEqual(*one_worker, *four_workers);
-}
-
-TEST(ParallelFitTest, StridedPolicyTrainsComparably) {
-  auto model = eval::MakeMethod("RNP", ParallelDataset(), TinyConfig());
-  TrainRun run =
-      Fit(*model, ParallelDataset(),
-          ParallelTrainConfig{.num_workers = 2, .num_shards = 4,
-                              .shard_policy = ShardPolicy::kStrided});
-  ASSERT_EQ(run.epochs.size(), 3u);
-  EXPECT_GT(run.best_dev_acc, 0.5f);
 }
 
 // Stress: 8 workers, shards of one or two examples, many optimizer steps.
@@ -208,63 +190,91 @@ TEST(ParallelFitStressTest, ReplicasStayInSyncUnderManySmallShards) {
   ASSERT_EQ(run.epochs.size(), 5u);
 }
 
-// The nondeterministic (completion-order) reduce must still compute the
-// same gradient up to summation order: train both ways and expect close —
-// not necessarily identical — trajectories on the first epoch's loss.
-TEST(ParallelFitTest, NondeterministicReduceStaysClose) {
-  auto det = eval::MakeMethod("RNP", ParallelDataset(), TinyConfig());
-  auto nondet = eval::MakeMethod("RNP", ParallelDataset(), TinyConfig());
-  TrainRun run_det =
-      Fit(*det, ParallelDataset(),
-          ParallelTrainConfig{.num_workers = 4, .num_shards = 4,
-                              .deterministic_reduce = true});
-  TrainRun run_nondet =
-      Fit(*nondet, ParallelDataset(),
-          ParallelTrainConfig{.num_workers = 4, .num_shards = 4,
-                              .deterministic_reduce = false});
-  ASSERT_EQ(run_det.epochs.size(), run_nondet.epochs.size());
-  EXPECT_NEAR(run_det.epochs.front().train_loss,
-              run_nondet.epochs.front().train_loss, 1e-3f);
+/// Records every telemetry callback of a run (and asks for the
+/// rationale-shift gauge, so the probe runs too).
+class RecordingObserver : public obs::TrainObserver {
+ public:
+  void OnBatch(const obs::BatchTelemetry& t) override { batches.push_back(t); }
+  void OnEpoch(const obs::EpochTelemetry& t) override { epochs.push_back(t); }
+
+  std::vector<obs::BatchTelemetry> batches;
+  std::vector<obs::EpochTelemetry> epochs;
+};
+
+void ExpectBitEqual(double a, double b, const char* field, size_t index) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b))
+      << field << " of #" << index << ": " << a << " vs " << b;
 }
 
-TEST(ParallelPredictorTest, SingleShardFullTextMatchesSequential) {
-  const datasets::SyntheticDataset& ds = ParallelDataset();
-  TrainConfig config = TinyConfig();
-  Tensor embeddings = eval::BuildEmbeddings(ds, config);
-  Pcg32 init_a(7), init_b(7);
-  Predictor sequential(embeddings, config, init_a);
-  Predictor parallel(embeddings, config, init_b);
+// Both Fit() overloads run one game loop, so with one shard the sharded
+// path reports the sequential run's telemetry bit for bit — every step's
+// loss, gradient norm, loss breakdown and shift gauge, and every epoch
+// aggregate. Only the epoch's model tag differs.
+TEST(ParallelFitTest, SingleShardTelemetryMatchesSequential) {
+  auto sequential = eval::MakeMethod("DAR", ParallelDataset(), TinyConfig());
+  auto parallel = eval::MakeMethod("DAR", ParallelDataset(), TinyConfig());
+  RecordingObserver seq, par;
+  Fit(*sequential, ParallelDataset(), /*verbose=*/false, &seq);
+  Fit(*parallel, ParallelDataset(),
+      ParallelTrainConfig{.num_workers = 1, .num_shards = 1},
+      /*verbose=*/false, &par);
 
-  Pcg32 train_a(9), train_b(9);
-  const float acc_seq = FitFullTextPredictor(sequential, ds, /*epochs=*/3,
-                                             /*batch_size=*/16, /*lr=*/3e-3f,
-                                             train_a);
-  const float acc_par = FitFullTextPredictorParallel(
-      parallel, embeddings, config, ds, /*epochs=*/3, /*batch_size=*/16,
-      /*lr=*/3e-3f, train_b,
-      ParallelTrainConfig{.num_workers = 1, .num_shards = 1});
-  EXPECT_EQ(acc_seq, acc_par);
-  const auto pa = sequential.Parameters();
-  const auto pb = parallel.Parameters();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_TRUE(pa[i].variable.value().vec() == pb[i].variable.value().vec())
-        << "parameter " << pa[i].name << " diverged";
+  ASSERT_EQ(seq.batches.size(), 3u * 6u);  // 96 / 16 per epoch
+  ASSERT_EQ(par.batches.size(), seq.batches.size());
+  for (size_t i = 0; i < seq.batches.size(); ++i) {
+    const obs::BatchTelemetry& a = seq.batches[i];
+    const obs::BatchTelemetry& b = par.batches[i];
+    EXPECT_EQ(a.epoch, b.epoch);
+    EXPECT_EQ(a.batch, b.batch);
+    ExpectBitEqual(a.loss, b.loss, "loss", i);
+    ExpectBitEqual(a.task_ce, b.task_ce, "task_ce", i);
+    ExpectBitEqual(a.align_ce, b.align_ce, "align_ce", i);
+    ExpectBitEqual(a.omega, b.omega, "omega", i);
+    ExpectBitEqual(a.grad_norm, b.grad_norm, "grad_norm", i);
+    ExpectBitEqual(a.sparsity, b.sparsity, "sparsity", i);
+    ExpectBitEqual(a.rationale_shift, b.rationale_shift, "shift", i);
+    EXPECT_TRUE(a.has_breakdown && a.has_align && a.has_shift);
+    EXPECT_EQ(a.has_breakdown, b.has_breakdown);
+    EXPECT_EQ(a.has_align, b.has_align);
+    EXPECT_EQ(a.has_shift, b.has_shift);
+  }
+
+  ASSERT_EQ(seq.epochs.size(), 3u);
+  ASSERT_EQ(par.epochs.size(), seq.epochs.size());
+  for (size_t e = 0; e < seq.epochs.size(); ++e) {
+    const obs::EpochTelemetry& a = seq.epochs[e];
+    const obs::EpochTelemetry& b = par.epochs[e];
+    EXPECT_EQ(a.epoch, b.epoch);
+    EXPECT_EQ(a.batches, b.batches);
+    ExpectBitEqual(a.train_loss, b.train_loss, "train_loss", e);
+    ExpectBitEqual(a.dev_acc, b.dev_acc, "dev_acc", e);
+    ExpectBitEqual(a.task_ce, b.task_ce, "task_ce", e);
+    ExpectBitEqual(a.align_ce, b.align_ce, "align_ce", e);
+    ExpectBitEqual(a.omega, b.omega, "omega", e);
+    ExpectBitEqual(a.grad_norm, b.grad_norm, "grad_norm", e);
+    ExpectBitEqual(a.sparsity, b.sparsity, "sparsity", e);
+    ExpectBitEqual(a.rationale_shift, b.rationale_shift, "shift", e);
+    EXPECT_EQ(a.has_breakdown, b.has_breakdown);
+    EXPECT_EQ(a.has_align, b.has_align);
+    EXPECT_EQ(a.has_shift, b.has_shift);
+    EXPECT_EQ(a.model, "DAR");
+    EXPECT_EQ(b.model, "DAR x1");
   }
 }
 
-TEST(ParallelPredictorTest, ShardedFullTextPretrainingStillLearns) {
-  const datasets::SyntheticDataset& ds = ParallelDataset();
-  TrainConfig config = TinyConfig();
-  Tensor embeddings = eval::BuildEmbeddings(ds, config);
-  Pcg32 init(7);
-  Predictor predictor(embeddings, config, init);
-  Pcg32 train_rng(9);
-  const float acc = FitFullTextPredictorParallel(
-      predictor, embeddings, config, ds, /*epochs=*/10, /*batch_size=*/16,
-      /*lr=*/3e-3f, train_rng,
-      ParallelTrainConfig{.num_workers = 4, .num_shards = 4});
-  EXPECT_GT(acc, 0.7f);
+// Fit() ends by restoring the best epoch's parameters on the master; the
+// replicas must receive the restored values too, not keep the last step's.
+TEST(ParallelFitTest, ReplicasHoldTheRestoredBestEpoch) {
+  auto model = eval::MakeMethod("RNP", ParallelDataset(), TinyConfig());
+  DataParallelTrainer trainer(
+      *model, ParallelTrainConfig{.num_workers = 2, .num_shards = 3});
+  TrainRun run = trainer.Fit(ParallelDataset());
+  // Only a best epoch before the last makes the restore move parameters.
+  ASSERT_LT(run.best_epoch, static_cast<int64_t>(run.epochs.size()) - 1);
+  const uint64_t master = trainer.MasterChecksum();
+  for (int64_t r = 0; r < trainer.num_replicas(); ++r) {
+    EXPECT_EQ(master, trainer.ReplicaChecksum(r)) << "replica " << r;
+  }
 }
 
 }  // namespace

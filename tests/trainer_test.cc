@@ -1,6 +1,8 @@
 // Tests for core/trainer.h: the Fit loop, pretraining helpers, snapshots.
 #include "core/trainer.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "core/rnp.h"
@@ -128,6 +130,10 @@ class PredictorOnlyModel : public RnpModel {
   ag::Variable TrainLoss(const data::Batch& batch) override {
     return nn::CrossEntropy(predictor().ForwardFullText(batch), batch.labels);
   }
+
+  std::unique_ptr<RationalizerBase> CloneArchitecture() const override {
+    return std::make_unique<PredictorOnlyModel>(embeddings(), config());
+  }
 };
 
 TEST(AuditFirstStepTest, CleanModelTrainsNormally) {
@@ -137,6 +143,11 @@ TEST(AuditFirstStepTest, CleanModelTrainsNormally) {
   config.audit_first_step = true;
   auto model = eval::MakeMethod("RNP", TrainerDataset(), config);
   TrainRun run = Fit(*model, TrainerDataset());
+  EXPECT_EQ(run.epochs.size(), 1u);
+  // Sharded, the audit reads shard 0's graph on its replica.
+  auto sharded = eval::MakeMethod("DAR", TrainerDataset(), config);
+  run = Fit(*sharded, TrainerDataset(),
+            ParallelTrainConfig{.num_workers = 2, .num_shards = 2});
   EXPECT_EQ(run.epochs.size(), 1u);
 }
 
@@ -148,6 +159,18 @@ TEST(AuditFirstStepDeathTest, SeededDetachedParametersAbortOnStepZero) {
   PredictorOnlyModel model(
       eval::BuildEmbeddings(TrainerDataset(), config), config);
   EXPECT_DEATH(Fit(model, TrainerDataset()), "audit_first_step");
+}
+
+TEST(AuditFirstStepDeathTest, ShardedSeededDetachedParametersAbortOnStepZero) {
+  TrainConfig config = TinyConfig();
+  config.epochs = 1;
+  config.pretrain_epochs = 0;
+  config.audit_first_step = true;
+  PredictorOnlyModel model(
+      eval::BuildEmbeddings(TrainerDataset(), config), config);
+  EXPECT_DEATH(Fit(model, TrainerDataset(),
+                   ParallelTrainConfig{.num_workers = 2, .num_shards = 2}),
+               "audit_first_step");
 }
 
 TEST(AuditFirstStepDeathTest, DefectSurvivesSilentlyWithAuditOff) {
