@@ -7,9 +7,12 @@
 #ifndef DAR_BENCH_BENCH_COMMON_H_
 #define DAR_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -155,6 +158,37 @@ class BenchJsonWriter {
  private:
   std::vector<std::string> fields_;
 };
+
+/// One arm's repeated reading: the median, and the rep-to-rep spread
+/// ((max - min) / |median|, percent) that says how far it can be trusted.
+struct ArmStats {
+  double median = 0.0;
+  double spread_pct = 0.0;
+};
+
+/// Runs every arm for `rounds` rounds, each round taking one rep of every
+/// arm in order, and returns each arm's median and spread. Interleaving
+/// puts slow machine drift (thermal, co-tenants) on every arm alike
+/// instead of on whichever arm ran last. An arm returns one rep's reading:
+/// a rate, a per-operation cost, or a paired difference of two costs.
+inline std::vector<ArmStats> MeasureInterleaved(
+    const std::vector<std::function<double()>>& arms, int rounds) {
+  std::vector<std::vector<double>> reps(arms.size());
+  for (int round = 0; round < rounds; ++round) {
+    for (size_t a = 0; a < arms.size(); ++a) reps[a].push_back(arms[a]());
+  }
+  std::vector<ArmStats> stats;
+  for (std::vector<double>& r : reps) {
+    std::sort(r.begin(), r.end());
+    ArmStats arm;
+    arm.median = r[r.size() / 2];
+    if (arm.median != 0.0) {
+      arm.spread_pct = (r.back() - r.front()) / std::fabs(arm.median) * 100.0;
+    }
+    stats.push_back(arm);
+  }
+  return stats;
+}
 
 /// Trains `method` on `dataset` with the sparsity target matched to the
 /// gold annotation level (the paper's protocol) and returns the result.

@@ -1,27 +1,31 @@
 // Serving throughput: micro-batched multi-threaded serving vs. the naive
 // one-request-at-a-time loop, on the same model and the same request
-// stream.
+// stream, plus the in-process costs the end-to-end benchmark (e2e_bench/,
+// which drives the deployed HTTP stack) cannot resolve: trace levels and
+// sentinel modes on the naive path, the serving cache's embedding tier,
+// and paired probes of request tracing and the mutex wrapper.
 //
 // For each (workers, max_batch) configuration, P producer threads submit
 // the full request set through the MicroBatcher and we measure wall-clock
 // requests/sec; the baseline serves the same requests sequentially through
-// InferenceSession::Predict. The table reports throughput, speedup over
-// the baseline, achieved mean batch size, and latency percentiles.
+// InferenceSession::Predict. Every repeated measurement runs through
+// bench::MeasureInterleaved and is reported as a median with its
+// rep-to-rep spread. Nothing here prints a verdict: the ratio of two
+// throughputs whose spread is wider than the difference it looks for
+// decides nothing, so small costs are resolved by the paired probes.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <functional>
 #include <future>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "check/sentinel.h"
 #include "core/rnp.h"
-#include "net/client.h"
 #include "net/http.h"
 #include "net/routes.h"
-#include "net/server.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace_context.h"
@@ -93,49 +97,6 @@ double MeasureBatched(const serve::InferenceSession& session,
   return static_cast<double>(requests.size()) / elapsed.count();
 }
 
-/// Median-of-N rate with the rep-to-rep spread ((max-min)/median, percent)
-/// recorded alongside. The overhead gates below compare two arms whose true
-/// difference is a couple percent; a better-of-2 estimator lets one noisy
-/// rep on either side swing the verdict (the sentinel-off gate once read
-/// 5% purely from scheduler noise). The median is robust to a disturbed
-/// rep, and the spread states how much the verdict can be trusted: an
-/// overhead reading well inside the spread is noise, not regression.
-struct RepeatedRate {
-  double median = 0.0;
-  double spread_pct = 0.0;
-};
-
-RepeatedRate MedianOf(std::vector<double> rates) {
-  std::sort(rates.begin(), rates.end());
-  RepeatedRate out;
-  out.median = rates[rates.size() / 2];
-  if (out.median > 0.0) {
-    out.spread_pct = (rates.back() - rates.front()) / out.median * 100.0;
-  }
-  return out;
-}
-
-/// Gate verdict that uses the recorded spreads: a reading over the 2%
-/// threshold but inside the combined rep-to-rep spread of the two arms
-/// being compared is indistinguishable from noise and must not read as a
-/// regression (nor as a clean pass — it reads as an inconclusive run).
-const char* GateVerdict(double overhead_pct, const RepeatedRate& baseline,
-                        const RepeatedRate& arm) {
-  if (overhead_pct <= 2.0) return "  PASS <= 2%";
-  if (overhead_pct <= 0.5 * (baseline.spread_pct + arm.spread_pct)) {
-    return "  over 2% but within rep spread — rerun to confirm";
-  }
-  return "  ABOVE 2%";
-}
-
-template <typename Fn>
-RepeatedRate MeasureMedian(int reps, Fn&& once) {
-  std::vector<double> rates;
-  rates.reserve(static_cast<size_t>(reps));
-  for (int rep = 0; rep < reps; ++rep) rates.push_back(once());
-  return MedianOf(std::move(rates));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -151,55 +112,77 @@ int main(int argc, char** argv) {
       options.seed);
   core::TrainConfig config;
   config.seed = options.seed;
-  auto model = std::make_unique<core::RnpModel>(
-      eval::BuildEmbeddings(dataset, config), config);
-  serve::InferenceSession session(std::move(model), dataset.vocab);
+  serve::InferenceSession session(
+      std::make_unique<core::RnpModel>(eval::BuildEmbeddings(dataset, config),
+                                       config),
+      dataset.vocab);
+  // Identical weights (same seed, same construction) behind the serving
+  // cache, so the uncached arms stay untouched by it.
+  serve::InferenceSession cached_session(
+      std::make_unique<core::RnpModel>(eval::BuildEmbeddings(dataset, config),
+                                       config),
+      dataset.vocab);
 
   size_t num_requests = options.quick ? 1500 : 4000;
   std::vector<std::string> requests =
       BuildRequests(dataset, num_requests, options.seed);
-
-  // Warm-up, then baseline. Every configuration (naive included) is
-  // measured twice and reports its better run: wall-clock on a shared
-  // machine is noisy, and the minimum is the standard estimator of the
-  // undisturbed cost.
-  MeasureNaive(session, {requests.begin(), requests.begin() + 50});
-  double naive_rps = 0.0;
-  serve::StatsSnapshot naive_stats;
-  for (int rep = 0; rep < 2; ++rep) {
-    session.stats().Reset();
-    double rps = MeasureNaive(session, requests);
-    if (rps > naive_rps) {
-      naive_rps = rps;
-      naive_stats = session.stats().Snapshot();
-    }
+  // One word appended: every sequence misses the encoder tier, but its
+  // embedding rows are the ones the cold pass just published.
+  std::vector<std::string> prefix_requests;
+  prefix_requests.reserve(requests.size());
+  for (const std::string& text : requests) {
+    prefix_requests.push_back(text + " " + dataset.vocab.Token(2));
   }
+  const int rounds = options.quick ? 3 : 5;
+  MeasureNaive(session, {requests.begin(), requests.begin() + 50});  // warm
 
-  eval::TablePrinter table({"Config", "Req/s", "Speedup", "MeanBatch",
-                            "p50us", "p95us", "p99us"});
-  auto add_row = [&](const std::string& label, double rps,
-                     const serve::StatsSnapshot& stats) {
-    char rps_buf[32], speedup[32], mean_batch[32];
-    std::snprintf(rps_buf, sizeof(rps_buf), "%.0f", rps);
-    std::snprintf(speedup, sizeof(speedup), "%.2fx", rps / naive_rps);
-    std::snprintf(mean_batch, sizeof(mean_batch), "%.1f",
-                  stats.mean_batch_size);
-    table.AddRow({label, rps_buf, speedup, mean_batch,
-                  std::to_string(stats.latency_p50_us),
-                  std::to_string(stats.latency_p95_us),
-                  std::to_string(stats.latency_p99_us)});
+  // The in-process group, interleaved. Each arm resets the session's stats
+  // before its rep and keeps the snapshot after it, so the table's batch
+  // and latency columns come from the arm's last round.
+  std::vector<std::string> labels;
+  std::vector<std::function<double()>> arms;
+  std::vector<serve::StatsSnapshot> snapshots;
+  auto add_arm = [&](std::string label, std::function<double()> run) {
+    const size_t a = arms.size();
+    labels.push_back(std::move(label));
+    snapshots.emplace_back();
+    arms.push_back([&, a, run = std::move(run)] {
+      session.stats().Reset();
+      const double rate = run();
+      snapshots[a] = session.stats().Snapshot();
+      return rate;
+    });
+    return a;
   };
-  add_row("naive 1-at-a-time", naive_rps, naive_stats);
+  // The naive loop at one trace level and sentinel mode. The default is
+  // both off: a Span is then one relaxed atomic load and every sentinel
+  // hook one relaxed load and a predictable branch. kCoarse adds one
+  // steady_clock pair per request, kDetailed times every matmul, GRU and
+  // Gumbel sample, kRecord/kTrap scan every op output.
+  auto naive = [&](obs::TraceLevel level, check::SentinelMode mode) {
+    return [&, level, mode] {
+      obs::SetTraceLevel(level);
+      check::SetSentinelMode(mode);
+      const double rate = MeasureNaive(session, requests);
+      obs::SetTraceLevel(obs::TraceLevel::kOff);
+      check::SetSentinelMode(check::SentinelMode::kOff);
+      return rate;
+    };
+  };
+  const size_t naive_arm = add_arm(
+      "naive 1-at-a-time",
+      naive(obs::TraceLevel::kOff, check::SentinelMode::kOff));
 
-  struct Arm {
+  struct BatchedArm {
     int workers;
     int64_t max_batch;
     int producers;
   };
-  std::vector<Arm> arms = {{1, 1, 2},  {1, 8, 2},  {1, 32, 4}, {1, 64, 4},
-                           {2, 16, 4}, {4, 32, 4}, {2, 64, 4}, {2, 128, 4}};
-  double best_rps = 0.0;
-  for (const Arm& arm : arms) {
+  const std::vector<BatchedArm> batched = {
+      {1, 1, 2},  {1, 8, 2},  {1, 32, 4}, {1, 64, 4},
+      {2, 16, 4}, {4, 32, 4}, {2, 64, 4}, {2, 128, 4}};
+  const size_t first_batched = arms.size();
+  for (const BatchedArm& arm : batched) {
     serve::BatcherConfig batcher_config;
     batcher_config.num_workers = arm.workers;
     batcher_config.max_batch = arm.max_batch;
@@ -207,337 +190,147 @@ int main(int argc, char** argv) {
     // Backpressure: cap queued requests at the batcher's length-selection
     // scan window; deeper queues only add queueing delay and cache traffic.
     batcher_config.max_queue = arm.max_batch * 8;
-    double rps = 0.0;
-    serve::StatsSnapshot stats;
-    for (int rep = 0; rep < 2; ++rep) {
-      session.stats().Reset();
-      double rep_rps = MeasureBatched(session, requests, batcher_config,
-                                      arm.producers);
-      if (rep_rps > rps) {
-        rps = rep_rps;
-        stats = session.stats().Snapshot();
-      }
-    }
-    best_rps = std::max(best_rps, rps);
     char label[64];
     std::snprintf(label, sizeof(label), "%dw x batch%lld", arm.workers,
                   static_cast<long long>(arm.max_batch));
-    add_row(label, rps, stats);
+    add_arm(label, [&, batcher_config, producers = arm.producers] {
+      return MeasureBatched(session, requests, batcher_config, producers);
+    });
+  }
+  const size_t end_batched = arms.size();
+
+  const size_t coarse_arm = add_arm(
+      "coarse", naive(obs::TraceLevel::kCoarse, check::SentinelMode::kOff));
+  const size_t detailed_arm = add_arm(
+      "detailed", naive(obs::TraceLevel::kDetailed, check::SentinelMode::kOff));
+  const size_t record_arm = add_arm(
+      "record", naive(obs::TraceLevel::kOff, check::SentinelMode::kRecord));
+  const size_t trap_arm = add_arm(
+      "trap", naive(obs::TraceLevel::kOff, check::SentinelMode::kTrap));
+
+  // Serving cache, naive path. cold: every sequence distinct, so all
+  // misses, the insert-side cost of filling both tiers. prefix: runs right
+  // after cold in each round; encoder misses but embedding-row reuse, the
+  // only measurement of what the embedding tier buys.
+  serve::CacheConfig cache_config;
+  cache_config.enabled = true;
+  serve::ServeCache cache(cache_config);
+  double cache_embedding_hit_rate = 0.0;
+  const size_t cold_arm = add_arm("cold", [&] {
+    // Re-enabling issues a fresh cache model id, so every round starts cold.
+    cached_session.EnableCache(&cache, "bench");
+    return MeasureNaive(cached_session, requests);
+  });
+  const size_t prefix_arm = add_arm("prefix", [&] {
+    const serve::ServeCache::ModelId id = cached_session.cache_model_id();
+    const serve::CacheTierStats before =
+        cache.Stats(id, serve::ServeCache::kEmbeddingTierName);
+    const double rate = MeasureNaive(cached_session, prefix_requests);
+    const serve::CacheTierStats after =
+        cache.Stats(id, serve::ServeCache::kEmbeddingTierName);
+    const int64_t hits = after.hits - before.hits;
+    const int64_t misses = after.misses - before.misses;
+    cache_embedding_hit_rate =
+        static_cast<double>(hits) /
+        static_cast<double>(std::max<int64_t>(1, hits + misses));
+    cache.InvalidateModel(id);
+    return rate;
+  });
+
+  const std::vector<bench::ArmStats> rates =
+      bench::MeasureInterleaved(arms, rounds);
+  check::DrainSentinelFindings();  // serving an untrained model is finite
+
+  const double naive_rps = rates[naive_arm].median;
+  eval::TablePrinter table({"Config", "Req/s", "Spread", "Speedup",
+                            "MeanBatch", "p50us", "p95us", "p99us"});
+  double best_rps = 0.0;
+  auto add_row = [&](size_t a) {
+    char rps_buf[32], spread[32], speedup[32], mean_batch[32];
+    std::snprintf(rps_buf, sizeof(rps_buf), "%.0f", rates[a].median);
+    std::snprintf(spread, sizeof(spread), "%.1f%%", rates[a].spread_pct);
+    std::snprintf(speedup, sizeof(speedup), "%.2fx",
+                  rates[a].median / naive_rps);
+    std::snprintf(mean_batch, sizeof(mean_batch), "%.1f",
+                  snapshots[a].mean_batch_size);
+    table.AddRow({labels[a], rps_buf, spread, speedup, mean_batch,
+                  std::to_string(snapshots[a].latency_p50_us),
+                  std::to_string(snapshots[a].latency_p95_us),
+                  std::to_string(snapshots[a].latency_p99_us)});
+  };
+  add_row(naive_arm);
+  for (size_t a = first_batched; a < end_batched; ++a) {
+    add_row(a);
+    best_rps = std::max(best_rps, rates[a].median);
   }
   table.Print();
+  std::printf("\nbest micro-batched speedup over naive: %.2fx\n",
+              best_rps / naive_rps);
 
-  std::printf("\nbest micro-batched speedup over naive: %.2fx (%s)\n",
-              best_rps / naive_rps,
-              best_rps / naive_rps >= 4.0 ? "PASS >= 4x" : "BELOW 4x target");
+  std::printf("\nnaive path by trace level and sentinel mode, and the "
+              "serving cache\n(interleaved with the table, median of %d "
+              "rounds):\n",
+              rounds);
+  for (size_t a : {coarse_arm, detailed_arm, record_arm, trap_arm, cold_arm,
+                   prefix_arm}) {
+    std::printf("  %-9s %8.0f req/s (spread %.1f%%, %.2fx naive)\n",
+                labels[a].c_str(), rates[a].median, rates[a].spread_pct,
+                rates[a].median / naive_rps);
+  }
+  std::printf("  prefix embedding hit rate %.3f\n", cache_embedding_hit_rate);
 
-  // Overhead arms on the naive path, all measured *interleaved*: each
-  // round takes one rep of every arm before any arm gets its second rep,
-  // so slow machine drift (thermal, co-tenants) lands on every arm
-  // equally, and each arm reports the median of its reps with the
-  // rep-to-rep spread alongside. The previous one-arm-at-a-time
-  // better-of-2 scheme compared runs taken minutes apart; the
-  // sentinel-off arm — the *same configuration* as the trace-off
-  // baseline — once recorded a 5% "overhead" that was pure drift.
-  //
-  // Arms: baseline is the shipping default (trace kOff, sentinel kOff; a
-  // Span is one relaxed atomic load, every sentinel hook one relaxed
-  // load + predictable branch). kCoarse adds one steady_clock pair per
-  // request; kDetailed times every matmul/GRU step/Gumbel sample.
-  // sent-off duplicates the baseline configuration on purpose: it is an
-  // A/A arm whose gated "overhead" measures the residual noise floor of
-  // this harness — if it fails its gate, no other verdict here means
-  // anything. kRecord/kTrap scan every op output and gradient; reported
-  // for calibration, not gated.
-  const int overhead_reps = options.quick ? 3 : 5;
-  struct NaiveArm {
-    const char* label;
-    obs::TraceLevel level;
-    check::SentinelMode mode;
-    bool gated;
-    RepeatedRate rate;
+  // Paired per-request cost of request tracing on /healthz, a route cheap
+  // enough (~1 us) that a long Handle loop resolves tens of ns on the
+  // traced machinery every predict runs (context mint, collector, root and
+  // router spans, Finish, ring Record, exemplar, header). Each arm times an
+  // untraced router and a traced one back to back and returns the
+  // difference: idle (the default tail threshold retains nothing, the
+  // production shape) and sampled (threshold 0: every request's span tree
+  // is retained, the worst case).
+  net::HttpRequest healthz;
+  healthz.method = "GET";
+  healthz.target = "/healthz";
+  healthz.version = "HTTP/1.1";
+  const int probe_requests = options.quick ? 100000 : 200000;
+  serve::ModelRegistry registries[3];
+  net::RouterConfig off_config;
+  off_config.tracing.enabled = false;
+  net::RouterConfig sampled_config;
+  sampled_config.tracing.tail.latency_threshold_us = 0;
+  net::Router off_router(registries[0], off_config);
+  net::Router idle_router(registries[1]);
+  net::Router sampled_router(registries[2], sampled_config);
+  auto probe_us = [&](net::Router& router) {
+    auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < probe_requests; ++i) {
+      if (router.Handle(healthz).status != 200) return -1.0;
+    }
+    std::chrono::duration<double, std::micro> elapsed =
+        std::chrono::steady_clock::now() - start;
+    return elapsed.count() / probe_requests;
   };
-  std::vector<NaiveArm> naive_arms = {
-      {"baseline", obs::TraceLevel::kOff, check::SentinelMode::kOff, false,
-       {}},
-      {"coarse", obs::TraceLevel::kCoarse, check::SentinelMode::kOff, true,
-       {}},
-      {"detailed", obs::TraceLevel::kDetailed, check::SentinelMode::kOff,
-       false, {}},
-      {"sent-off", obs::TraceLevel::kOff, check::SentinelMode::kOff, true,
-       {}},
-      {"record", obs::TraceLevel::kOff, check::SentinelMode::kRecord, false,
-       {}},
-      {"trap", obs::TraceLevel::kOff, check::SentinelMode::kTrap, false, {}},
-  };
-  {
-    std::vector<std::vector<double>> rates(naive_arms.size());
-    for (int rep = 0; rep < overhead_reps; ++rep) {
-      for (size_t a = 0; a < naive_arms.size(); ++a) {
-        obs::SetTraceLevel(naive_arms[a].level);
-        check::SetSentinelMode(naive_arms[a].mode);
-        session.stats().Reset();
-        rates[a].push_back(MeasureNaive(session, requests));
-      }
-    }
-    obs::SetTraceLevel(obs::TraceLevel::kOff);
-    check::SetSentinelMode(check::SentinelMode::kOff);
-    check::DrainSentinelFindings();  // serving an untrained model is finite
-    for (size_t a = 0; a < naive_arms.size(); ++a) {
-      naive_arms[a].rate = MedianOf(std::move(rates[a]));
-    }
+  for (net::Router* router : {&off_router, &idle_router, &sampled_router}) {
+    probe_us(*router);  // warm every path once
   }
-  const double baseline_rps = naive_arms[0].rate.median;
-  double coarse_overhead = 0.0;
-  double sentinel_off_overhead = 0.0;
-  std::printf("\nspan + sentinel overhead on the naive path (interleaved,\n"
-              "median of %d reps):\n",
-              overhead_reps);
-  std::printf("  %-9s %8.0f req/s (baseline, spread %.1f%%)\n",
-              naive_arms[0].label, baseline_rps,
-              naive_arms[0].rate.spread_pct);
-  for (size_t a = 1; a < naive_arms.size(); ++a) {
-    const NaiveArm& arm = naive_arms[a];
-    const double overhead = (baseline_rps / arm.rate.median - 1.0) * 100.0;
-    if (std::strcmp(arm.label, "coarse") == 0) coarse_overhead = overhead;
-    if (std::strcmp(arm.label, "sent-off") == 0) {
-      sentinel_off_overhead = overhead;
-    }
-    std::printf("  %-9s %8.0f req/s (%+.2f%% overhead, spread %.1f%%)%s\n",
-                arm.label, arm.rate.median, overhead, arm.rate.spread_pct,
-                arm.gated ? GateVerdict(overhead, naive_arms[0].rate, arm.rate)
-                          : "");
-  }
-
-  // Serving-cache arms (serve/cache.h). A second session with identical
-  // weights (same seed, same construction) carries the cache so the arms
-  // above stay untouched. Four measurements:
-  //   off    — cache attached but disabled: the per-batch enabled check is
-  //            the only extra work, gated <= 2% against a baseline
-  //            re-measured interleaved with it (same drift cancellation
-  //            as the group above).
-  //   cold   — enabled cache, every sequence distinct: all misses, i.e. the
-  //            insert-side overhead of populating both tiers.
-  //   warm   — the same stream repeated: encoder-tier hits skip both
-  //            recurrent encoders, the headline speedup.
-  //   prefix — perturbed stream (one word appended): encoder misses but
-  //            embedding rows reuse, the partial-hit path.
-  RepeatedRate cache_base_rate, cache_off_rate;
-  double cache_cold_rps = 0.0, cache_warm_rps = 0.0;
-  double cache_prefix_rps = 0.0, cache_hit_rate = 0.0;
-  double cache_embedding_hit_rate = 0.0;
-  {
-    core::TrainConfig cache_config = config;
-    auto cached_model = std::make_unique<core::RnpModel>(
-        eval::BuildEmbeddings(dataset, cache_config), cache_config);
-    serve::InferenceSession cached_session(std::move(cached_model),
-                                           dataset.vocab);
-
-    serve::CacheConfig off_config;  // enabled = false
-    serve::ServeCache off_cache(off_config);
-    cached_session.EnableCache(&off_cache, "bench");
-    {
-      std::vector<double> base_rates, off_rates;
-      for (int rep = 0; rep < overhead_reps; ++rep) {
-        session.stats().Reset();
-        base_rates.push_back(MeasureNaive(session, requests));
-        cached_session.stats().Reset();
-        off_rates.push_back(MeasureNaive(cached_session, requests));
-      }
-      cache_base_rate = MedianOf(std::move(base_rates));
-      cache_off_rate = MedianOf(std::move(off_rates));
-    }
-
-    std::vector<std::string> prefix_requests;
-    prefix_requests.reserve(requests.size());
-    for (const std::string& text : requests) {
-      prefix_requests.push_back(text + " " + dataset.vocab.Token(2));
-    }
-
-    serve::CacheConfig on_config;
-    on_config.enabled = true;
-    serve::ServeCache cache(on_config);
-    for (int rep = 0; rep < 2; ++rep) {
-      // Re-enabling issues a fresh cache model id, so every rep starts cold.
-      cached_session.EnableCache(&cache, "bench");
-      serve::ServeCache::ModelId id = cached_session.cache_model_id();
-      cache_cold_rps = std::max(cache_cold_rps,
-                                MeasureNaive(cached_session, requests));
-      serve::CacheTierStats enc_before =
-          cache.Stats(id, serve::ServeCache::kEncoderTierName);
-      double warm = MeasureNaive(cached_session, requests);
-      if (warm > cache_warm_rps) {
-        cache_warm_rps = warm;
-        serve::CacheTierStats enc_after =
-            cache.Stats(id, serve::ServeCache::kEncoderTierName);
-        int64_t hits = enc_after.hits - enc_before.hits;
-        int64_t misses = enc_after.misses - enc_before.misses;
-        cache_hit_rate = static_cast<double>(hits) /
-                         static_cast<double>(std::max<int64_t>(1, hits + misses));
-      }
-      serve::CacheTierStats emb_before =
-          cache.Stats(id, serve::ServeCache::kEmbeddingTierName);
-      double prefix = MeasureNaive(cached_session, prefix_requests);
-      if (prefix > cache_prefix_rps) {
-        cache_prefix_rps = prefix;
-        serve::CacheTierStats emb_after =
-            cache.Stats(id, serve::ServeCache::kEmbeddingTierName);
-        int64_t hits = emb_after.hits - emb_before.hits;
-        int64_t misses = emb_after.misses - emb_before.misses;
-        cache_embedding_hit_rate =
-            static_cast<double>(hits) /
-            static_cast<double>(std::max<int64_t>(1, hits + misses));
-      }
-      cache.InvalidateModel(id);
-    }
-  }
-  const double cache_off_overhead =
-      (cache_base_rate.median / cache_off_rate.median - 1.0) * 100.0;
-  std::printf("\nserving cache (naive path; gated off arm interleaved with a\n"
-              "fresh baseline, median of %d reps; speedup arms better of 2):\n",
-              overhead_reps);
-  std::printf("  base     %8.0f req/s (re-measured baseline, spread %.1f%%)\n",
-              cache_base_rate.median, cache_base_rate.spread_pct);
-  std::printf("  off      %8.0f req/s (%+.2f%% overhead, spread %.1f%%)%s\n",
-              cache_off_rate.median, cache_off_overhead,
-              cache_off_rate.spread_pct,
-              GateVerdict(cache_off_overhead, cache_base_rate,
-                          cache_off_rate));
-  std::printf("  cold     %8.0f req/s (%.2fx vs naive, all misses)\n",
-              cache_cold_rps, cache_cold_rps / naive_rps);
-  std::printf("  warm     %8.0f req/s (%.2fx vs naive, hit rate %.3f)\n",
-              cache_warm_rps, cache_warm_rps / naive_rps, cache_hit_rate);
-  std::printf("  prefix   %8.0f req/s (%.2fx vs naive, embedding hit rate "
-              "%.3f)\n",
-              cache_prefix_rps, cache_prefix_rps / naive_rps,
-              cache_embedding_hit_rate);
-
-  // Request-tracing arms: the full router path (traceparent parsing, span
-  // collection across router/batcher/session, flight-recorder Record,
-  // latency exemplar) driven in-process through Router::Handle so no
-  // socket noise enters. The batcher runs max_batch=1 / max_wait_us=0 so
-  // no arm hides behind coalescing waits. Arms are interleaved like the
-  // groups above and reported with spreads:
-  //   off     — RouterConfig.tracing.enabled = false: baseline.
-  //   idle    — tracing on, tail threshold 60s: the sampler retains
-  //             nothing (steady-state production shape); the ring and
-  //             exemplars still run every request.
-  //   sampled — threshold 0: every request's span tree is retained in the
-  //             tail store, the worst case.
-  //
-  // The <= 2% idle gate is NOT computed from these throughput arms: the
-  // true per-request tracing cost is ~1us against a ~1ms predict, so the
-  // ratio of two full-path arms measures machine drift, not tracing (the
-  // A/A arm above shows the noise floor). Instead the absolute cost is
-  // resolved by a paired-difference probe on /healthz — a route cheap
-  // enough (~1us) that a long Handle loop gives sub-100ns resolution on
-  // the same traced machinery (context mint, collector, root+router
-  // spans, Finish, ring Record, exemplar, header) — and gated as a
-  // fraction of the median traced predict request.
-  RepeatedRate trace_off_rate, trace_idle_rate, trace_sampled_rate;
-  double trace_cost_us = 0.0;
-  {
-    std::shared_ptr<serve::InferenceSession> shared_session(
-        &session, [](serve::InferenceSession*) {});
-    std::vector<net::HttpRequest> trace_requests;
-    trace_requests.reserve(requests.size());
-    for (const std::string& text : requests) {
-      net::HttpRequest request;
-      request.method = "POST";
-      request.target = "/v1/models/bench/predict";
-      request.version = "HTTP/1.1";
-      request.headers = {{"content-type", "application/json"}};
-      request.body =
-          net::JsonValue::Object().Set("text", net::JsonValue::Str(text))
-              .Dump();
-      trace_requests.push_back(std::move(request));
-    }
-    net::RouterConfig off_config;
-    off_config.tracing.enabled = false;
-    net::RouterConfig idle_config;
-    idle_config.tracing.tail.latency_threshold_us = 60'000'000;
-    net::RouterConfig sampled_config;
-    sampled_config.tracing.tail.latency_threshold_us = 0;
-    serve::ModelRegistry registries[3];
-    std::vector<std::unique_ptr<net::Router>> routers;
-    const net::RouterConfig* configs[3] = {&off_config, &idle_config,
-                                           &sampled_config};
-    for (int a = 0; a < 3; ++a) {
-      net::RouterConfig config = *configs[a];
-      config.batcher = {.max_batch = 1, .max_wait_us = 0, .num_workers = 1,
-                        .max_queue = 64};
-      routers.push_back(std::make_unique<net::Router>(registries[a], config));
-      routers.back()->ServeModel("bench", shared_session);
-    }
-    auto measure_once = [&](net::Router& router) {
-      auto start = std::chrono::steady_clock::now();
-      for (const net::HttpRequest& request : trace_requests) {
-        net::HttpResponse response = router.Handle(request);
-        if (response.status != 200) return 0.0;
-      }
-      std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start;
-      return static_cast<double>(trace_requests.size()) / elapsed.count();
-    };
-    std::vector<double> arm_rates[3];
-    for (int rep = 0; rep < overhead_reps; ++rep) {
-      for (int a = 0; a < 3; ++a) {
-        arm_rates[a].push_back(measure_once(*routers[a]));
-      }
-    }
-    trace_off_rate = MedianOf(std::move(arm_rates[0]));
-    trace_idle_rate = MedianOf(std::move(arm_rates[1]));
-    trace_sampled_rate = MedianOf(std::move(arm_rates[2]));
-
-    // Paired-difference probe for the gate: per-request Handle cost on
-    // /healthz, idle-traced minus untraced, median over reps.
-    net::HttpRequest healthz;
-    healthz.method = "GET";
-    healthz.target = "/healthz";
-    healthz.version = "HTTP/1.1";
-    const int probe_requests = options.quick ? 100000 : 200000;
-    auto probe_us = [&](net::Router& router) {
-      auto start = std::chrono::steady_clock::now();
-      for (int i = 0; i < probe_requests; ++i) {
-        net::HttpResponse response = router.Handle(healthz);
-        if (response.status != 200) return -1.0;
-      }
-      std::chrono::duration<double, std::micro> elapsed =
-          std::chrono::steady_clock::now() - start;
-      return elapsed.count() / probe_requests;
-    };
-    probe_us(*routers[0]);  // warm both paths once
-    probe_us(*routers[1]);
-    std::vector<double> costs;
-    for (int rep = 0; rep < overhead_reps; ++rep) {
-      const double off_us = probe_us(*routers[0]);
-      const double idle_us = probe_us(*routers[1]);
-      costs.push_back(idle_us - off_us);
-    }
-    std::sort(costs.begin(), costs.end());
-    trace_cost_us = costs[costs.size() / 2];
-  }
-  const double predict_request_us = 1e6 / trace_idle_rate.median;
+  const std::vector<bench::ArmStats> trace_costs = bench::MeasureInterleaved(
+      {[&] { return probe_us(idle_router) - probe_us(off_router); },
+       [&] { return probe_us(sampled_router) - probe_us(off_router); }},
+      rounds);
+  const double predict_request_us = 1e6 / naive_rps;
   const double trace_idle_overhead_pct =
-      trace_cost_us / predict_request_us * 100.0;
-  const double trace_sampled_overhead =
-      (trace_off_rate.median / trace_sampled_rate.median - 1.0) * 100.0;
-  std::printf("\nrequest tracing through the router (interleaved, median of "
-              "%d reps):\n",
-              overhead_reps);
-  std::printf("  off      %8.0f req/s (baseline, spread %.1f%%)\n",
-              trace_off_rate.median, trace_off_rate.spread_pct);
-  std::printf("  idle     %8.0f req/s (spread %.1f%%)\n",
-              trace_idle_rate.median, trace_idle_rate.spread_pct);
-  std::printf("  sampled  %8.0f req/s (%+.2f%% vs off, spread %.1f%%)\n",
-              trace_sampled_rate.median, trace_sampled_overhead,
-              trace_sampled_rate.spread_pct);
-  std::printf("  idle tracing cost %.3f us/request = %.3f%% of a %.0f us "
-              "predict  %s\n",
-              trace_cost_us, trace_idle_overhead_pct, predict_request_us,
-              trace_idle_overhead_pct <= 2.0 ? "PASS <= 2%" : "ABOVE 2%");
+      trace_costs[0].median / predict_request_us * 100.0;
+  std::printf("\nrequest tracing, paired /healthz probe (median of %d "
+              "rounds):\n",
+              rounds);
+  std::printf("  idle     %.3f us/request (spread %.1f%%) = %.3f%% of a "
+              "%.0f us naive predict\n",
+              trace_costs[0].median, trace_costs[0].spread_pct,
+              trace_idle_overhead_pct, predict_request_us);
+  std::printf("  sampled  %.3f us/request (spread %.1f%%)\n",
+              trace_costs[1].median, trace_costs[1].spread_pct);
 
   // Micro-rates for the two always-on tracing consumers, so a regression in
-  // either shows up directly instead of inside the 2% envelope above.
+  // either shows up directly instead of inside the per-request cost above.
   double ring_record_per_sec = 0.0;
   double exemplar_observe_per_sec = 0.0;
   {
@@ -568,230 +361,63 @@ int main(int argc, char** argv) {
   std::printf("  ObserveWithExemplar  %12.0f ops/s\n",
               exemplar_observe_per_sec);
 
-  // Sync-layer arms (sync/mutex.h): the runtime gates of the annotated
-  // mutex wrapper, measured on the *batched* path where its locks are
-  // actually hot (batcher queue, thread pool, stats). The gate loads are
-  // compiled in unconditionally, so sync-off is an A/A arm against an
-  // interleaved baseline of the identical configuration — its gated
-  // "overhead" is the off-mode cost of the wrapper plus the harness noise
-  // floor, and <= 2% is the ship criterion. rank / contention / both
-  // price the diagnostic modes (not gated: they are opt-in debugging).
-  RepeatedRate sync_base_rate, sync_off_rate, sync_rank_rate;
-  RepeatedRate sync_contention_rate, sync_both_rate;
-  double sync_lock_pair_off_ns = 0.0;
-  double sync_lock_pair_tracked_ns = 0.0;
-  {
-    serve::BatcherConfig sync_batcher;
-    sync_batcher.num_workers = 2;
-    sync_batcher.max_batch = 16;
-    sync_batcher.max_wait_us = 200;
-    sync_batcher.max_queue = 128;
-    struct SyncArm {
-      bool rank;
-      bool contention;
-      std::vector<double> rates;
-    };
-    SyncArm sync_arms[5] = {{false, false, {}},  // base
-                            {false, false, {}},  // off (A/A, gated)
-                            {true, false, {}},   // rank checks
-                            {false, true, {}},   // contention tracking
-                            {true, true, {}}};   // both
-    for (int rep = 0; rep < overhead_reps; ++rep) {
-      for (SyncArm& arm : sync_arms) {
-        sync::SetLockRankCheck(arm.rank);
-        sync::SetContentionTracking(arm.contention);
-        session.stats().Reset();
-        arm.rates.push_back(
-            MeasureBatched(session, requests, sync_batcher, 4));
-      }
+  // An uncontended Lock/Unlock pair of the annotated mutex wrapper
+  // (sync/mutex.h): off-mode (two relaxed loads and a branch), with
+  // contention tracking armed (one extra try_lock), and with lock-rank
+  // checking armed (the held-rank stack push and pop).
+  sync::Mutex probe_mu(sync::Rank::kStats, "bench.lock_probe");
+  constexpr int kLockOps = 2000000;
+  auto pair_ns = [&probe_mu](bool tracked, bool ranked) {
+    sync::SetContentionTracking(tracked);
+    sync::SetLockRankCheck(ranked);
+    auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kLockOps; ++i) {
+      probe_mu.Lock();
+      probe_mu.Unlock();
     }
+    std::chrono::duration<double, std::nano> elapsed =
+        std::chrono::steady_clock::now() - start;
+    sync::SetContentionTracking(false);
     sync::SetLockRankCheck(false);
-    sync::SetContentionTracking(false);
-    sync_base_rate = MedianOf(std::move(sync_arms[0].rates));
-    sync_off_rate = MedianOf(std::move(sync_arms[1].rates));
-    sync_rank_rate = MedianOf(std::move(sync_arms[2].rates));
-    sync_contention_rate = MedianOf(std::move(sync_arms[3].rates));
-    sync_both_rate = MedianOf(std::move(sync_arms[4].rates));
-
-    // Micro-probe: an uncontended Lock/Unlock pair, off-mode vs with
-    // contention tracking armed. Resolves the wrapper's absolute cost
-    // (two relaxed loads + branch off-mode; one try_lock extra when
-    // tracking) below what the throughput arms can see.
-    sync::Mutex probe_mu(sync::Rank::kStats, "bench.lock_probe");
-    constexpr int kLockOps = 2000000;
-    auto pair_ns = [&probe_mu] {
-      auto start = std::chrono::steady_clock::now();
-      for (int i = 0; i < kLockOps; ++i) {
-        probe_mu.Lock();
-        probe_mu.Unlock();
-      }
-      std::chrono::duration<double, std::nano> elapsed =
-          std::chrono::steady_clock::now() - start;
-      return elapsed.count() / kLockOps;
-    };
-    pair_ns();  // warm
-    sync_lock_pair_off_ns = pair_ns();
-    sync::SetContentionTracking(true);
-    sync_lock_pair_tracked_ns = pair_ns();
-    sync::SetContentionTracking(false);
-  }
-  const double sync_off_overhead =
-      (sync_base_rate.median / sync_off_rate.median - 1.0) * 100.0;
-  const double sync_rank_overhead =
-      (sync_base_rate.median / sync_rank_rate.median - 1.0) * 100.0;
-  const double sync_contention_overhead =
-      (sync_base_rate.median / sync_contention_rate.median - 1.0) * 100.0;
-  const double sync_both_overhead =
-      (sync_base_rate.median / sync_both_rate.median - 1.0) * 100.0;
-  std::printf("\nsync layer on the batched path (interleaved, median of %d "
-              "reps):\n",
-              overhead_reps);
-  std::printf("  base        %8.0f req/s (baseline, spread %.1f%%)\n",
-              sync_base_rate.median, sync_base_rate.spread_pct);
-  std::printf("  off         %8.0f req/s (%+.2f%% overhead, spread %.1f%%)%s\n",
-              sync_off_rate.median, sync_off_overhead,
-              sync_off_rate.spread_pct,
-              GateVerdict(sync_off_overhead, sync_base_rate, sync_off_rate));
-  std::printf("  rank        %8.0f req/s (%+.2f%% overhead, spread %.1f%%)\n",
-              sync_rank_rate.median, sync_rank_overhead,
-              sync_rank_rate.spread_pct);
-  std::printf("  contention  %8.0f req/s (%+.2f%% overhead, spread %.1f%%)\n",
-              sync_contention_rate.median, sync_contention_overhead,
-              sync_contention_rate.spread_pct);
-  std::printf("  both        %8.0f req/s (%+.2f%% overhead, spread %.1f%%)\n",
-              sync_both_rate.median, sync_both_overhead,
-              sync_both_rate.spread_pct);
-  std::printf("  Lock/Unlock pair  %6.1f ns off-mode, %6.1f ns tracked "
-              "(uncontended)\n",
-              sync_lock_pair_off_ns, sync_lock_pair_tracked_ns);
-
-  // HTTP loopback arm: the same request stream through the whole network
-  // front — parser, router, micro-batcher — over real loopback sockets
-  // with keep-alive clients. The gap to the best in-process batched arm is
-  // the cost of the HTTP layer itself (syscalls, framing, JSON).
-  double http_rps = 0.0;
-  {
-    // The router rebinds the session's stats under a {model=...} label
-    // into its own metrics registry; ~ModelRegistry restores the binding
-    // when this scope ends, so the outliving session's stats stay valid.
-    // Non-owning alias: the session outlives the registry.
-    std::shared_ptr<serve::InferenceSession> shared_session(
-        &session, [](serve::InferenceSession*) {});
-    serve::ModelRegistry registry;
-    net::RouterConfig router_config;
-    router_config.batcher = {.max_batch = 32,
-                             .max_wait_us = 200,
-                             .num_workers = 2,
-                             .max_queue = 256};
-    net::Router router(registry, router_config);
-    router.ServeModel("bench", shared_session);
-    net::ServerConfig server_config;
-    server_config.num_threads = 4;
-    net::HttpServer server(router.AsHandler(), server_config);
-    std::string error;
-    if (!server.Start(&error)) {
-      std::fprintf(stderr, "http loopback arm skipped: %s\n", error.c_str());
-    } else {
-      std::vector<std::string> bodies;
-      bodies.reserve(requests.size());
-      for (const std::string& text : requests) {
-        bodies.push_back(
-            net::JsonValue::Object().Set("text", net::JsonValue::Str(text))
-                .Dump());
-      }
-      constexpr int kClients = 4;
-      for (int rep = 0; rep < 2; ++rep) {
-        std::atomic<size_t> failures{0};
-        auto start = std::chrono::steady_clock::now();
-        {
-          serve::ThreadPool clients(kClients);
-          for (int c = 0; c < kClients; ++c) {
-            clients.Submit([&, c] {
-              net::HttpClient client("127.0.0.1", server.port());
-              for (size_t i = static_cast<size_t>(c); i < bodies.size();
-                   i += kClients) {
-                auto response =
-                    client.Post("/v1/models/bench/predict", bodies[i]);
-                if (!response.has_value() || response->status != 200) {
-                  failures.fetch_add(1);
-                }
-              }
-            });
-          }
-          clients.Wait();
-        }
-        std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        if (failures.load() != 0) {
-          std::fprintf(stderr, "http loopback arm: %zu failed requests\n",
-                       failures.load());
-        }
-        http_rps = std::max(
-            http_rps, static_cast<double>(requests.size()) / elapsed.count());
-      }
-      server.Stop();
-      std::printf("\nhttp loopback (%d keep-alive clients): %.0f req/s "
-                  "(%.1f%% of best in-process batched)\n",
-                  kClients, http_rps, 100.0 * http_rps / best_rps);
-    }
-  }
+    return elapsed.count() / kLockOps;
+  };
+  pair_ns(false, false);  // warm
+  const std::vector<bench::ArmStats> lock_pair = bench::MeasureInterleaved(
+      {[&] { return pair_ns(false, false); },
+       [&] { return pair_ns(true, false); },
+       [&] { return pair_ns(false, true); }},
+      rounds);
+  std::printf("\nLock/Unlock pair (uncontended): %.1f ns off-mode, %.1f ns "
+              "tracked, %.1f ns rank-checked\n",
+              lock_pair[0].median, lock_pair[1].median, lock_pair[2].median);
 
   bench::BenchJsonWriter json("serve_throughput", options);
   json.Field("requests", static_cast<int64_t>(num_requests));
+  json.Field("overhead_reps", static_cast<int64_t>(rounds));
   json.Field("naive_rps", naive_rps, 2);
+  json.Field("naive_spread_pct", rates[naive_arm].spread_pct, 2);
   json.Field("best_batched_rps", best_rps, 2);
   json.Field("best_speedup", best_rps / naive_rps);
-  json.Field("overhead_reps", static_cast<int64_t>(overhead_reps));
-  json.Field("span_overhead_off_rps", naive_arms[0].rate.median, 2);
-  json.Field("span_overhead_off_spread_pct", naive_arms[0].rate.spread_pct,
-             2);
-  json.Field("span_overhead_coarse_rps", naive_arms[1].rate.median, 2);
-  json.Field("span_overhead_coarse_spread_pct", naive_arms[1].rate.spread_pct,
-             2);
-  json.Field("span_overhead_detailed_rps", naive_arms[2].rate.median, 2);
-  json.Field("span_overhead_coarse_pct", coarse_overhead, 2);
-  json.Field("sentinel_overhead_off_rps", naive_arms[3].rate.median, 2);
-  json.Field("sentinel_overhead_off_spread_pct",
-             naive_arms[3].rate.spread_pct, 2);
-  json.Field("sentinel_overhead_record_rps", naive_arms[4].rate.median, 2);
-  json.Field("sentinel_overhead_trap_rps", naive_arms[5].rate.median, 2);
-  json.Field("sentinel_overhead_off_pct", sentinel_off_overhead, 2);
-  json.Field("cache_base_rps", cache_base_rate.median, 2);
-  json.Field("cache_base_spread_pct", cache_base_rate.spread_pct, 2);
-  json.Field("cache_off_rps", cache_off_rate.median, 2);
-  json.Field("cache_off_spread_pct", cache_off_rate.spread_pct, 2);
-  json.Field("cache_off_overhead_pct", cache_off_overhead, 2);
-  json.Field("cache_cold_rps", cache_cold_rps, 2);
-  json.Field("cache_warm_rps", cache_warm_rps, 2);
-  json.Field("cache_warm_speedup", cache_warm_rps / naive_rps);
-  json.Field("cache_hit_rate", cache_hit_rate);
-  json.Field("cache_prefix_rps", cache_prefix_rps, 2);
+  for (auto [key, a] : {std::pair{"span_overhead_coarse", coarse_arm},
+                        std::pair{"span_overhead_detailed", detailed_arm},
+                        std::pair{"sentinel_overhead_record", record_arm},
+                        std::pair{"sentinel_overhead_trap", trap_arm},
+                        std::pair{"cache_cold", cold_arm},
+                        std::pair{"cache_prefix", prefix_arm}}) {
+    json.Field(std::string(key) + "_rps", rates[a].median, 2);
+    json.Field(std::string(key) + "_spread_pct", rates[a].spread_pct, 2);
+  }
   json.Field("cache_embedding_hit_rate", cache_embedding_hit_rate);
-  json.Field("trace_off_rps", trace_off_rate.median, 2);
-  json.Field("trace_off_spread_pct", trace_off_rate.spread_pct, 2);
-  json.Field("trace_idle_rps", trace_idle_rate.median, 2);
-  json.Field("trace_idle_spread_pct", trace_idle_rate.spread_pct, 2);
-  json.Field("trace_cost_us", trace_cost_us);
+  json.Field("trace_cost_us", trace_costs[0].median);
+  json.Field("trace_cost_spread_pct", trace_costs[0].spread_pct, 2);
   json.Field("trace_idle_overhead_pct", trace_idle_overhead_pct, 2);
-  json.Field("trace_sampled_rps", trace_sampled_rate.median, 2);
-  json.Field("trace_sampled_overhead_pct", trace_sampled_overhead, 2);
+  json.Field("trace_sampled_cost_us", trace_costs[1].median);
+  json.Field("trace_sampled_cost_spread_pct", trace_costs[1].spread_pct, 2);
   json.Field("flight_recorder_record_per_sec", ring_record_per_sec, 0);
   json.Field("exemplar_observe_per_sec", exemplar_observe_per_sec, 0);
-  json.Field("sync_base_rps", sync_base_rate.median, 2);
-  json.Field("sync_base_spread_pct", sync_base_rate.spread_pct, 2);
-  json.Field("sync_off_rps", sync_off_rate.median, 2);
-  json.Field("sync_off_spread_pct", sync_off_rate.spread_pct, 2);
-  json.Field("sync_off_overhead_pct", sync_off_overhead, 2);
-  json.Field("sync_rank_rps", sync_rank_rate.median, 2);
-  json.Field("sync_rank_overhead_pct", sync_rank_overhead, 2);
-  json.Field("sync_contention_rps", sync_contention_rate.median, 2);
-  json.Field("sync_contention_overhead_pct", sync_contention_overhead, 2);
-  json.Field("sync_both_rps", sync_both_rate.median, 2);
-  json.Field("sync_both_overhead_pct", sync_both_overhead, 2);
-  json.Field("sync_lock_pair_off_ns", sync_lock_pair_off_ns, 2);
-  json.Field("sync_lock_pair_tracked_ns", sync_lock_pair_tracked_ns, 2);
-  json.Field("http_loopback_rps", http_rps, 2);
-  json.Field("http_loopback_fraction_of_best", http_rps / best_rps);
+  json.Field("sync_lock_pair_off_ns", lock_pair[0].median, 2);
+  json.Field("sync_lock_pair_tracked_ns", lock_pair[1].median, 2);
+  json.Field("sync_lock_pair_rank_ns", lock_pair[2].median, 2);
   if (json.Write("BENCH_serve_throughput.json")) {
     std::printf("\nwrote BENCH_serve_throughput.json\n");
   }

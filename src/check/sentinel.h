@@ -12,7 +12,8 @@
 // Variable::AccumulateGrad into the same leaf, are detected instead of
 // silently corrupting gradients.
 //
-// Cost model (the serve_throughput bench guards this at <= 2%):
+// Cost model (bench/serve_throughput records the naive path's rate in
+// each mode):
 //
 //   kOff    — the shipping default. Every hook is a single relaxed atomic
 //             load and a predictable branch; no scan, no allocation.

@@ -104,8 +104,6 @@ class DataParallelTrainer {
     post_step_hook_ = std::move(hook);
   }
 
-  const ParallelTrainConfig& config() const { return config_; }
-
  private:
   void EnsureReplicas();
   /// Adds replica `s`'s trainable gradients into the master's.

@@ -7,7 +7,6 @@
 #include "obs/sync_metrics.h"
 #include "obs/trace.h"
 #include "tensor/check.h"
-#include "tensor/gemm.h"
 
 namespace dar {
 namespace net {
@@ -88,27 +87,16 @@ JsonValue ResultToJson(const std::string& model,
 
 Router::Router(serve::ModelRegistry& registry, RouterConfig config)
     : registry_(&registry), config_(std::move(config)) {
-  // Kernel-thread knob before any traffic: responses are bit-identical for
-  // any value (gemm.h), so this only moves serve.forward latency.
-  if (config_.serve.kernel_threads > 0) {
-    gemm::SetKernelThreads(config_.serve.kernel_threads);
-  }
-  if (config_.metrics != nullptr) {
-    metrics_ = config_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  registry_->PublishMetrics(metrics_);
+  registry_->PublishMetrics(&metrics_);
   if (config_.serve.cache.enabled) {
     cache_ = std::make_unique<serve::ServeCache>(config_.serve.cache);
-    cache_->PublishMetrics(metrics_);
+    cache_->PublishMetrics(&metrics_);
     registry_->AttachCache(cache_.get());
   }
   if (config_.tracing.enabled) {
     tracer_ = std::make_unique<obs::RequestTracer>(config_.tracing);
   }
-  metrics_->SetExemplarMaxAgeUs(config_.tracing.exemplar_max_age_us);
+  metrics_.SetExemplarMaxAgeUs(config_.tracing.exemplar_max_age_us);
 }
 
 Router::~Router() {
@@ -175,10 +163,9 @@ HttpResponse Router::Handle(const HttpRequest& request) {
   std::vector<std::pair<std::string, std::string>> labels = {
       {"route", route}, {"code", std::to_string(response.status)}};
   if (!model.empty()) labels.insert(labels.begin() + 1, {"model", model});
-  metrics_
-      ->GetCounter(obs::LabeledName("http.requests_total", labels))
+  metrics_.GetCounter(obs::LabeledName("http.requests_total", labels))
       .Increment();
-  obs::Histogram& latency = metrics_->GetHistogram(
+  obs::Histogram& latency = metrics_.GetHistogram(
       obs::LabeledName("http.request_latency_us", {{"route", route}}),
       kLatencyBoundsUs);
   if (collector != nullptr) {
@@ -251,8 +238,8 @@ HttpResponse Router::HandleMetrics() {
   response.content_type = "text/plain; version=0.0.4";
   // Fold the sync layer's contention deltas in first, so the scrape that
   // follows a contended burst sees it.
-  obs::PublishSyncContentionMetrics(*metrics_);
-  response.body = metrics_->ExportPrometheus();
+  obs::PublishSyncContentionMetrics(metrics_);
+  response.body = metrics_.ExportPrometheus();
   return response;
 }
 

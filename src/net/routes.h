@@ -55,9 +55,6 @@ struct RouterConfig {
                                   .max_wait_us = 200,
                                   .num_workers = 2,
                                   .max_queue = 128};
-  /// Metrics registry backing /metrics and the HTTP counters; nullptr =
-  /// the Router creates and owns a private one. Not owned otherwise.
-  obs::MetricsRegistry* metrics = nullptr;
   /// Serving-stack configuration. When serve.cache.enabled the Router
   /// owns a ServeCache, attaches it to the model registry (every served
   /// model joins it), publishes its metrics, and stamps each predict
@@ -101,8 +98,8 @@ class Router {
   /// Convenience adapter for HttpServer's constructor.
   std::function<HttpResponse(const HttpRequest&)> AsHandler();
 
-  /// The registry /metrics exports (the owned one unless injected).
-  obs::MetricsRegistry& metrics() { return *metrics_; }
+  /// The registry /metrics exports, owned by the router.
+  obs::MetricsRegistry& metrics() { return metrics_; }
 
   /// The serving cache, or nullptr when config.serve.cache is disabled.
   serve::ServeCache* cache() { return cache_.get(); }
@@ -134,8 +131,7 @@ class Router {
 
   serve::ModelRegistry* registry_;
   RouterConfig config_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_;
+  obs::MetricsRegistry metrics_;
   std::unique_ptr<serve::ServeCache> cache_;
   std::unique_ptr<obs::RequestTracer> tracer_;
 

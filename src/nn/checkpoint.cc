@@ -45,6 +45,28 @@ void WriteParams(std::ostringstream& os, const Module& module) {
   }
 }
 
+/// Reads the rest of the current line as one record of exactly `n` fields
+/// into `out[0, n)`. Records are lines, so a record never borrows fields
+/// from the next one: a misaligned file fails here instead of loading with
+/// every later value shifted.
+template <typename T>
+bool ReadRecord(std::istream& is, int64_t n, T* out) {
+  std::string text;
+  if (!std::getline(is, text)) return false;
+  std::istringstream line(text);
+  for (int64_t i = 0; i < n; ++i) {
+    if (!(line >> out[i])) return false;
+  }
+  return (line >> std::ws).eof();
+}
+
+/// Rejects anything but whitespace after the last record.
+bool ReadEnd(std::istream& is, std::string& error) {
+  if ((is >> std::ws).eof()) return true;
+  error = "unexpected bytes after the last record";
+  return false;
+}
+
 /// Parses one module's parameter records into `staged` (one tensor per
 /// parameter, in Parameters() order), validating names and shapes against
 /// `module` without modifying it. Loads commit only after the whole file
@@ -82,14 +104,12 @@ bool ReadParams(std::istringstream& is, const Module& module,
       return false;
     }
     Shape expected = p.variable.value().shape();
-    Shape got;
-    for (size_t d = 0; d < expected.size(); ++d) {
-      int64_t dim = 0;
-      if (!(is >> dim)) {
-        error = "truncated shape for " + name;
-        return false;
-      }
-      got.push_back(dim);
+    Shape got(expected.size());
+    if (!ReadRecord(is, static_cast<int64_t>(got.size()), got.data())) {
+      error = "shape record for " + name +
+              " has the wrong number of fields (expected " +
+              std::to_string(got.size()) + ")";
+      return false;
     }
     if (got != expected) {
       error = "shape mismatch for " + name + ": checkpoint " +
@@ -97,13 +117,11 @@ bool ReadParams(std::istringstream& is, const Module& module,
       return false;
     }
     Tensor value(expected);
-    for (int64_t i = 0; i < value.numel(); ++i) {
-      float v = 0.0f;
-      if (!(is >> v)) {
-        error = "truncated values for " + name;
-        return false;
-      }
-      value.flat(i) = v;
+    if (!ReadRecord(is, value.numel(), value.data())) {
+      error = "values record for " + name +
+              " has the wrong number of fields (expected " +
+              std::to_string(value.numel()) + ")";
+      return false;
     }
     staged.push_back(std::move(value));
   }
@@ -197,6 +215,7 @@ CheckpointResult DeserializeCheckpoint(Module& module,
   if (!ReadHeader(is, kSingleModuleVersion, result.error)) return result;
   std::vector<Tensor> staged;
   if (!ReadParams(is, module, staged, result.error)) return result;
+  if (!ReadEnd(is, result.error)) return result;
   CommitParams(module, staged);
   result.ok = true;
   return result;
@@ -239,6 +258,7 @@ CheckpointResult DeserializeCheckpoint(const std::vector<NamedModule>& modules,
       return result;
     }
   }
+  if (!ReadEnd(is, result.error)) return result;
   for (size_t k = 0; k < modules.size(); ++k) {
     CommitParams(*modules[k].module, staged[k]);
   }

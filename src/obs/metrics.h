@@ -156,8 +156,7 @@ class Histogram {
 const std::vector<double>& DurationBucketsUs();
 
 /// Nearest-rank percentile of an ascending-sorted sample (0 when empty).
-/// Exact — the estimator ServingStats uses below its memory cap, and the
-/// reference the histogram estimator is tested against.
+/// Exact: the reference the tests hold Histogram::Percentile against.
 int64_t PercentileSorted(const std::vector<int64_t>& sorted, double p);
 
 /// Builds an instrument name carrying a Prometheus label block:

@@ -12,7 +12,8 @@
 // process-wide TraceLevel:
 //
 //   kOff      — every Span is a single relaxed atomic load (the default;
-//               bench/serve_throughput records this overhead at <= 2%).
+//               bench/serve_throughput records the naive path's rate at
+//               every level).
 //   kCoarse   — phase-level spans: train batch/shard/reduce/step, serving
 //               batch collect/forward, evaluation.
 //   kDetailed — adds the hot kernels: matmul, GRU forward, Gumbel

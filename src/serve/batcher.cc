@@ -215,14 +215,11 @@ void MicroBatcher::WorkerLoop() {
     }
 
     auto now = std::chrono::steady_clock::now();
-    std::vector<int64_t> latencies;
-    latencies.reserve(taken.size());
     for (const Pending& p : taken) {
-      latencies.push_back(std::chrono::duration_cast<std::chrono::microseconds>(
-                              now - p.enqueued)
-                              .count());
+      auto latency = std::chrono::duration_cast<std::chrono::microseconds>(
+          now - p.enqueued);
+      session_->stats().RecordLatencyUs(latency.count());
     }
-    session_->stats().RecordLatenciesUs(latencies);
     for (size_t i = 0; i < taken.size(); ++i) {
       taken[i].promise.set_value(std::move(results[i]));
     }

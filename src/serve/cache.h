@@ -91,13 +91,6 @@ struct CacheConfig {
 /// Serving-stack configuration block (grows alongside the stack).
 struct ServeConfig {
   CacheConfig cache;
-  /// GEMM kernel threads for the encoder forwards (tensor/gemm.h). The
-  /// router applies the knob process-wide at construction — a quiesced
-  /// point, before any traffic. Responses are bit-identical for any value
-  /// (fixed M partition, see gemm.h), so this is a latency knob only:
-  /// n > 1 builds the kernel pool, 1 forces the inline path, 0 (default)
-  /// leaves the current process setting untouched.
-  int kernel_threads = 0;
 };
 
 /// What the cache contributed to one request, carried on InferenceResult

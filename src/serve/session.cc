@@ -54,8 +54,7 @@ std::unique_ptr<InferenceSession> InferenceSession::FromCheckpoint(
 
 void InferenceSession::BindStats(obs::MetricsRegistry* registry,
                                  const std::string& model_label) {
-  stats_ = std::make_unique<ServingStats>(
-      registry, "serve", ServingStats::kDefaultExactLatencyCap, model_label);
+  stats_ = std::make_unique<ServingStats>(registry, "serve", model_label);
 }
 
 std::vector<int64_t> InferenceSession::Encode(const std::string& text) const {

@@ -151,8 +151,7 @@ class InferenceSession {
 
   std::unique_ptr<core::RationalizerBase> model_;
   data::Vocabulary vocab_;
-  /// unique_ptr so BindStats can rebind (ServingStats owns a mutex and is
-  /// neither movable nor assignable).
+  /// unique_ptr so BindStats can rebind.
   mutable std::unique_ptr<ServingStats> stats_;
   ServeCache* cache_ = nullptr;
   ServeCache::ModelId cache_model_ = 0;

@@ -1,9 +1,9 @@
 #include "serve/stats.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <utility>
+#include <vector>
 
 namespace dar {
 namespace serve {
@@ -36,9 +36,7 @@ std::string StatsSnapshot::ToString() const {
 }
 
 ServingStats::ServingStats(obs::MetricsRegistry* registry, std::string prefix,
-                           size_t exact_latency_cap,
-                           const std::string& model_label)
-    : exact_latency_cap_(exact_latency_cap) {
+                           const std::string& model_label) {
   if (registry == nullptr) {
     owned_registry_ = std::make_unique<obs::MetricsRegistry>();
     registry = owned_registry_.get();
@@ -64,18 +62,9 @@ ServingStats::ServingStats(obs::MetricsRegistry* registry, std::string prefix,
 }
 
 void ServingStats::RecordBatch(int64_t batch_size) {
-  sync::MutexLock lock(mu_);
   batches_->Increment();
   requests_->Increment(batch_size);
-  ++batch_size_histogram_[batch_size];
   batch_size_hist_->Observe(static_cast<double>(batch_size));
-}
-
-void ServingStats::ObserveLatencyLocked(int64_t us) {
-  ++latency_count_;
-  latency_max_us_ = std::max(latency_max_us_, us);
-  if (latencies_us_.size() < exact_latency_cap_) latencies_us_.push_back(us);
-  latency_hist_->Observe(static_cast<double>(us));
 }
 
 void ServingStats::RecordCacheOutcome(CacheOutcome outcome) {
@@ -95,45 +84,21 @@ void ServingStats::RecordCacheOutcome(CacheOutcome outcome) {
 }
 
 void ServingStats::RecordLatencyUs(int64_t us) {
-  sync::MutexLock lock(mu_);
-  ObserveLatencyLocked(us);
-}
-
-void ServingStats::RecordLatenciesUs(const std::vector<int64_t>& us) {
-  sync::MutexLock lock(mu_);
-  for (int64_t v : us) ObserveLatencyLocked(v);
+  latency_hist_->Observe(static_cast<double>(us));
 }
 
 StatsSnapshot ServingStats::Snapshot() const {
-  sync::MutexLock lock(mu_);
   StatsSnapshot snapshot;
   snapshot.requests = requests_->value();
   snapshot.batches = batches_->value();
-  snapshot.batch_size_histogram = batch_size_histogram_;
   if (snapshot.batches > 0) {
     snapshot.mean_batch_size = static_cast<double>(snapshot.requests) /
                                static_cast<double>(snapshot.batches);
   }
-  if (latency_count_ <= static_cast<int64_t>(exact_latency_cap_)) {
-    // Below the cap the exact sample is complete: nearest-rank percentiles,
-    // identical to the pre-migration unbounded accumulator.
-    std::vector<int64_t> sorted = latencies_us_;
-    std::sort(sorted.begin(), sorted.end());
-    snapshot.latency_p50_us = obs::PercentileSorted(sorted, 50.0);
-    snapshot.latency_p95_us = obs::PercentileSorted(sorted, 95.0);
-    snapshot.latency_p99_us = obs::PercentileSorted(sorted, 99.0);
-  } else {
-    // Past the cap: bucket-interpolated estimates from the histogram (which
-    // has seen every observation), clamped to the exact max.
-    for (auto [p, out] :
-         {std::pair<double, int64_t*>{50.0, &snapshot.latency_p50_us},
-          {95.0, &snapshot.latency_p95_us},
-          {99.0, &snapshot.latency_p99_us}}) {
-      int64_t est = static_cast<int64_t>(std::llround(latency_hist_->Percentile(p)));
-      *out = std::min(est, latency_max_us_);
-    }
-  }
-  snapshot.latency_max_us = latency_max_us_;
+  snapshot.latency_p50_us = std::llround(latency_hist_->Percentile(50.0));
+  snapshot.latency_p95_us = std::llround(latency_hist_->Percentile(95.0));
+  snapshot.latency_p99_us = std::llround(latency_hist_->Percentile(99.0));
+  snapshot.latency_max_us = std::llround(latency_hist_->max());
   snapshot.cache_hits = cache_hit_requests_->value();
   snapshot.cache_partial = cache_partial_requests_->value();
   snapshot.cache_misses = cache_miss_requests_->value();
@@ -147,7 +112,6 @@ StatsSnapshot ServingStats::Snapshot() const {
 }
 
 void ServingStats::Reset() {
-  sync::MutexLock lock(mu_);
   requests_->Reset();
   batches_->Reset();
   cache_hit_requests_->Reset();
@@ -155,10 +119,6 @@ void ServingStats::Reset() {
   cache_miss_requests_->Reset();
   latency_hist_->Reset();
   batch_size_hist_->Reset();
-  batch_size_histogram_.clear();
-  latencies_us_.clear();
-  latency_count_ = 0;
-  latency_max_us_ = 0;
 }
 
 }  // namespace serve

@@ -1,24 +1,20 @@
 // Serving-side observability: request counters, batch-size histogram, and
 // latency percentiles, shared by the naive and micro-batched paths.
 //
-// Since the src/obs/ migration the accumulator is a thin facade over an
-// obs::MetricsRegistry: counts live in registry Counters, every latency is
-// observed into a registry Histogram (`<prefix>.latency_us`, the shared
-// DurationBucketsUs layout), and ExportPrometheus() exposes the whole
-// registry in text exposition format. StatsSnapshot and its values are
-// unchanged — the registry is an additional surface, not a replacement.
+// The registry is the only store: counts live in obs::MetricsRegistry
+// Counters, every latency in the `<prefix>.latency_us` Histogram (the shared
+// DurationBucketsUs layout) and every batch size in `<prefix>.batch_size`.
+// Snapshot() reads those instruments, so it reports exactly what /metrics
+// and ExportPrometheus() expose.
 #ifndef DAR_SERVE_STATS_H_
 #define DAR_SERVE_STATS_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "serve/cache.h"
-#include "sync/mutex.h"
 
 namespace dar {
 namespace serve {
@@ -29,8 +25,6 @@ struct StatsSnapshot {
   int64_t requests = 0;
   /// Model forwards executed (== requests for the unbatched path).
   int64_t batches = 0;
-  /// batch size -> number of batches of that size.
-  std::map<int64_t, int64_t> batch_size_histogram;
   /// Mean requests per forward (0 when nothing has been served).
   double mean_batch_size = 0.0;
   /// End-to-end request latency percentiles in microseconds (enqueue to
@@ -55,22 +49,18 @@ struct StatsSnapshot {
   std::string ToString() const;
 };
 
-/// Thread-safe statistics accumulator owned by an InferenceSession.
+/// Statistics accumulator owned by an InferenceSession: its registry plus
+/// cached pointers to the instruments it records into.
 ///
-/// Latency memory is bounded. The first `exact_latency_cap` latencies
-/// (default 1 << 16, = 512 KiB of int64) are kept exactly and percentiles
-/// are exact nearest-rank values — bit-for-bit what the unbounded
-/// pre-migration accumulator reported, which keeps the serving benches
-/// reproducible. Past the cap the exact sample stops growing and Snapshot()
-/// crosses over to the obs::Histogram estimator (bucket interpolation over
-/// the 1-2-5 duration buckets, which has seen *every* observation): O(1)
-/// memory from then on, percentiles within one bucket's resolution, and the
-/// reported max stays exact forever because it is tracked separately.
+/// Recording is lock-free (the instruments are atomics), so any thread may
+/// record at any time. Snapshot() reads each instrument separately and is
+/// therefore one consistent cut only at a quiet point, when no recording is
+/// in flight; every caller reads it there (benches between load phases and
+/// after an arm, tests after joining their threads). Percentiles are the
+/// histogram's bucket-interpolated estimates (within one 1-2-5 bucket, never
+/// above the exact max); memory is O(1) however much traffic is served.
 class ServingStats {
  public:
-  /// Exact-latency default cap; see the class comment for the crossover.
-  static constexpr size_t kDefaultExactLatencyCap = size_t{1} << 16;
-
   /// Self-contained accumulator backed by a private registry.
   ServingStats() : ServingStats(nullptr) {}
 
@@ -86,7 +76,6 @@ class ServingStats {
   /// coexist in one registry without colliding.
   explicit ServingStats(obs::MetricsRegistry* registry,
                         std::string prefix = "serve",
-                        size_t exact_latency_cap = kDefaultExactLatencyCap,
                         const std::string& model_label = "");
 
   /// Records one executed forward covering `batch_size` requests.
@@ -94,9 +83,6 @@ class ServingStats {
 
   /// Records one fulfilled request's end-to-end latency.
   void RecordLatencyUs(int64_t us);
-
-  /// Records a whole batch worth of latencies under one lock acquisition.
-  void RecordLatenciesUs(const std::vector<int64_t>& us);
 
   /// Records one request's cache outcome (`<prefix>.cache_hit_requests_total`
   /// / partial / miss counters). kUncached records nothing — the uncached
@@ -115,11 +101,8 @@ class ServingStats {
   std::string ExportPrometheus() const { return registry_->ExportPrometheus(); }
 
  private:
-  void ObserveLatencyLocked(int64_t us) DAR_REQUIRES(mu_);
-
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::MetricsRegistry* registry_;
-  size_t exact_latency_cap_;
 
   // Cached instrument pointers (stable for the registry's lifetime).
   obs::Counter* requests_;
@@ -129,17 +112,6 @@ class ServingStats {
   obs::Counter* cache_miss_requests_;
   obs::Histogram* latency_hist_;
   obs::Histogram* batch_size_hist_;
-
-  /// kStats: held only around the local accumulators below — the cached
-  /// instrument pointers above are lock-free and never touched under mu_
-  /// with another lock in hand.
-  mutable sync::Mutex mu_{sync::Rank::kStats, "serve.stats"};
-  std::map<int64_t, int64_t> batch_size_histogram_ DAR_GUARDED_BY(mu_);
-  /// Exact sample: grows until exact_latency_cap_, then freezes (the
-  /// histogram keeps absorbing everything).
-  std::vector<int64_t> latencies_us_ DAR_GUARDED_BY(mu_);
-  int64_t latency_count_ DAR_GUARDED_BY(mu_) = 0;
-  int64_t latency_max_us_ DAR_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace serve

@@ -9,7 +9,7 @@
 //
 // Usage, in one glance:
 //
-//   sync::Mutex mu_{sync::Rank::kStats, "serve.stats"};
+//   sync::Mutex mu_{sync::Rank::kBatcher, "serve.batcher"};
 //   int64_t count_ DAR_GUARDED_BY(mu_);             // field needs mu_ held
 //   Entry* table_ DAR_PT_GUARDED_BY(mu_);           // *table_ needs mu_
 //   void FlushLocked() DAR_REQUIRES(mu_);           // caller holds mu_

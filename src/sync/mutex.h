@@ -23,7 +23,7 @@
 //              20 kCacheTable   serve.cache_models (ServeCache model map)
 //              25 kCacheShard   serve.cache_shard (per-shard LRU stripes)
 //              30 kBatcher      serve.batcher, serve.thread_pool
-//              40 kStats        serve.stats, train.reduce
+//              40 kStats        (self-test and bench probe locks only)
 //              50 kObsRegistry  obs.metrics_registry
 //              60 kObsDetail    obs.exemplars, obs.trace_collector,
 //                               obs.tail_sampler, obs.sync_publish
@@ -46,8 +46,8 @@
 //
 // Cost model, mirroring check/sentinel.h: with both gates off, Lock() and
 // Unlock() are two relaxed atomic loads and predictable branches around
-// the plain std::mutex ops — bench/serve_throughput gates the off-mode
-// overhead at <= 2% like the sentinel and tracing gates.
+// the plain std::mutex ops — bench/serve_throughput times an uncontended
+// Lock/Unlock pair off-mode, tracked and rank-checked.
 //
 // This header is dependency-free (C++ standard library only): sync sits
 // below obs/ in the link order, and obs's own mutexes are sync::Mutex too.
@@ -75,7 +75,7 @@ enum class Rank : int {
   kCacheTable = 20,   // serve::ServeCache model table
   kCacheShard = 25,   // serve::ServeCache per-shard stripes
   kBatcher = 30,      // serve::MicroBatcher, serve::ThreadPool
-  kStats = 40,        // serve::ServingStats, trainer gradient reduction
+  kStats = 40,        // self-test and bench probe locks only
   kObsRegistry = 50,  // obs::MetricsRegistry instrument map
   kObsDetail = 60,    // obs exemplars / trace collectors / tail sampler
   kLeaf = 90,         // check:: findings list — never holds another lock

@@ -40,9 +40,8 @@
 // serve::ThreadPool is (re)built with n-1 workers and large GEMMs fan
 // their row blocks out to it (the calling thread takes a share too).
 // SetKernelThreads must be called at a quiesced point (no concurrent
-// Gemm in flight); TrainConfig::kernel_threads and
-// ServeConfig::kernel_threads thread the knob through Fit() and the
-// serving router. n <= 1 restores the inline path.
+// Gemm in flight); TrainConfig::kernel_threads threads the knob through
+// Fit(). n <= 1 restores the inline path.
 #ifndef DAR_TENSOR_GEMM_H_
 #define DAR_TENSOR_GEMM_H_
 

@@ -109,6 +109,60 @@ TEST(CheckpointTest, RejectsTruncatedValues) {
   }
 }
 
+TEST(CheckpointTest, RejectsMisalignedRecordsAndTrailingBytes) {
+  // Each record is one line: a shape or values record with a field too
+  // many, or bytes after the last record, fail the load with the cause
+  // named and leave the module untouched.
+  Pcg32 rng(24);
+  Linear source(3, 2, rng);
+  const std::string text = SerializeCheckpoint(source);
+  ASSERT_NE(text.find("\nname w\nshape 3 2\n"), std::string::npos) << text;
+  ASSERT_NE(text.find("\nname b\nshape 2\n0 0\n"), std::string::npos) << text;
+  // The bias record gains a dimension: a reader of whitespace-separated
+  // tokens would take the 9 as the first bias value.
+  std::string bias_dim = text;
+  bias_dim.replace(bias_dim.find("shape 2\n"), 8, "shape 2 9\n");
+  // The weight record gains a dimension and its values lose their last
+  // field: a token reader would load every weight shifted by one.
+  std::string weight_dim = text;
+  const size_t weight_end = weight_dim.find("\nname b");
+  const size_t last_weight = weight_dim.rfind(' ', weight_end);
+  weight_dim.erase(last_weight, weight_end - last_weight);
+  weight_dim.replace(weight_dim.find("shape 3 2\n"), 10, "shape 3 2 9\n");
+  const std::string body = text.substr(0, text.size() - 1);
+  struct Case {
+    std::string text;
+    const char* cause;
+  };
+  for (const Case& c :
+       {Case{bias_dim, "shape record for b has the wrong number of fields"},
+        Case{weight_dim, "shape record for w has the wrong number of fields"},
+        Case{body + " 0.5 7 garbage\n", "values record for b has the wrong"},
+        Case{text + "0.5 7 garbage", "unexpected bytes after the last"}}) {
+    Linear target(3, 2, rng);
+    const std::string before = SerializeCheckpoint(target);
+    CheckpointResult result = DeserializeCheckpoint(target, c.text);
+    EXPECT_FALSE(result.ok) << c.text;
+    EXPECT_NE(result.error.find(c.cause), std::string::npos) << result.error;
+    EXPECT_EQ(SerializeCheckpoint(target), before) << c.text;
+  }
+
+  // A version-2 bundle with a token after its last module.
+  Linear first(3, 2, rng), second(2, 4, rng);
+  const std::string bundle =
+      SerializeCheckpoint({{"first", &first}, {"second", &second}});
+  Linear target_first(3, 2, rng), target_second(2, 4, rng);
+  const std::vector<NamedModule> target = {{"first", &target_first},
+                                           {"second", &target_second}};
+  const std::string before = SerializeCheckpoint(target);
+  CheckpointResult result = DeserializeCheckpoint(target, bundle + "extra\n");
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("unexpected bytes after the last record"),
+            std::string::npos)
+      << result.error;
+  EXPECT_EQ(SerializeCheckpoint(target), before);
+}
+
 TEST(CheckpointTest, FileRoundTrip) {
   Pcg32 rng(7);
   Linear a(3, 2, rng), b(3, 2, rng);

@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/parallel_trainer.h"
@@ -337,13 +339,6 @@ TEST(ServingStatsTest, SingleLatencyReportsItAtEveryPercentile) {
   EXPECT_EQ(snapshot.latency_p95_us, 137);
   EXPECT_EQ(snapshot.latency_p99_us, 137);
   EXPECT_EQ(snapshot.latency_max_us, 137);
-  // The histogram estimator agrees exactly on a single sample (cap 0
-  // forces the estimator path even for the first observation).
-  serve::ServingStats capped(nullptr, "serve", /*exact_latency_cap=*/0);
-  capped.RecordLatencyUs(137);
-  serve::StatsSnapshot est = capped.Snapshot();
-  EXPECT_EQ(est.latency_p50_us, 137);
-  EXPECT_EQ(est.latency_p99_us, 137);
 }
 
 TEST(ServingStatsTest, CountsAndExactPercentilesBelowCap) {
@@ -356,36 +351,65 @@ TEST(ServingStatsTest, CountsAndExactPercentilesBelowCap) {
   for (int i = 0; i < 997; ++i) {
     latencies.push_back(1 + static_cast<int64_t>(rng.Below(50000)));
   }
-  stats.RecordLatenciesUs(latencies);
+  for (int64_t us : latencies) stats.RecordLatencyUs(us);
   serve::StatsSnapshot snapshot = stats.Snapshot();
 
   EXPECT_EQ(snapshot.requests, 16);
   EXPECT_EQ(snapshot.batches, 3);
-  EXPECT_EQ(snapshot.batch_size_histogram.at(4), 2);
-  EXPECT_EQ(snapshot.batch_size_histogram.at(8), 1);
+  // serve.batch_size has unit-width buckets: bucket b-1 counts size b.
+  std::vector<int64_t> sizes =
+      stats.registry().GetHistogram("serve.batch_size", {}).BucketCounts();
+  EXPECT_EQ(sizes[3], 2);
+  EXPECT_EQ(sizes[7], 1);
   EXPECT_DOUBLE_EQ(snapshot.mean_batch_size, 16.0 / 3.0);
 
-  // Below the cap the percentiles are the exact nearest-rank values — the
-  // pre-migration behavior, bit for bit.
+  // Each percentile stays inside the 1-2-5 bucket that holds the exact
+  // nearest-rank value, never above the max, and is monotone in p.
   std::vector<int64_t> sorted = latencies;
   std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(snapshot.latency_p50_us, obs::PercentileSorted(sorted, 50.0));
-  EXPECT_EQ(snapshot.latency_p95_us, obs::PercentileSorted(sorted, 95.0));
-  EXPECT_EQ(snapshot.latency_p99_us, obs::PercentileSorted(sorted, 99.0));
+  const std::vector<double>& bounds = obs::DurationBucketsUs();
+  int64_t previous = 0;
+  for (auto [p, got] : {std::pair{50.0, snapshot.latency_p50_us},
+                        std::pair{95.0, snapshot.latency_p95_us},
+                        std::pair{99.0, snapshot.latency_p99_us}}) {
+    const int64_t truth = obs::PercentileSorted(sorted, p);
+    auto upper = std::lower_bound(bounds.begin(), bounds.end(), truth);
+    EXPECT_GE(got, upper == bounds.begin() ? 0.0 : *(upper - 1)) << "p=" << p;
+    EXPECT_LE(got, *upper) << "p=" << p;
+    EXPECT_LE(got, snapshot.latency_max_us) << "p=" << p;
+    EXPECT_GE(got, previous) << "p=" << p;
+    previous = got;
+  }
   EXPECT_EQ(snapshot.latency_max_us, sorted.back());
 }
 
+TEST(ServingStatsTest, SnapshotReadsTheRegistry) {
+  // One store: the snapshot reports what /metrics exports, read back from
+  // the serve.latency_us histogram through registry().
+  serve::ServingStats stats;
+  Pcg32 rng(11, 5);
+  for (int i = 0; i < 997; ++i) {
+    stats.RecordLatencyUs(1 + static_cast<int64_t>(rng.Below(50000)));
+  }
+  serve::StatsSnapshot snapshot = stats.Snapshot();
+  obs::Histogram& latency =
+      stats.registry().GetHistogram("serve.latency_us", {});
+  EXPECT_EQ(snapshot.latency_p50_us, std::llround(latency.Percentile(50.0)));
+  EXPECT_EQ(snapshot.latency_p95_us, std::llround(latency.Percentile(95.0)));
+  EXPECT_EQ(snapshot.latency_p99_us, std::llround(latency.Percentile(99.0)));
+  EXPECT_EQ(snapshot.latency_max_us, std::llround(latency.max()));
+}
+
 TEST(ServingStatsTest, EstimatorTakesOverPastCap) {
-  // Tiny cap so the test crosses it instantly; the histogram sees every
-  // observation, so estimates stay within one 1-2-5 bucket of truth and
-  // the max stays exact.
-  serve::ServingStats stats(nullptr, "serve", /*exact_latency_cap=*/64);
+  // The histogram sees every observation, so estimates stay within one
+  // 1-2-5 bucket of truth and the max stays exact.
+  serve::ServingStats stats(nullptr, "serve");
   std::vector<int64_t> latencies;
   Pcg32 rng(13, 9);
   for (int i = 0; i < 5000; ++i) {
     latencies.push_back(1 + static_cast<int64_t>(rng.Below(200000)));
   }
-  stats.RecordLatenciesUs(latencies);
+  for (int64_t us : latencies) stats.RecordLatencyUs(us);
   serve::StatsSnapshot snapshot = stats.Snapshot();
 
   std::vector<int64_t> sorted = latencies;
@@ -408,10 +432,10 @@ TEST(ServingStatsTest, EstimatorTakesOverPastCap) {
 }
 
 TEST(ServingStatsTest, BoundedMemoryPastCap) {
-  serve::ServingStats stats(nullptr, "serve", /*exact_latency_cap=*/16);
+  serve::ServingStats stats(nullptr, "serve");
   for (int i = 0; i < 100000; ++i) stats.RecordLatencyUs(i % 777);
   // No direct memory probe; the contract is that Snapshot still works and
-  // counts everything while the exact sample froze at the cap.
+  // counts everything while the stats hold only fixed-size histograms.
   serve::StatsSnapshot snapshot = stats.Snapshot();
   EXPECT_EQ(snapshot.latency_max_us, 776);
   std::string text = stats.ExportPrometheus();

@@ -421,9 +421,12 @@ TEST(ServingStatsTest, SnapshotAggregates) {
   EXPECT_EQ(snapshot.requests, 8);
   EXPECT_EQ(snapshot.batches, 3);
   EXPECT_DOUBLE_EQ(snapshot.mean_batch_size, 8.0 / 3.0);
-  EXPECT_EQ(snapshot.batch_size_histogram.at(1), 1);
-  EXPECT_EQ(snapshot.batch_size_histogram.at(3), 1);
-  EXPECT_EQ(snapshot.batch_size_histogram.at(4), 1);
+  // serve.batch_size has unit-width buckets: bucket b-1 counts size b.
+  std::vector<int64_t> sizes =
+      stats.registry().GetHistogram("serve.batch_size", {}).BucketCounts();
+  EXPECT_EQ(sizes[0], 1);
+  EXPECT_EQ(sizes[2], 1);
+  EXPECT_EQ(sizes[3], 1);
   EXPECT_EQ(snapshot.latency_p50_us, 400);
   EXPECT_EQ(snapshot.latency_p95_us, 800);
   EXPECT_EQ(snapshot.latency_p99_us, 800);
@@ -498,8 +501,7 @@ TEST(ModelRegistryTest, DestructionRestoresSessionStatsBinding) {
     // The session's stats now publish into `metrics`, which dies with this
     // scope. The registry's destructor must rebind them to a private
     // registry — before it did, the lines below wrote freed memory
-    // (caught by ASan; see bench/serve_throughput.cc's router arms, which
-    // hit exactly this sequence).
+    // (caught by ASan).
   }
   session->stats().Reset();
   ASSERT_FALSE(
