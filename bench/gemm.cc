@@ -4,15 +4,16 @@
 //   * GFLOP/s of the blocked kernel (tensor/gemm.h),
 //   * speedup over the seed repo's naive kernel (reproduced below verbatim,
 //     zero-skip branch included), and
-//   * thread scaling at the largest shape (single-core containers will
-//     honestly record ~1x, like train_scaling does).
+//   * thread scaling at 256x256x256 (single-core containers will honestly
+//     record ~1x, like train_scaling does).
+// Timings are medians of interleaved reps, with spreads (MeasureInterleaved).
 //
 // Emits BENCH_gemm.json. The headline field `speedup_256cubed` (blocked vs
 // seed-naive at 256x256x256, single-threaded) is the one CI smoke-greps.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -41,67 +42,75 @@ void SeedNaiveMatMul(int64_t m, int64_t n, int64_t k, const float* a,
   }
 }
 
-double MedianMs(std::vector<double>& samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
+/// One product's shape, its random inputs, and its output buffer.
+struct Product {
+  Product(gemm::Trans trans, int64_t m, int64_t n, int64_t k)
+      : trans(trans), m(m), n(n), k(k), a(static_cast<size_t>(m * k)),
+        b(static_cast<size_t>(k * n)), c(static_cast<size_t>(m * n)) {
+    Pcg32 rng(1234 + m + n + k);
+    for (float& x : a) x = rng.NextFloat() * 2.0f - 1.0f;
+    for (float& x : b) x = rng.NextFloat() * 2.0f - 1.0f;
+  }
+
+  /// Runs the seed kernel (`naive`) or the blocked one once into a zeroed
+  /// output and returns its wall time in ms. The seed kernel only ever
+  /// implemented the NN orientation; the equivalent-cost NN product stands
+  /// in for TA/TB rows.
+  double RepMs(bool naive) {
+    std::fill(c.begin(), c.end(), 0.0f);
+    const auto start = std::chrono::steady_clock::now();
+    if (naive) {
+      SeedNaiveMatMul(m, n, k, a.data(), b.data(), c.data());
+    } else {
+      gemm::Gemm(trans, m, n, k, a.data(), b.data(), c.data());
+    }
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  }
+
+  gemm::Trans trans;
+  int64_t m, n, k;
+  std::vector<float> a, b, c;
+};
 
 struct ShapeResult {
   std::string label;
   int64_t m, n, k;
-  double naive_ms;
-  double blocked_ms;
+  ArmStats naive_ms;
+  ArmStats blocked_ms;
   double gflops;   // blocked kernel throughput
-  double speedup;  // naive_ms / blocked_ms
+  double speedup;  // naive_ms / blocked_ms (medians)
 };
 
-/// Times one shape: median-of-`reps` for both kernels on identical inputs.
+/// Times one shape: the naive and blocked kernels as two interleaved arms
+/// on identical inputs, `reps` rounds.
 ShapeResult TimeShape(const std::string& label, gemm::Trans trans, int64_t m,
                       int64_t n, int64_t k, int reps) {
-  Pcg32 rng(1234 + m + n + k);
-  std::vector<float> a(static_cast<size_t>(m * k));
-  std::vector<float> b(static_cast<size_t>(k * n));
-  for (float& x : a) x = rng.NextFloat() * 2.0f - 1.0f;
-  for (float& x : b) x = rng.NextFloat() * 2.0f - 1.0f;
-  std::vector<float> c(static_cast<size_t>(m * n));
-
-  auto time_one = [&](auto&& fn) {
-    std::vector<double> samples;
-    samples.reserve(static_cast<size_t>(reps));
-    for (int rep = 0; rep < reps; ++rep) {
-      std::fill(c.begin(), c.end(), 0.0f);
-      auto t0 = std::chrono::steady_clock::now();
-      fn();
-      auto t1 = std::chrono::steady_clock::now();
-      samples.push_back(
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-    return MedianMs(samples);
-  };
-
-  ShapeResult r{label, m, n, k, 0.0, 0.0, 0.0, 0.0};
-  // The seed kernel only ever implemented the NN orientation; time the
-  // equivalent-cost NN product as its stand-in for TA/TB rows.
-  r.naive_ms =
-      time_one([&] { SeedNaiveMatMul(m, n, k, a.data(), b.data(), c.data()); });
-  r.blocked_ms = time_one(
-      [&] { gemm::Gemm(trans, m, n, k, a.data(), b.data(), c.data()); });
+  Product product(trans, m, n, k);
+  const std::vector<ArmStats> arms =
+      MeasureInterleaved({[&] { return product.RepMs(/*naive=*/true); },
+                          [&] { return product.RepMs(/*naive=*/false); }},
+                         reps);
+  ShapeResult r{label, m, n, k, arms[0], arms[1], 0.0, 0.0};
   const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
                        static_cast<double>(k);
-  r.gflops = flops / (r.blocked_ms * 1e6);
-  r.speedup = r.naive_ms / r.blocked_ms;
+  r.gflops = flops / (r.blocked_ms.median * 1e6);
+  r.speedup = r.naive_ms.median / r.blocked_ms.median;
   return r;
 }
 
 std::string ResultJson(const ShapeResult& r) {
-  char buf[256];
+  char buf[384];
   std::snprintf(buf, sizeof(buf),
                 "{\"shape\": \"%s\", \"m\": %lld, \"n\": %lld, \"k\": %lld, "
-                "\"naive_ms\": %.3f, \"blocked_ms\": %.3f, \"gflops\": %.2f, "
-                "\"speedup\": %.2f}",
+                "\"naive_ms\": %.3f, \"naive_spread_pct\": %.1f, "
+                "\"blocked_ms\": %.3f, \"blocked_spread_pct\": %.1f, "
+                "\"gflops\": %.2f, \"speedup\": %.2f}",
                 r.label.c_str(), static_cast<long long>(r.m),
                 static_cast<long long>(r.n), static_cast<long long>(r.k),
-                r.naive_ms, r.blocked_ms, r.gflops, r.speedup);
+                r.naive_ms.median, r.naive_ms.spread_pct, r.blocked_ms.median,
+                r.blocked_ms.spread_pct, r.gflops, r.speedup);
   return buf;
 }
 
@@ -118,8 +127,10 @@ int Main(int argc, char** argv) {
   gemm::SetKernelThreads(1);
 
   // Shape classes: the acceptance square, the encoder's flat input
-  // projection, the tiny recurrent step (small-path regression guard), and
-  // the backward's transposed products at the acceptance size.
+  // projection, the tiny recurrent step (small-path regression guard), the
+  // backward's transposed products at the acceptance size, and the GRU
+  // input projection at training batch size: its gate width 3H = 72 leaves
+  // an 8-wide edge tile that the 80-wide row does not.
   struct Case {
     const char* label;
     gemm::Trans trans;
@@ -132,20 +143,17 @@ int Main(int argc, char** argv) {
       {"recurrent_step_nn", gemm::Trans::kNN, 64, 72, 24},
       {"backward_ta_256", gemm::Trans::kTA, 256, 256, 256},
       {"backward_tb_256", gemm::Trans::kTB, 256, 256, 256},
+      {"gru_input_proj_nn", gemm::Trans::kNN, 3840, 72, 32},
+      {"gru_input_proj_n80_nn", gemm::Trans::kNN, 3840, 80, 32},
   };
 
-  std::printf("%-20s %6s %6s %6s %12s %12s %9s %9s\n", "shape", "m", "n", "k",
-              "naive_ms", "blocked_ms", "GFLOP/s", "speedup");
   std::string results = "[\n    ";
   double speedup_256 = 0.0;
   double gflops_256 = 0.0;
   bool first = true;
   for (const Case& cs : cases) {
     ShapeResult r = TimeShape(cs.label, cs.trans, cs.m, cs.n, cs.k, reps);
-    std::printf("%-20s %6lld %6lld %6lld %12.3f %12.3f %9.2f %9.2f\n",
-                r.label.c_str(), static_cast<long long>(r.m),
-                static_cast<long long>(r.n), static_cast<long long>(r.k),
-                r.naive_ms, r.blocked_ms, r.gflops, r.speedup);
+    std::printf("%s\n", ResultJson(r).c_str());
     std::fflush(stdout);
     if (!first) results += ",\n    ";
     results += ResultJson(r);
@@ -157,28 +165,34 @@ int Main(int argc, char** argv) {
   }
   results += "\n  ]";
 
-  // Thread-scaling arm at the acceptance shape. Results are bit-identical
-  // across worker counts by construction (gemm.h); only latency can move.
+  // Thread scaling of the blocked kernel at the acceptance shape: each arm
+  // sets its thread count before its rep, a quiesced point. Results are
+  // bit-identical across worker counts (gemm.h); only latency can move.
   std::printf("\nthread scaling at 256x256x256 (total threads incl. caller):\n");
+  const int thread_counts[] = {1, 2, 4};
+  Product square(gemm::Trans::kNN, 256, 256, 256);
+  std::vector<std::function<double()>> scaling_arms;
+  for (int threads : thread_counts) {
+    scaling_arms.push_back([&square, threads] {
+      gemm::SetKernelThreads(threads);
+      return square.RepMs(/*naive=*/false);
+    });
+  }
+  const std::vector<ArmStats> scaled = MeasureInterleaved(scaling_arms, reps);
+  gemm::SetKernelThreads(1);
   std::string scaling = "[\n    ";
-  double base_ms = 0.0;
-  for (int threads : {1, 2, 4}) {
-    gemm::SetKernelThreads(threads);
-    ShapeResult r =
-        TimeShape("square_256_nn", gemm::Trans::kNN, 256, 256, 256, reps);
-    if (threads == 1) base_ms = r.blocked_ms;
-    const double scale = base_ms / r.blocked_ms;
-    std::printf("  threads=%d  %8.3f ms  %6.2fx\n", threads, r.blocked_ms,
-                scale);
-    char buf[128];
+  for (size_t i = 0; i < scaled.size(); ++i) {
+    char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  "{\"threads\": %d, \"blocked_ms\": %.3f, \"scale\": %.2f}",
-                  threads, r.blocked_ms, scale);
-    if (threads != 1) scaling += ",\n    ";
+                  "{\"threads\": %d, \"blocked_ms\": %.3f, "
+                  "\"blocked_spread_pct\": %.1f, \"scale\": %.2f}",
+                  thread_counts[i], scaled[i].median, scaled[i].spread_pct,
+                  scaled[0].median / scaled[i].median);
+    std::printf("  %s\n", buf);
+    if (i > 0) scaling += ",\n    ";
     scaling += buf;
   }
   scaling += "\n  ]";
-  gemm::SetKernelThreads(1);
 
   std::printf("\nheadline: blocked vs seed-naive at 256^3 = %.2fx (%.2f "
               "GFLOP/s)\n",

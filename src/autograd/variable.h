@@ -130,7 +130,7 @@ class Variable {
 
   /// Runs backpropagation from this node. If `seed` is omitted the node
   /// must be scalar and is seeded with 1.0. Gradients accumulate — call
-  /// ZeroGrad on parameters (or Optimizer::ZeroGrad) between steps.
+  /// ZeroGrad on parameters (or Adam::ZeroGrad) between steps.
   void Backward() const;
   void Backward(const Tensor& seed) const;
 

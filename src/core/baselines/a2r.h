@@ -27,8 +27,6 @@ class A2rModel : public RationalizerBase {
   int64_t NumModules() const override { return 3; }
   int64_t TotalParameters() const override;
 
-  Predictor& soft_predictor() { return soft_predictor_; }
-
  private:
   Predictor soft_predictor_;
 };

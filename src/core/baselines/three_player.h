@@ -26,8 +26,6 @@ class ThreePlayerModel : public RationalizerBase {
   int64_t NumModules() const override { return 3; }
   int64_t TotalParameters() const override;
 
-  Predictor& complement_predictor() { return complement_predictor_; }
-
  private:
   Predictor complement_predictor_;
 };

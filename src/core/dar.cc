@@ -8,24 +8,18 @@
 namespace dar {
 namespace core {
 
-DarModel::DarModel(Tensor embeddings, TrainConfig config)
-    : DarModel(std::move(embeddings), config, Options{}) {}
-
-DarModel::DarModel(Tensor embeddings, TrainConfig config, Options options)
+DarModel::DarModel(Tensor embeddings, TrainConfig config, bool cotrained)
     : RationalizerBase(std::move(embeddings), config, "DAR"),
-      options_(options),
+      cotrained_(cotrained),
       discriminator_(embeddings_, config_, rng_) {}
 
 void DarModel::Prepare(const datasets::SyntheticDataset& dataset) {
-  if (options_.pretrain_discriminator) {
-    // Eq. 4: theta_{P_t}* = argmin H_c(Y, Y^t | X) over the full input.
-    discriminator_dev_acc_ = FitFullTextPredictor(
-        discriminator_, dataset, config_.pretrain_epochs, config_.batch_size,
-        config_.lr, rng_);
-  }
-  if (options_.freeze_discriminator) {
-    discriminator_.SetRequiresGrad(false);
-  }
+  if (cotrained_) return;
+  // Eq. 4: theta_{P_t}* = argmin H_c(Y, Y^t | X) over the full input.
+  discriminator_dev_acc_ = FitFullTextPredictor(
+      discriminator_, dataset, config_.pretrain_epochs, config_.batch_size,
+      config_.lr, rng_);
+  discriminator_.SetRequiresGrad(false);
 }
 
 ag::Variable DarModel::TrainLoss(const data::Batch& batch) {
@@ -39,7 +33,7 @@ ag::Variable DarModel::TrainLoss(const data::Batch& batch) {
   last_breakdown_.align_ce = disc_ce.value().item();
   last_breakdown_.has_align = true;
   ag::Variable loss = ag::Add(core, ag::MulScalar(disc_ce, config_.aux_weight));
-  if (!options_.freeze_discriminator) {
+  if (cotrained_) {
     // Co-trained ablation arm: the auxiliary module also learns the
     // full-text task from scratch during the game (the failure mode the
     // paper attributes to DMR/A2R-style designs).
@@ -52,7 +46,7 @@ ag::Variable DarModel::TrainLoss(const data::Batch& batch) {
 
 std::vector<ag::Variable> DarModel::TrainableParameters() const {
   std::vector<ag::Variable> params = RationalizerBase::TrainableParameters();
-  if (!options_.freeze_discriminator) {
+  if (cotrained_) {
     for (const nn::NamedParameter& p : discriminator_.Parameters()) {
       if (p.variable.requires_grad()) params.push_back(p.variable);
     }
@@ -64,13 +58,13 @@ std::unique_ptr<RationalizerBase> DarModel::CloneArchitecture() const {
   // The clone is never Prepare()d: the master pretrains predictor^t once and
   // MirrorFrom copies the frozen result (values + requires_grad) into every
   // replica, so replicas skip eq. 4 entirely.
-  return std::make_unique<DarModel>(embeddings(), config(), options_);
+  return std::make_unique<DarModel>(embeddings(), config(), cotrained_);
 }
 
 void DarModel::SetTraining(bool training) {
   RationalizerBase::SetTraining(training);
   // The frozen discriminator always runs in eval mode.
-  discriminator_.SetTraining(!options_.freeze_discriminator && training);
+  discriminator_.SetTraining(cotrained_ && training);
 }
 
 int64_t DarModel::TotalParameters() const {

@@ -23,19 +23,14 @@ namespace core {
 /// The DAR model: RNP + frozen, full-text-pretrained discriminator.
 class DarModel : public RationalizerBase {
  public:
-  /// Ablation switches (bench/ablation_dar exercises these).
-  struct Options {
-    /// Paper setting: pretrain predictor^t on full text, then freeze. When
-    /// false, predictor^t starts random and co-trains with the game
-    /// (a DMR-like degradation used as an ablation arm).
-    bool pretrain_discriminator = true;
-    bool freeze_discriminator = true;
-  };
+  /// Paper setting by default: predictor^t is pretrained on full text,
+  /// then frozen. `cotrained` is the ablation arm bench/ablation_dar runs
+  /// ("DAR-cotrained"): predictor^t starts random and co-trains with the
+  /// game, a DMR-like degradation.
+  DarModel(Tensor embeddings, TrainConfig config, bool cotrained = false);
 
-  DarModel(Tensor embeddings, TrainConfig config);
-  DarModel(Tensor embeddings, TrainConfig config, Options options);
-
-  /// Pretrains predictor^t on the full input (eq. 4) and freezes it.
+  /// Pretrains predictor^t on the full input (eq. 4) and freezes it; a
+  /// no-op for the co-trained arm.
   void Prepare(const datasets::SyntheticDataset& dataset) override;
 
   ag::Variable TrainLoss(const data::Batch& batch) override;
@@ -53,7 +48,7 @@ class DarModel : public RationalizerBase {
   float discriminator_dev_accuracy() const { return discriminator_dev_acc_; }
 
  private:
-  Options options_;
+  bool cotrained_;
   Predictor discriminator_;
   float discriminator_dev_acc_ = 0.0f;
 };

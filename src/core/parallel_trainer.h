@@ -78,13 +78,6 @@ class DataParallelTrainer {
   /// Prepare() first.
   float ReduceGradientsForBatch(const data::Batch& batch, bool audit = false);
 
-  /// Loss breakdown of the last ReduceGradientsForBatch() call: the
-  /// replicas' per-shard breakdowns combined with the same shard-size
-  /// weights as the loss itself. `valid` only if every shard reported one.
-  const LossBreakdown& last_batch_breakdown() const {
-    return last_batch_breakdown_;
-  }
-
   /// Copies the master parameter values into every replica. Fit() calls
   /// this after each optimizer step and after the best-epoch restore.
   void BroadcastParameters();
@@ -118,6 +111,9 @@ class DataParallelTrainer {
   std::unique_ptr<serve::ThreadPool> pool_;
   std::function<void(int64_t)> post_step_hook_;
   int64_t step_ = 0;
+  /// The last ReduceGradientsForBatch() call's per-shard breakdowns,
+  /// combined with the same shard-size weights as the loss itself. `valid`
+  /// only if every shard reported one.
   LossBreakdown last_batch_breakdown_;
 };
 

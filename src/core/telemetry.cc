@@ -16,8 +16,8 @@ RationaleShiftProbe::RationaleShiftProbe(
       probe_(model.embeddings(), model.config(), init_rng_) {
   const TrainConfig& config = model.config();
   Pcg32 train_rng(config.seed, /*stream=*/0x0b5f);
-  dev_acc_ = FitFullTextPredictor(probe_, dataset, config.pretrain_epochs,
-                                  config.batch_size, config.lr, train_rng);
+  FitFullTextPredictor(probe_, dataset, config.pretrain_epochs,
+                       config.batch_size, config.lr, train_rng);
   probe_.SetRequiresGrad(false);
   probe_.SetTraining(false);
 }

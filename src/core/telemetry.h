@@ -48,16 +48,11 @@ class RationaleShiftProbe {
   /// Toggles the model through eval mode and back (no RNG consumed).
   double MeasureShift(RationalizerBase& model, const data::Batch& batch);
 
-  /// Dev-set full-text accuracy the probe reached (sanity signal: a probe
-  /// at chance level measures nothing).
-  float dev_accuracy() const { return dev_acc_; }
-
  private:
   /// Declared before probe_: the constructor feeds it to Predictor's
   /// weight initialization.
   Pcg32 init_rng_;
   Predictor probe_;
-  float dev_acc_ = 0.0f;
 };
 
 /// Accumulates per-batch telemetry into the epoch means the game loop

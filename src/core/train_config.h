@@ -36,10 +36,6 @@ struct TrainConfig {
   int64_t batch_size = 64;
   int64_t epochs = 10;
   float grad_clip = 5.0f;
-  /// Reserved knob: the GRU players are small enough not to need dropout
-  /// (matching the reference implementations); the Transformer setting
-  /// regularizes via `transformer.dropout` instead.
-  float dropout = 0.1f;
 
   // Rationale regularization (eq. 3).
   float sparsity_target = 0.15f;   // alpha

@@ -52,7 +52,7 @@ TrainRun Fit(RationalizerBase& model, const datasets::SyntheticDataset& dataset,
 /// backward seeded by shard_size/batch_size so that the reduced gradient is
 /// the gradient of the per-example-mean batch loss. After a barrier the
 /// shard gradients are accumulated into the master parameters in shard
-/// order and one Optimizer::Step() is taken, after which the master values
+/// order and one Adam::Step() is taken, after which the master values
 /// are broadcast back to every replica. The shard count — not the worker
 /// count — defines the floating-point summation tree, so results depend
 /// only on num_shards, never on how many threads happened to run.

@@ -43,11 +43,8 @@ std::unique_ptr<core::RationalizerBase> MakeMethod(
     return std::make_unique<core::DarModel>(std::move(embeddings), config);
   }
   if (name == "DAR-cotrained") {
-    core::DarModel::Options options;
-    options.pretrain_discriminator = false;
-    options.freeze_discriminator = false;
     return std::make_unique<core::DarModel>(std::move(embeddings), config,
-                                            options);
+                                            /*cotrained=*/true);
   }
   if (name == "DMR") {
     return std::make_unique<core::DmrModel>(std::move(embeddings), config);

@@ -96,12 +96,24 @@ Router::Router(serve::ModelRegistry& registry, RouterConfig config)
   if (config_.tracing.enabled) {
     tracer_ = std::make_unique<obs::RequestTracer>(config_.tracing);
   }
-  metrics_.SetExemplarMaxAgeUs(config_.tracing.exemplar_max_age_us);
 }
 
 Router::~Router() {
-  // Endpoints (and their batchers) drain in the map's destructor; nothing
-  // else references them once the server feeding Handle() has stopped.
+  // The server feeding Handle() has stopped. Each model leaves the
+  // registry while the cache holding its entries is alive, and the
+  // registry, which may outlive the router, is detached from this
+  // router's metrics and cache.
+  std::map<std::string, std::shared_ptr<Endpoint>> endpoints;
+  {
+    sync::MutexLock lock(mu_);
+    endpoints.swap(endpoints_);
+  }
+  for (const auto& [name, endpoint] : endpoints) {
+    endpoint->batcher->Shutdown();
+    if (registry_->Get(name) == endpoint->session) registry_->Unregister(name);
+  }
+  registry_->PublishMetrics(nullptr);
+  registry_->AttachCache(nullptr);
 }
 
 void Router::ServeModel(const std::string& name,

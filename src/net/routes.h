@@ -72,13 +72,21 @@ struct RouterConfig {
 /// Thread-safe request handler over a ModelRegistry. Pass
 /// [&router](const HttpRequest& r) { return router.Handle(r); } (or
 /// Router::AsHandler) to HttpServer.
+///
+/// One Router fronts one ModelRegistry: the constructor points the
+/// registry's stats publishing and cache at this router's, so a second
+/// Router over the same registry would silently take them over. A session
+/// served through a Router must not serve after that Router is destroyed
+/// (its stats and cache entries lived in the router).
 class Router {
  public:
   /// Attaches to `registry` (not owned, must outlive the router) and
   /// points its per-model stats publishing at the metrics registry.
   Router(serve::ModelRegistry& registry, RouterConfig config = {});
 
-  /// Drains and joins every model's batcher.
+  /// Drains and joins every model's batcher, unregisters each model it
+  /// served that the registry still maps to its session, and detaches the
+  /// registry from this router's metrics and cache.
   ~Router();
 
   Router(const Router&) = delete;

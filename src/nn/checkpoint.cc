@@ -19,8 +19,7 @@ namespace nn {
 namespace {
 
 constexpr char kMagic[] = "DARCKPT";
-constexpr int kSingleModuleVersion = 1;
-constexpr int kBundleVersion = 2;
+constexpr int kVersion = 2;
 
 // max_digits10 significant decimal digits round-trip any finite IEEE-754
 // single-precision value bit-exactly through text.
@@ -136,18 +135,17 @@ void CommitParams(Module& module, std::vector<Tensor>& staged) {
   }
 }
 
-bool ReadHeader(std::istringstream& is, int expected_version,
-                std::string& error) {
+bool ReadHeader(std::istringstream& is, std::string& error) {
   std::string magic;
   int version = 0;
   if (!(is >> magic >> version) || magic != kMagic) {
     error = "not a DAR checkpoint (bad magic)";
     return false;
   }
-  if (version != expected_version) {
+  if (version != kVersion) {
     std::ostringstream os;
     os << "unsupported checkpoint version " << version << " (expected "
-       << expected_version << ")";
+       << kVersion << ")";
     error = os.str();
     return false;
   }
@@ -189,16 +187,9 @@ bool WriteFileAtomically(const std::string& path, const std::string& text) {
 
 }  // namespace
 
-std::string SerializeCheckpoint(const Module& module) {
-  std::ostringstream os;
-  os << kMagic << ' ' << kSingleModuleVersion << '\n';
-  WriteParams(os, module);
-  return os.str();
-}
-
 std::string SerializeCheckpoint(const std::vector<NamedModule>& modules) {
   std::ostringstream os;
-  os << kMagic << ' ' << kBundleVersion << '\n';
+  os << kMagic << ' ' << kVersion << '\n';
   os << "modules " << modules.size() << '\n';
   for (const NamedModule& m : modules) {
     DAR_CHECK(m.module != nullptr);
@@ -208,24 +199,11 @@ std::string SerializeCheckpoint(const std::vector<NamedModule>& modules) {
   return os.str();
 }
 
-CheckpointResult DeserializeCheckpoint(Module& module,
-                                       const std::string& text) {
-  CheckpointResult result;
-  std::istringstream is(text);
-  if (!ReadHeader(is, kSingleModuleVersion, result.error)) return result;
-  std::vector<Tensor> staged;
-  if (!ReadParams(is, module, staged, result.error)) return result;
-  if (!ReadEnd(is, result.error)) return result;
-  CommitParams(module, staged);
-  result.ok = true;
-  return result;
-}
-
 CheckpointResult DeserializeCheckpoint(const std::vector<NamedModule>& modules,
                                        const std::string& text) {
   CheckpointResult result;
   std::istringstream is(text);
-  if (!ReadHeader(is, kBundleVersion, result.error)) return result;
+  if (!ReadHeader(is, result.error)) return result;
   std::string keyword;
   size_t count = 0;
   if (!(is >> keyword >> count) || keyword != "modules") {
@@ -266,24 +244,9 @@ CheckpointResult DeserializeCheckpoint(const std::vector<NamedModule>& modules,
   return result;
 }
 
-bool SaveCheckpoint(const Module& module, const std::string& path) {
-  return WriteFileAtomically(path, SerializeCheckpoint(module));
-}
-
 bool SaveCheckpoint(const std::vector<NamedModule>& modules,
                     const std::string& path) {
   return WriteFileAtomically(path, SerializeCheckpoint(modules));
-}
-
-CheckpointResult LoadCheckpoint(Module& module, const std::string& path) {
-  bool ok = false;
-  std::string text = ReadFileOrEmpty(path, ok);
-  if (!ok) {
-    CheckpointResult result;
-    result.error = "cannot open file: " + path;
-    return result;
-  }
-  return DeserializeCheckpoint(module, text);
 }
 
 CheckpointResult LoadCheckpoint(const std::vector<NamedModule>& modules,

@@ -1,20 +1,18 @@
-// Module checkpointing: save/restore all named parameters of a Module.
+// Module checkpointing: save/restore all named parameters of a bundle of
+// named modules — a whole rationalizer (generator + predictor
+// [+ discriminator]) is one bundle.
 //
-// The format is a self-describing text file (versioned header, one record
-// per parameter with its slash-qualified name, shape, and values), so
-// checkpoints survive recompilation and are diffable. Values are printed
-// with max_digits10 significant digits, which makes the round trip
-// bit-exact for IEEE-754 floats — a served model matches the trained one
-// exactly. Loading verifies that names and shapes match the target module
-// exactly — a checkpoint is only valid for the architecture that wrote it.
-// Every record is parsed and validated before any parameter is assigned,
-// so a failed load leaves all target modules unchanged.
-//
-// Two layouts share the same record format:
-//   * version 1 — a single module (SerializeCheckpoint / SaveCheckpoint);
-//   * version 2 — a named bundle of modules (the *Checkpoint overloads
-//     taking std::vector<NamedModule>), used to persist whole
-//     rationalizers (generator + predictor [+ discriminator]).
+// The format is a self-describing text file (versioned header, then per
+// module its name and one record per parameter with its slash-qualified
+// name, shape, and values), so checkpoints survive recompilation and are
+// diffable. Values are printed with max_digits10 significant digits, which
+// makes the round trip bit-exact for IEEE-754 floats — a served model
+// matches the trained one exactly. Loading verifies that module names and
+// order, parameter names and shapes match the target exactly — a
+// checkpoint is only valid for the architecture that wrote it. Every
+// record is parsed and validated before any parameter is assigned, so a
+// failed load leaves all target modules unchanged. The header carries
+// version 2; any other version is rejected.
 #ifndef DAR_NN_CHECKPOINT_H_
 #define DAR_NN_CHECKPOINT_H_
 
@@ -32,25 +30,19 @@ struct CheckpointResult {
   std::string error;
 };
 
-/// One entry of a multi-module checkpoint bundle. The module is referenced,
-/// not owned; it must outlive any call using the NamedModule.
+/// One entry of a checkpoint bundle. The module is referenced, not owned;
+/// it must outlive any call using the NamedModule.
 struct NamedModule {
   std::string name;
   Module* module = nullptr;
 };
 
-/// Serializes every parameter of `module` to the checkpoint text format.
-std::string SerializeCheckpoint(const Module& module);
-
-/// Serializes a bundle of named modules (version-2 layout). Module names
-/// must be unique and free of whitespace.
+/// Serializes every parameter of a bundle of named modules to the
+/// checkpoint text format. Module names must be unique and free of
+/// whitespace.
 std::string SerializeCheckpoint(const std::vector<NamedModule>& modules);
 
-/// Restores parameters from text produced by SerializeCheckpoint. The
-/// module's parameter names and shapes must match exactly.
-CheckpointResult DeserializeCheckpoint(Module& module, const std::string& text);
-
-/// Restores a bundle saved with the multi-module SerializeCheckpoint. The
+/// Restores a bundle from text produced by SerializeCheckpoint. The
 /// bundle's module names, order, and parameter structure must match.
 CheckpointResult DeserializeCheckpoint(const std::vector<NamedModule>& modules,
                                        const std::string& text);
@@ -59,12 +51,10 @@ CheckpointResult DeserializeCheckpoint(const std::vector<NamedModule>& modules,
 /// temp name in the same directory, synced, and renamed over `path`, so a
 /// crash or a concurrent reader never sees a torn checkpoint. Returns false
 /// on I/O failure, leaving any previous file at `path` intact.
-bool SaveCheckpoint(const Module& module, const std::string& path);
 bool SaveCheckpoint(const std::vector<NamedModule>& modules,
                     const std::string& path);
 
 /// DeserializeCheckpoint from a file.
-CheckpointResult LoadCheckpoint(Module& module, const std::string& path);
 CheckpointResult LoadCheckpoint(const std::vector<NamedModule>& modules,
                                 const std::string& path);
 

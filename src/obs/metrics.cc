@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -166,13 +165,9 @@ void Histogram::ObserveWithExemplar(double v, uint64_t trace_hi,
   count_.fetch_add(1, std::memory_order_relaxed);
   AtomicAdd(sum_, v);
   AtomicMax(max_, v);
-  const int64_t now_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count();
   sync::MutexLock lock(exemplar_mu_);
   if (exemplars_.empty()) exemplars_.resize(buckets_.size());
-  exemplars_[idx] = Exemplar{true, v, trace_hi, trace_lo, now_us};
+  exemplars_[idx] = Exemplar{true, v, trace_hi, trace_lo};
 }
 
 std::vector<Histogram::Exemplar> Histogram::Exemplars() const {
@@ -344,19 +339,6 @@ std::string MetricsRegistry::ExportPrometheus() const {
     out += buf;
   }
   last_type.clear();
-  // Exemplar staleness window: a trace-id link only helps while the tail
-  // sampler (or the ring) still holds the trace, so exemplars older than
-  // the configured window are dropped from the exposition. The bucket
-  // counts they annotate are untouched.
-  const int64_t max_age_us =
-      exemplar_max_age_us_.load(std::memory_order_relaxed);
-  const int64_t now_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count();
-  auto exemplar_fresh = [&](const Histogram::Exemplar& exemplar) {
-    return max_age_us <= 0 || now_us - exemplar.unix_us <= max_age_us;
-  };
   for (const auto& [name, hist] : histograms_) {
     SeriesName series = SplitSeries(name);
     type_line(series.base, "histogram");
@@ -376,8 +358,7 @@ std::string MetricsRegistry::ExportPrometheus() const {
                     WithExtraLabel(series.labels, le).c_str(),
                     static_cast<long long>(cumulative));
       out += buf;
-      if (i < exemplars.size() && exemplars[i].valid &&
-          exemplar_fresh(exemplars[i])) {
+      if (i < exemplars.size() && exemplars[i].valid) {
         // OpenMetrics exemplar syntax: `... N # {trace_id="..."} value`.
         std::snprintf(buf, sizeof(buf),
                       " # {trace_id=\"%016llx%016llx\"} %.9g",

@@ -80,10 +80,6 @@ class Histogram {
     double value = 0.0;
     uint64_t trace_hi = 0;
     uint64_t trace_lo = 0;
-    /// Wall clock at capture; lets the exposition drop exemplars older
-    /// than the registry's staleness window (the tail sampler has usually
-    /// evicted the trace such a link points at).
-    int64_t unix_us = 0;
   };
 
   explicit Histogram(std::vector<double> bounds);
@@ -202,18 +198,6 @@ class MetricsRegistry {
   /// Zeroes every instrument (instruments stay registered).
   void ResetAll();
 
-  /// Exemplar staleness window for ExportPrometheus: exemplars captured
-  /// more than `max_age_us` before the export are dropped from the
-  /// exposition (the counts they annotate are untouched). 0 (the default)
-  /// keeps every exemplar forever. Routers wire
-  /// TracerConfig::exemplar_max_age_us here.
-  void SetExemplarMaxAgeUs(int64_t max_age_us) {
-    exemplar_max_age_us_.store(max_age_us, std::memory_order_relaxed);
-  }
-  int64_t exemplar_max_age_us() const {
-    return exemplar_max_age_us_.load(std::memory_order_relaxed);
-  }
-
   /// Process-wide registry: span timers flush here by default, and it is
   /// the natural home for anything that wants one export surface.
   static MetricsRegistry& Global();
@@ -225,7 +209,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ DAR_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       DAR_GUARDED_BY(mu_);
-  std::atomic<int64_t> exemplar_max_age_us_{0};
 };
 
 }  // namespace obs

@@ -380,19 +380,10 @@ TailSampler::TailSampler() : TailSampler(Config()) {}
 
 TailSampler::TailSampler(Config config) : config_(std::move(config)) {}
 
-int64_t TailSampler::ThresholdForRoute(const char* route) const {
-  // config_ is immutable after construction; no lock needed. Linear scan:
-  // route lists are a handful of entries, and this runs once per request.
-  for (const auto& [prefix, threshold_us] : config_.threshold_us_by_route) {
-    if (prefix == route) return threshold_us;
-  }
-  return config_.latency_threshold_us;
-}
-
 TailReason TailSampler::Consider(const std::shared_ptr<CompletedTrace>& trace,
                                  bool error) {
   TailReason reason = TailReason::kNone;
-  const int64_t threshold_us = ThresholdForRoute(trace->summary.route);
+  const int64_t threshold_us = config_.latency_threshold_us;
   if (error || trace->summary.status >= 400) {
     reason = TailReason::kError;
   } else if (threshold_us >= 0 && trace->summary.latency_us >= threshold_us) {
@@ -441,32 +432,9 @@ size_t TailSampler::size() const {
 
 RequestTracer::RequestTracer() : RequestTracer(TracerConfig()) {}
 
-namespace {
-
-/// Folds the router-facing millisecond spellings into the sampler's
-/// microsecond override list (explicit microsecond entries win).
-TailSampler::Config MergedTailConfig(const TracerConfig& config) {
-  TailSampler::Config tail = config.tail;
-  for (const auto& [route, slow_ms] : config.slow_ms_by_route) {
-    bool already = false;
-    for (const auto& [existing, unused] : tail.threshold_us_by_route) {
-      if (existing == route) {
-        already = true;
-        break;
-      }
-    }
-    if (already) continue;
-    tail.threshold_us_by_route.emplace_back(
-        route, slow_ms < 0 ? int64_t{-1} : slow_ms * 1000);
-  }
-  return tail;
-}
-
-}  // namespace
-
 RequestTracer::RequestTracer(TracerConfig config)
-    : config_(std::move(config)), tail_(MergedTailConfig(config_)) {
-  if (config_.crash_dump) InstallFlightRecorderCrashDump();
+    : config_(std::move(config)), tail_(config_.tail) {
+  InstallFlightRecorderCrashDump();
 }
 
 TailReason RequestTracer::Complete(CompletedTrace trace) {

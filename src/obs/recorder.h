@@ -240,14 +240,9 @@ class FlightRecorder {
 class TailSampler {
  public:
   struct Config {
-    /// Requests at or above this end-to-end latency are retained.
+    /// Requests at or above this end-to-end latency are retained. A value
+    /// < 0 disables slow-sampling (errors are still retained).
     int64_t latency_threshold_us = 250000;
-    /// Per-route overrides of the slow threshold (exact route match, e.g.
-    /// "/metrics" → a high threshold so scrapes never crowd out real
-    /// predict traces). Routes not listed use latency_threshold_us; a
-    /// value < 0 disables slow-sampling for that route entirely (errors
-    /// are still retained).
-    std::vector<std::pair<std::string, int64_t>> threshold_us_by_route;
     /// FIFO capacity; the oldest retained trace is evicted past it.
     size_t max_traces = 64;
   };
@@ -272,10 +267,6 @@ class TailSampler {
   const Config& config() const { return config_; }
 
  private:
-  /// The slow threshold for `route`: the per-route override when one
-  /// matches, else the default.
-  int64_t ThresholdForRoute(const char* route) const;
-
   Config config_;
   mutable sync::Mutex mu_{sync::Rank::kObsDetail, "obs.tail_sampler"};
   std::map<std::string, std::shared_ptr<const CompletedTrace>> traces_
@@ -285,27 +276,18 @@ class TailSampler {
   std::deque<RequestSummary> fresh_ DAR_GUARDED_BY(mu_);
 };
 
-/// Tracer facade the router owns: completion fan-out to the global flight
-/// recorder + a private tail sampler, and the lookup the /debug routes
-/// serve from.
+/// Request tracing settings: `enabled` turns per-request traces on, and
+/// `tail.latency_threshold_us` is the slow-request threshold (< 0 retains
+/// only errors). Every RequestTracer installs the flight recorder's crash
+/// dump (InstallFlightRecorderCrashDump).
 struct TracerConfig {
   bool enabled = true;
   TailSampler::Config tail;
-  /// Per-route slow thresholds in milliseconds, merged into
-  /// tail.threshold_us_by_route by the RequestTracer constructor (the
-  /// router-facing spelling of the same knob: `/metrics` scrapes should
-  /// not pollute the slow-request sampler). < 0 disables slow-sampling
-  /// for the route.
-  std::vector<std::pair<std::string, int64_t>> slow_ms_by_route;
-  /// Exemplar staleness window the router applies to its metrics
-  /// registry (see MetricsRegistry::SetExemplarMaxAgeUs); 0 keeps
-  /// exemplars forever.
-  int64_t exemplar_max_age_us = 0;
-  /// Install the SIGSEGV/SIGBUS handler that dumps the global ring before
-  /// the process dies (idempotent, process-wide).
-  bool crash_dump = true;
 };
 
+/// Tracer facade the router owns: completion fan-out to the global flight
+/// recorder + a private tail sampler, and the lookup the /debug routes
+/// serve from.
 class RequestTracer {
  public:
   RequestTracer();  // default TracerConfig

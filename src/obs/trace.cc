@@ -97,11 +97,6 @@ void SetTraceLevel(TraceLevel level) {
                                 std::memory_order_relaxed);
 }
 
-TraceLevel GetTraceLevel() {
-  return static_cast<TraceLevel>(
-      internal::g_trace_level.load(std::memory_order_relaxed));
-}
-
 void SetTraceRegistry(MetricsRegistry* registry) {
   FlushThreadSpans();
   g_trace_registry.store(registry, std::memory_order_release);

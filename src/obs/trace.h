@@ -36,7 +36,6 @@ namespace obs {
 enum class TraceLevel : int { kOff = 0, kCoarse = 1, kDetailed = 2 };
 
 void SetTraceLevel(TraceLevel level);
-TraceLevel GetTraceLevel();
 
 namespace internal {
 extern std::atomic<int> g_trace_level;

@@ -7,8 +7,16 @@
 namespace dar {
 namespace optim {
 
+namespace {
+
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEps = 1e-8f;
+
+}  // namespace
+
 Adam::Adam(std::vector<ag::Variable> params, AdamConfig config)
-    : Optimizer(std::move(params)), config_(config) {
+    : params_(std::move(params)), config_(config) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const ag::Variable& p : params_) {
@@ -19,30 +27,26 @@ Adam::Adam(std::vector<ag::Variable> params, AdamConfig config)
 
 void Adam::Step() {
   ++t_;
-  float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(t_));
-  float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(t_));
+  float bc1 = 1.0f - std::pow(kBeta1, static_cast<float>(t_));
+  float bc2 = 1.0f - std::pow(kBeta2, static_cast<float>(t_));
   for (size_t i = 0; i < params_.size(); ++i) {
     ag::Variable& p = params_[i];
     if (!p.requires_grad()) continue;
-    if (!p.has_grad()) {
-      DAR_CHECK_MSG(config_.allow_missing_grad,
-                    "Adam::Step: a requires-grad parameter has no accumulated "
-                    "gradient (broken graph or dropped data-parallel shard); "
-                    "set AdamConfig::allow_missing_grad to opt out");
-      continue;
-    }
+    DAR_CHECK_MSG(p.has_grad(),
+                  "Adam::Step: a requires-grad parameter has no accumulated "
+                  "gradient (broken graph or dropped data-parallel shard)");
     const float* g = p.grad().data();
     float* w = p.mutable_value().data();
     float* m = m_[i].data();
     float* v = v_[i].data();
     int64_t n = p.numel();
     for (int64_t j = 0; j < n; ++j) {
-      float gj = g[j] + config_.weight_decay * w[j];
-      m[j] = config_.beta1 * m[j] + (1.0f - config_.beta1) * gj;
-      v[j] = config_.beta2 * v[j] + (1.0f - config_.beta2) * gj * gj;
+      float gj = g[j];
+      m[j] = kBeta1 * m[j] + (1.0f - kBeta1) * gj;
+      v[j] = kBeta2 * v[j] + (1.0f - kBeta2) * gj * gj;
       float mhat = m[j] / bc1;
       float vhat = v[j] / bc2;
-      w[j] -= config_.lr * mhat / (std::sqrt(vhat) + config_.eps);
+      w[j] -= config_.lr * mhat / (std::sqrt(vhat) + kEps);
     }
   }
 }

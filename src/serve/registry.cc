@@ -9,9 +9,8 @@ namespace serve {
 
 ModelRegistry::~ModelRegistry() {
   sync::MutexLock lock(mu_);
-  for (auto& [name, session] : sessions_) {
-    auto it = stats_bound_.find(name);
-    if (it != stats_bound_.end() && it->second) {
+  for (const std::weak_ptr<InferenceSession>& rebound : rebound_) {
+    if (std::shared_ptr<InferenceSession> session = rebound.lock()) {
       session->BindStats(nullptr, std::string());
     }
   }
@@ -31,7 +30,13 @@ void ModelRegistry::Register(const std::string& name,
                              std::shared_ptr<InferenceSession> session) {
   DAR_CHECK(session != nullptr);
   sync::MutexLock lock(mu_);
-  if (metrics_ != nullptr) session->BindStats(metrics_, name);
+  if (metrics_ != nullptr) {
+    session->BindStats(metrics_, name);
+    std::erase_if(rebound_, [](const std::weak_ptr<InferenceSession>& s) {
+      return s.expired();
+    });
+    rebound_.push_back(session);
+  }
   if (cache_ != nullptr) session->EnableCache(cache_, name);
   auto it = sessions_.find(name);
   if (it != sessions_.end()) {
@@ -40,7 +45,6 @@ void ModelRegistry::Register(const std::string& name,
     // now, and block the old session's in-flight inserts.
     it->second->InvalidateCacheEntries();
   }
-  stats_bound_[name] = metrics_ != nullptr;
   sessions_[name] = std::move(session);
 }
 
@@ -49,7 +53,6 @@ bool ModelRegistry::Unregister(const std::string& name) {
   auto it = sessions_.find(name);
   if (it == sessions_.end()) return false;
   it->second->InvalidateCacheEntries();
-  stats_bound_.erase(name);
   sessions_.erase(it);
   return true;
 }

@@ -23,14 +23,15 @@ class ModelRegistry {
  public:
   ModelRegistry() = default;
 
-  /// Restores every still-registered session's ServingStats to a private
+  /// Restores the ServingStats of every live session Register rebound —
+  /// still registered, replaced or unregistered alike — to a private
   /// registry. Register rebinds session stats into the shared metrics
   /// registry (PublishMetrics), which the registry does not own and which
   /// routinely dies with the router that injected it — without this
   /// restore, a session outliving the registry is left holding instrument
   /// pointers into freed memory, and its next stats call is a
   /// use-after-free. Recorded counts are dropped (the BindStats contract);
-  /// must not run while registered sessions are serving traffic.
+  /// must not run while those sessions are serving traffic.
   ~ModelRegistry();
 
   ModelRegistry(const ModelRegistry&) = delete;
@@ -87,10 +88,11 @@ class ModelRegistry {
   mutable sync::Mutex mu_{sync::Rank::kRegistry, "serve.registry"};
   std::map<std::string, std::shared_ptr<InferenceSession>> sessions_
       DAR_GUARDED_BY(mu_);
-  /// Names whose session stats were rebound onto metrics_ at Register
-  /// time — exactly the bindings the destructor must undo (PublishMetrics
-  /// can toggle mid-stream, so "metrics_ is set now" is not the answer).
-  std::map<std::string, bool> stats_bound_ DAR_GUARDED_BY(mu_);
+  /// Every session whose stats Register rebound onto metrics_ — exactly
+  /// the bindings the destructor must undo. A replaced or unregistered
+  /// session can outlive its entry in sessions_, so they are kept here
+  /// too, weakly; expired ones are dropped whenever one is added.
+  std::vector<std::weak_ptr<InferenceSession>> rebound_ DAR_GUARDED_BY(mu_);
   obs::MetricsRegistry* metrics_ DAR_GUARDED_BY(mu_) = nullptr;
   ServeCache* cache_ DAR_GUARDED_BY(mu_) = nullptr;
 };

@@ -55,7 +55,6 @@ TEST(AggregateTest, RunAcrossSeedsEndToEnd) {
   config.batch_size = 16;
   config.epochs = 2;
   config.pretrain_epochs = 1;
-  config.dropout = 0.0f;
   AggregateResult aggregate = RunAcrossSeeds("RNP", ds, config, {1, 2});
   EXPECT_EQ(aggregate.num_seeds, 2);
   EXPECT_GE(aggregate.f1.mean, 0.0f);

@@ -24,8 +24,8 @@ TEST(CheckpointTest, RoundTripLinear) {
   Pcg32 rng(1);
   Linear a(4, 3, rng), b(4, 3, rng);
   ASSERT_FALSE(a.weight().value().AllClose(b.weight().value()));
-  std::string text = SerializeCheckpoint(a);
-  CheckpointResult result = DeserializeCheckpoint(b, text);
+  std::string text = SerializeCheckpoint({{"linear", &a}});
+  CheckpointResult result = DeserializeCheckpoint({{"linear", &b}}, text);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_TRUE(a.weight().value().AllClose(b.weight().value(), 1e-6f));
   EXPECT_TRUE(a.bias().value().AllClose(b.bias().value(), 1e-6f));
@@ -34,7 +34,8 @@ TEST(CheckpointTest, RoundTripLinear) {
 TEST(CheckpointTest, RoundTripNestedModule) {
   Pcg32 rng(2);
   BiGru a(3, 4, rng), b(3, 4, rng);
-  CheckpointResult result = DeserializeCheckpoint(b, SerializeCheckpoint(a));
+  CheckpointResult result =
+      DeserializeCheckpoint({{"gru", &b}}, SerializeCheckpoint({{"gru", &a}}));
   ASSERT_TRUE(result.ok) << result.error;
   std::vector<NamedParameter> pa = a.Parameters(), pb = b.Parameters();
   for (size_t i = 0; i < pa.size(); ++i) {
@@ -46,7 +47,8 @@ TEST(CheckpointTest, RoundTripNestedModule) {
 TEST(CheckpointTest, RejectsBadMagic) {
   Pcg32 rng(3);
   Linear linear(2, 2, rng);
-  CheckpointResult result = DeserializeCheckpoint(linear, "NOTCKPT 1\n");
+  CheckpointResult result =
+      DeserializeCheckpoint({{"linear", &linear}}, "NOTCKPT 1\n");
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("magic"), std::string::npos);
 }
@@ -55,8 +57,8 @@ TEST(CheckpointTest, RejectsWrongArchitecture) {
   Pcg32 rng(4);
   Linear small(2, 2, rng);
   Linear big(3, 3, rng);
-  CheckpointResult result =
-      DeserializeCheckpoint(big, SerializeCheckpoint(small));
+  CheckpointResult result = DeserializeCheckpoint(
+      {{"linear", &big}}, SerializeCheckpoint({{"linear", &small}}));
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("shape mismatch"), std::string::npos);
 }
@@ -65,8 +67,8 @@ TEST(CheckpointTest, RejectsWrongParameterCount) {
   Pcg32 rng(5);
   Linear linear(2, 2, rng);
   BiGru gru(2, 2, rng);
-  CheckpointResult result =
-      DeserializeCheckpoint(gru, SerializeCheckpoint(linear));
+  CheckpointResult result = DeserializeCheckpoint(
+      {{"module", &gru}}, SerializeCheckpoint({{"module", &linear}}));
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("count mismatch"), std::string::npos);
 }
@@ -97,14 +99,14 @@ bool SameBits(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
 TEST(CheckpointTest, RejectsTruncatedValues) {
   Pcg32 rng(6);
   Linear linear(2, 2, rng);
-  const std::string text = SerializeCheckpoint(linear);
+  const std::string text = SerializeCheckpoint({{"linear", &linear}});
   Linear other(2, 2, rng);
   const std::vector<NamedModule> target = {{"linear", &other}};
   const std::vector<Tensor> before = ParameterValues(target);
   // Cut midway, and inside the last parameter's values (the weight record
   // before it is complete and valid).
   for (size_t cut : {text.size() / 2, text.rfind(' ')}) {
-    EXPECT_FALSE(DeserializeCheckpoint(other, text.substr(0, cut)).ok);
+    EXPECT_FALSE(DeserializeCheckpoint(target, text.substr(0, cut)).ok);
     EXPECT_TRUE(SameBits(ParameterValues(target), before)) << "cut " << cut;
   }
 }
@@ -115,7 +117,7 @@ TEST(CheckpointTest, RejectsMisalignedRecordsAndTrailingBytes) {
   // named and leave the module untouched.
   Pcg32 rng(24);
   Linear source(3, 2, rng);
-  const std::string text = SerializeCheckpoint(source);
+  const std::string text = SerializeCheckpoint({{"linear", &source}});
   ASSERT_NE(text.find("\nname w\nshape 3 2\n"), std::string::npos) << text;
   ASSERT_NE(text.find("\nname b\nshape 2\n0 0\n"), std::string::npos) << text;
   // The bias record gains a dimension: a reader of whitespace-separated
@@ -139,7 +141,8 @@ TEST(CheckpointTest, RejectsMisalignedRecordsAndTrailingBytes) {
         Case{weight_dim, "shape record for w has the wrong number of fields"},
         Case{body + " 0.5 7 garbage\n", "values record for b has the wrong"},
         Case{text + "0.5 7 garbage", "unexpected bytes after the last"}}) {
-    Linear target(3, 2, rng);
+    Linear linear(3, 2, rng);
+    const std::vector<NamedModule> target = {{"linear", &linear}};
     const std::string before = SerializeCheckpoint(target);
     CheckpointResult result = DeserializeCheckpoint(target, c.text);
     EXPECT_FALSE(result.ok) << c.text;
@@ -147,7 +150,7 @@ TEST(CheckpointTest, RejectsMisalignedRecordsAndTrailingBytes) {
     EXPECT_EQ(SerializeCheckpoint(target), before) << c.text;
   }
 
-  // A version-2 bundle with a token after its last module.
+  // A two-module bundle with a token after its last module.
   Linear first(3, 2, rng), second(2, 4, rng);
   const std::string bundle =
       SerializeCheckpoint({{"first", &first}, {"second", &second}});
@@ -167,8 +170,8 @@ TEST(CheckpointTest, FileRoundTrip) {
   Pcg32 rng(7);
   Linear a(3, 2, rng), b(3, 2, rng);
   std::string path = ::testing::TempDir() + "/dar_checkpoint_test.ckpt";
-  ASSERT_TRUE(SaveCheckpoint(a, path));
-  CheckpointResult result = LoadCheckpoint(b, path);
+  ASSERT_TRUE(SaveCheckpoint({{"linear", &a}}, path));
+  CheckpointResult result = LoadCheckpoint({{"linear", &b}}, path);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_TRUE(a.weight().value().AllClose(b.weight().value(), 1e-6f));
   std::remove(path.c_str());
@@ -180,19 +183,20 @@ TEST(CheckpointTest, SaveNeverTearsAnOpenReadersFile) {
   Pcg32 rng(11);
   Linear first(6, 5, rng), second(6, 5, rng), restored(6, 5, rng);
   const std::string path = ::testing::TempDir() + "/dar_checkpoint_swap.ckpt";
-  ASSERT_TRUE(SaveCheckpoint(first, path));
+  ASSERT_TRUE(SaveCheckpoint({{"linear", &first}}, path));
   std::ifstream reader(path);
   ASSERT_TRUE(reader);
-  ASSERT_TRUE(SaveCheckpoint(second, path));
+  ASSERT_TRUE(SaveCheckpoint({{"linear", &second}}, path));
 
   std::ostringstream seen;
   seen << reader.rdbuf();
-  EXPECT_EQ(seen.str(), SerializeCheckpoint(first));
-  CheckpointResult result = DeserializeCheckpoint(restored, seen.str());
+  EXPECT_EQ(seen.str(), SerializeCheckpoint({{"linear", &first}}));
+  CheckpointResult result =
+      DeserializeCheckpoint({{"linear", &restored}}, seen.str());
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_TRUE(restored.weight().value().vec() == first.weight().value().vec());
   // The path itself now holds the second checkpoint.
-  result = LoadCheckpoint(restored, path);
+  result = LoadCheckpoint({{"linear", &restored}}, path);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_TRUE(restored.weight().value().vec() ==
               second.weight().value().vec());
@@ -209,14 +213,15 @@ TEST(CheckpointTest, FailedSaveLeavesNoTempFile) {
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(std::filesystem::create_directory(dir));
 
-  EXPECT_FALSE(SaveCheckpoint(linear, (dir / "missing" / "x.ckpt").string()));
+  EXPECT_FALSE(SaveCheckpoint({{"linear", &linear}},
+                              (dir / "missing" / "x.ckpt").string()));
   EXPECT_TRUE(std::filesystem::is_empty(dir));
 
   // The temp file is written, but renaming it over a directory fails: it
   // must be removed again and the directory left as it was.
   const std::filesystem::path target = dir / "occupied";
   ASSERT_TRUE(std::filesystem::create_directory(target));
-  EXPECT_FALSE(SaveCheckpoint(linear, target.string()));
+  EXPECT_FALSE(SaveCheckpoint({{"linear", &linear}}, target.string()));
   EXPECT_TRUE(std::filesystem::is_directory(target));
   int64_t entries = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -230,7 +235,8 @@ TEST(CheckpointTest, FailedSaveLeavesNoTempFile) {
 TEST(CheckpointTest, MissingFileReportsError) {
   Pcg32 rng(8);
   Linear linear(2, 2, rng);
-  CheckpointResult result = LoadCheckpoint(linear, "/nonexistent/x.ckpt");
+  CheckpointResult result =
+      LoadCheckpoint({{"linear", &linear}}, "/nonexistent/x.ckpt");
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("cannot open"), std::string::npos);
 }
@@ -252,7 +258,8 @@ TEST(CheckpointTest, RoundTripIsBitExact) {
   w.flat(6) = 3.14159274f;
   w.flat(7) = 1e-20f;
 
-  CheckpointResult result = DeserializeCheckpoint(b, SerializeCheckpoint(a));
+  CheckpointResult result = DeserializeCheckpoint(
+      {{"linear", &b}}, SerializeCheckpoint({{"linear", &a}}));
   ASSERT_TRUE(result.ok) << result.error;
   std::vector<NamedParameter> pa = a.Parameters(), pb = b.Parameters();
   ASSERT_EQ(pa.size(), pb.size());
@@ -321,13 +328,17 @@ TEST(CheckpointTest, BundleRejectsModuleMismatch) {
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("module count mismatch"), std::string::npos);
 
-  // A single-module checkpoint is not a bundle and vice versa.
+  // The retired version-1 single-module layout (the same records under a
+  // bare `params` header) is refused by its version.
   Linear linear(2, 2, rng);
-  result = DeserializeCheckpoint(rnp_model.CheckpointModules(),
-                                 SerializeCheckpoint(linear));
+  const std::string bundle = SerializeCheckpoint({{"linear", &linear}});
+  const std::string version1 =
+      "DARCKPT 1\n" + bundle.substr(bundle.find("params "));
+  result = DeserializeCheckpoint({{"linear", &linear}}, version1);
   EXPECT_FALSE(result.ok);
-  result = DeserializeCheckpoint(linear, text);
-  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("unsupported checkpoint version 1 (expected 2)"),
+            std::string::npos)
+      << result.error;
 }
 
 TEST(CheckpointTest, FailedBundleLoadLeavesEveryModuleUnchanged) {
@@ -369,7 +380,6 @@ TEST(CheckpointTest, PreservesValuesAcrossWholePredictor) {
   core::TrainConfig config;
   config.embedding_dim = 8;
   config.hidden_dim = 6;
-  config.dropout = 0.0f;
   Pcg32 rng(9);
   Tensor embeddings = Tensor::Randn({12, 8}, rng, 0.3f);
   Pcg32 r1(10), r2(11);
@@ -384,7 +394,8 @@ TEST(CheckpointTest, PreservesValuesAcrossWholePredictor) {
   Tensor before_b = b.ForwardFullText(batch).value();
   ASSERT_FALSE(before_a.AllClose(before_b, 1e-6f));
 
-  CheckpointResult result = DeserializeCheckpoint(b, SerializeCheckpoint(a));
+  CheckpointResult result = DeserializeCheckpoint(
+      {{"predictor", &b}}, SerializeCheckpoint({{"predictor", &a}}));
   ASSERT_TRUE(result.ok) << result.error;
   Tensor after_b = b.ForwardFullText(batch).value();
   EXPECT_TRUE(before_a.AllClose(after_b, 1e-5f));

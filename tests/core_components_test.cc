@@ -19,7 +19,6 @@ TrainConfig SmallConfig() {
   TrainConfig config;
   config.embedding_dim = 8;
   config.hidden_dim = 6;
-  config.dropout = 0.0f;
   return config;
 }
 

@@ -35,7 +35,6 @@ TrainConfig TinyConfig() {
   config.batch_size = 8;
   config.epochs = 1;
   config.pretrain_epochs = 1;
-  config.dropout = 0.0f;
   return config;
 }
 

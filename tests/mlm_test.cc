@@ -23,7 +23,6 @@ TrainConfig TransformerConfig() {
   config.transformer.num_layers = 1;
   config.transformer.max_len = 96;
   config.transformer.dropout = 0.0f;
-  config.dropout = 0.0f;
   return config;
 }
 

@@ -440,6 +440,33 @@ struct Loopback {
   HttpClient Client() { return HttpClient("127.0.0.1", server->port()); }
 };
 
+// ~Router takes the models it served out of the registry and detaches the
+// registry from its metrics and cache. Before it did, a registry outliving
+// its router bound later sessions into the dead metrics registry and
+// served the router's model from the dead cache (caught by ASan).
+void ServeAndDestroyCachedRouter(serve::ModelRegistry& registry) {
+  RouterConfig config;
+  config.serve.cache.enabled = true;
+  // On the heap, so that ASan reports any later use of it.
+  auto router = std::make_unique<Router>(registry, config);
+  router->ServeModel("beer", MakeSession());
+}
+
+TEST(RouterTest, RegistryOutlivingItsRouterServesLaterSessions) {
+  serve::ModelRegistry registry;
+  ServeAndDestroyCachedRouter(registry);
+  std::shared_ptr<serve::InferenceSession> later = MakeSession(8);
+  registry.Register("stout", later);
+  EXPECT_EQ(later->cache_model_id(), 0u);
+  EXPECT_TRUE(registry.Predict("stout", "pours a hazy amber").has_value());
+}
+
+TEST(RouterTest, RegistryOutlivingItsRouterForgetsItsModels) {
+  serve::ModelRegistry registry;
+  ServeAndDestroyCachedRouter(registry);
+  EXPECT_FALSE(registry.Predict("beer", "pours a hazy amber").has_value());
+}
+
 std::string PredictBody(const std::string& text) {
   return JsonValue::Object().Set("text", JsonValue::Str(text)).Dump();
 }

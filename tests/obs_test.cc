@@ -502,7 +502,6 @@ core::TrainConfig TinyConfig() {
   config.batch_size = 16;
   config.epochs = 3;
   config.pretrain_epochs = 2;
-  config.dropout = 0.0f;
   config.lr = 3e-3f;
   return config;
 }
@@ -646,7 +645,6 @@ TEST(TrainObserverTest, DarShiftStaysBelowRnp) {
   config.hidden_dim = 12;
   config.batch_size = 32;
   config.lr = 2e-3f;
-  config.dropout = 0.0f;
   config.epochs = 12;
   config.pretrain_epochs = 4;
   const datasets::SyntheticDataset dataset = datasets::MakeBeerDataset(

@@ -8,7 +8,6 @@
 // (death test).
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -287,36 +286,6 @@ TEST(ExemplarTest, PrometheusExpositionCarriesExemplars) {
   EXPECT_EQ(text.find("plain_us_bucket{le=\"2\"} 1 #"), std::string::npos);
 }
 
-TEST(ExemplarTest, StaleExemplarsDropOutOfTheExposition) {
-  obs::MetricsRegistry registry;
-  obs::Histogram& hist = registry.GetHistogram("stale_us", {1.0, 2.0});
-  hist.ObserveWithExemplar(1.5, 0xabc, 0xdef);
-
-  // Window 0 (the default): exemplars are kept forever.
-  EXPECT_NE(registry.ExportPrometheus().find("# {trace_id="),
-            std::string::npos);
-
-  // A generous window also keeps the fresh exemplar.
-  registry.SetExemplarMaxAgeUs(int64_t{3600} * 1000 * 1000);
-  EXPECT_NE(registry.ExportPrometheus().find("# {trace_id="),
-            std::string::npos);
-
-  // A 1us window: by the time the exposition runs, the capture timestamp
-  // is stale and the bucket line must fall back to the plain format. The
-  // count itself is unaffected — staleness only suppresses the exemplar.
-  registry.SetExemplarMaxAgeUs(1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  const std::string text = registry.ExportPrometheus();
-  EXPECT_EQ(text.find("# {trace_id="), std::string::npos) << text;
-  EXPECT_NE(text.find("stale_us_bucket{le=\"2\"} 1\n"), std::string::npos);
-
-  // Back to "forever": the stored exemplar was never discarded, only
-  // filtered at exposition time.
-  registry.SetExemplarMaxAgeUs(0);
-  EXPECT_NE(registry.ExportPrometheus().find("# {trace_id="),
-            std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // FlightRecorder
 // ---------------------------------------------------------------------------
@@ -466,60 +435,17 @@ TEST(TailSamplerTest, RetainsSlowAndErroredRequests) {
   EXPECT_TRUE(sampler.DrainNew().empty());
 }
 
-TEST(TailSamplerTest, PerRouteThresholdOverrides) {
+TEST(TailSamplerTest, NegativeThresholdKeepsOnlyErrors) {
+  // A negative slow threshold turns slow-sampling off; errors are still
+  // retained.
   obs::TailSampler::Config config;
-  config.latency_threshold_us = 1000;
-  // /metrics scrapes are slow by nature: a high override keeps them from
-  // crowding the store. A negative value disables slow-sampling entirely.
-  config.threshold_us_by_route = {{"metrics", 100000}, {"debug", -1}};
+  config.latency_threshold_us = -1;
   obs::TailSampler sampler(config);
-
-  auto with_route = [](uint64_t lo, const std::string& route,
-                       int64_t latency_us, int status = 200) {
-    auto trace = std::make_shared<obs::CompletedTrace>(
-        MakeTestTrace(0xf00d, lo, route, status));
-    trace->summary.latency_us = latency_us;
-    return trace;
-  };
-
-  // Unlisted routes use the default threshold.
-  EXPECT_EQ(sampler.Consider(with_route(0x1, "predict", 5000), false),
-            obs::TailReason::kSlow);
-  // Below the per-route override: not sampled, though over the default.
-  EXPECT_EQ(sampler.Consider(with_route(0x2, "metrics", 5000), false),
+  EXPECT_EQ(sampler.Consider(TraceWithLatency(0x1, 60000000), false),
             obs::TailReason::kNone);
-  EXPECT_EQ(sampler.Consider(with_route(0x3, "metrics", 200000), false),
-            obs::TailReason::kSlow);
-  // Disabled route: never slow-sampled no matter the latency...
-  EXPECT_EQ(sampler.Consider(with_route(0x4, "debug", 60000000), false),
-            obs::TailReason::kNone);
-  // ...but errors on it are still retained.
-  EXPECT_EQ(sampler.Consider(with_route(0x5, "debug", 10, 503), false),
+  EXPECT_EQ(sampler.Consider(TraceWithLatency(0x2, 10, 503), false),
             obs::TailReason::kError);
-  EXPECT_EQ(sampler.size(), 3u);
-}
-
-TEST(TailSamplerTest, SlowMsByRouteMergesIntoTailConfig) {
-  obs::TracerConfig config;
-  config.tail.latency_threshold_us = 1000;
-  // An explicit microsecond entry wins over the router-facing ms knob.
-  config.tail.threshold_us_by_route = {{"metrics", 42}};
-  config.slow_ms_by_route = {{"metrics", 500}, {"predict", 30},
-                             {"debug", -1}};
-  obs::RequestTracer tracer(config);
-  const auto& merged = tracer.tail().config().threshold_us_by_route;
-  auto find = [&](const std::string& route) -> const int64_t* {
-    for (const auto& [name, threshold] : merged) {
-      if (name == route) return &threshold;
-    }
-    return nullptr;
-  };
-  ASSERT_NE(find("metrics"), nullptr);
-  EXPECT_EQ(*find("metrics"), 42);  // us entry untouched by the 500ms knob
-  ASSERT_NE(find("predict"), nullptr);
-  EXPECT_EQ(*find("predict"), 30000);  // ms converted to us
-  ASSERT_NE(find("debug"), nullptr);
-  EXPECT_EQ(*find("debug"), -1);  // negative normalizes to the sentinel
+  EXPECT_EQ(sampler.size(), 1u);
 }
 
 TEST(TailSamplerTest, EvictsOldestPastCapacity) {

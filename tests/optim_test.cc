@@ -1,4 +1,4 @@
-// Tests for optim: SGD, Adam, gradient clipping.
+// Tests for optim: Adam, gradient clipping.
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -6,8 +6,6 @@
 #include "autograd/ops.h"
 #include "optim/adam.h"
 #include "optim/clip.h"
-#include "optim/schedule.h"
-#include "optim/sgd.h"
 #include "tensor/tensor_ops.h"
 
 namespace dar {
@@ -18,39 +16,6 @@ namespace {
 ag::Variable Quadratic(const ag::Variable& w, const Tensor& target) {
   ag::Variable diff = ag::Sub(w, ag::Variable::Constant(target));
   return ag::MulScalar(ag::Sum(ag::Mul(diff, diff)), 0.5f);
-}
-
-TEST(SgdTest, SingleStepMatchesFormula) {
-  ag::Variable w = ag::Variable::Param(Tensor::FromVector({1.0f}));
-  Sgd sgd({w}, {.lr = 0.1f});
-  sgd.ZeroGrad();
-  Quadratic(w, Tensor::FromVector({0.0f})).Backward();  // grad = w = 1
-  sgd.Step();
-  EXPECT_NEAR(w.value().at(0), 0.9f, 1e-6f);
-}
-
-TEST(SgdTest, MomentumAccumulates) {
-  ag::Variable w = ag::Variable::Param(Tensor::FromVector({0.0f}));
-  Sgd sgd({w}, {.lr = 1.0f, .momentum = 0.9f});
-  // Constant gradient of 1 for two steps: velocity 1, then 1.9.
-  for (int step = 0; step < 2; ++step) {
-    sgd.ZeroGrad();
-    ag::Sum(w).Backward();
-    sgd.Step();
-  }
-  EXPECT_NEAR(w.value().at(0), -(1.0f + 1.9f), 1e-5f);
-}
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  ag::Variable w = ag::Variable::Param(Tensor::FromVector({5.0f, -3.0f}));
-  Tensor target = Tensor::FromVector({1.0f, 2.0f});
-  Sgd sgd({w}, {.lr = 0.3f});
-  for (int step = 0; step < 60; ++step) {
-    sgd.ZeroGrad();
-    Quadratic(w, target).Backward();
-    sgd.Step();
-  }
-  EXPECT_TRUE(w.value().AllClose(target, 1e-3f));
 }
 
 TEST(AdamTest, FirstStepSizeIsLr) {
@@ -98,46 +63,6 @@ TEST(AdamDeathTest, MissingGradAborts) {
   EXPECT_DEATH(adam.Step(), "no accumulated");
 }
 
-TEST(AdamTest, AllowMissingGradOptsIntoSkipping) {
-  ag::Variable used = ag::Variable::Param(Tensor::FromVector({1.0f}));
-  ag::Variable unused = ag::Variable::Param(Tensor::FromVector({1.0f}));
-  Adam adam({used, unused}, {.lr = 0.1f, .allow_missing_grad = true});
-  ag::Sum(used).Backward();
-  adam.Step();
-  EXPECT_NE(used.value().at(0), 1.0f);
-  EXPECT_EQ(unused.value().at(0), 1.0f);
-}
-
-TEST(SgdDeathTest, MissingGradAborts) {
-  ag::Variable used = ag::Variable::Param(Tensor::FromVector({1.0f}));
-  ag::Variable unused = ag::Variable::Param(Tensor::FromVector({1.0f}));
-  Sgd sgd({used, unused}, {.lr = 0.1f});
-  ag::Sum(used).Backward();
-  EXPECT_DEATH(sgd.Step(), "no accumulated");
-}
-
-TEST(SgdTest, AllowMissingGradOptsIntoSkipping) {
-  ag::Variable used = ag::Variable::Param(Tensor::FromVector({1.0f}));
-  ag::Variable unused = ag::Variable::Param(Tensor::FromVector({1.0f}));
-  Sgd sgd({used, unused}, {.lr = 0.1f, .allow_missing_grad = true});
-  ag::Sum(used).Backward();
-  sgd.Step();
-  EXPECT_NE(used.value().at(0), 1.0f);
-  EXPECT_EQ(unused.value().at(0), 1.0f);
-}
-
-TEST(AdamTest, WeightDecayShrinksWeights) {
-  ag::Variable w = ag::Variable::Param(Tensor::FromVector({10.0f}));
-  Adam adam({w}, {.lr = 0.1f, .weight_decay = 1.0f});
-  for (int step = 0; step < 50; ++step) {
-    adam.ZeroGrad();
-    // Loss gradient 0 via zero-contribution graph: decay alone drives w.
-    ag::Sum(ag::MulScalar(w, 0.0f)).Backward();
-    adam.Step();
-  }
-  EXPECT_LT(std::fabs(w.value().at(0)), 7.0f);
-}
-
 TEST(ClipTest, NormUnchangedBelowThreshold) {
   ag::Variable w = ag::Variable::Param(Tensor::FromVector({1.0f}));
   w.ZeroGrad();
@@ -171,49 +96,6 @@ TEST(ClipTest, GlobalNormAcrossParameters) {
   float combined = std::sqrt(a.grad().at(0) * a.grad().at(0) +
                              b.grad().at(0) * b.grad().at(0));
   EXPECT_NEAR(combined, 1.0f, 1e-3f);
-}
-
-TEST(ScheduleTest, ConstantIsAlwaysOne) {
-  ConstantSchedule schedule;
-  EXPECT_EQ(schedule.Multiplier(0), 1.0f);
-  EXPECT_EQ(schedule.Multiplier(1000000), 1.0f);
-}
-
-TEST(ScheduleTest, WarmupRampsLinearly) {
-  WarmupSchedule schedule{.warmup_steps = 10};
-  EXPECT_NEAR(schedule.Multiplier(0), 0.1f, 1e-6f);
-  EXPECT_NEAR(schedule.Multiplier(4), 0.5f, 1e-6f);
-  EXPECT_EQ(schedule.Multiplier(10), 1.0f);
-  EXPECT_EQ(schedule.Multiplier(99), 1.0f);
-}
-
-TEST(ScheduleTest, StepDecayHalves) {
-  StepDecaySchedule schedule{.period = 5, .gamma = 0.5f};
-  EXPECT_EQ(schedule.Multiplier(0), 1.0f);
-  EXPECT_EQ(schedule.Multiplier(4), 1.0f);
-  EXPECT_NEAR(schedule.Multiplier(5), 0.5f, 1e-6f);
-  EXPECT_NEAR(schedule.Multiplier(12), 0.25f, 1e-6f);
-}
-
-TEST(ScheduleTest, CosineDecaysMonotonicallyToFloor) {
-  CosineSchedule schedule{.total_steps = 100, .floor = 0.1f};
-  float prev = schedule.Multiplier(0);
-  EXPECT_NEAR(prev, 1.0f, 1e-5f);
-  for (int64_t step = 1; step <= 100; ++step) {
-    float m = schedule.Multiplier(step);
-    EXPECT_LE(m, prev + 1e-6f);
-    prev = m;
-  }
-  EXPECT_NEAR(schedule.Multiplier(100), 0.1f, 1e-5f);
-  EXPECT_NEAR(schedule.Multiplier(500), 0.1f, 1e-5f);
-}
-
-TEST(ScheduleTest, ApplySetsOptimizerLr) {
-  ag::Variable w = ag::Variable::Param(Tensor::FromVector({1.0f}));
-  Adam adam({w}, {.lr = 1.0f});
-  WarmupSchedule schedule{.warmup_steps = 4};
-  ApplySchedule(adam, schedule, /*base_lr=*/0.8f, /*step=*/1);
-  EXPECT_NEAR(adam.lr(), 0.8f * 0.5f, 1e-6f);
 }
 
 }  // namespace

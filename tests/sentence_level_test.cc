@@ -143,7 +143,6 @@ TEST(SentenceModelsTest, TrainLossFiniteAndEvalMaskOneSentence) {
   config.embedding_dim = 8;
   config.hidden_dim = 6;
   config.batch_size = 16;
-  config.dropout = 0.0f;
   for (const char* name : {"RNP*", "A2R*"}) {
     auto model = eval::MakeMethod(name, ds, config);
     data::DataLoader loader(ds.train, 16, /*shuffle=*/false);

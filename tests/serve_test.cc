@@ -509,6 +509,46 @@ TEST(ModelRegistryTest, DestructionRestoresSessionStatsBinding) {
   EXPECT_EQ(session->stats().Snapshot().requests, 1);
 }
 
+// Unregister and a hot-swapping Register forget the outgoing session, but
+// its stats stay bound into the shared metrics registry. The registry's
+// destructor must restore those sessions too: before it did, their next
+// Predict wrote the dead metrics registry (caught by ASan).
+TEST(ModelRegistryTest, DestructionRestoresUnregisteredSessionStats) {
+  std::shared_ptr<InferenceSession> session = MakeSession(3);
+  uintptr_t dead_metrics = 0;
+  {
+    obs::MetricsRegistry metrics;
+    dead_metrics = reinterpret_cast<uintptr_t>(&metrics);
+    ModelRegistry registry;
+    registry.PublishMetrics(&metrics);
+    registry.Register("beer", session);
+    ASSERT_TRUE(registry.Unregister("beer"));
+  }
+  ASSERT_NE(reinterpret_cast<uintptr_t>(&session->stats().registry()),
+            dead_metrics);
+  ASSERT_FALSE(
+      session->Predict("still serving after the registry died").mask.empty());
+  EXPECT_EQ(session->stats().Snapshot().requests, 1);
+}
+
+TEST(ModelRegistryTest, DestructionRestoresReplacedSessionStats) {
+  std::shared_ptr<InferenceSession> replaced = MakeSession(3);
+  uintptr_t dead_metrics = 0;
+  {
+    obs::MetricsRegistry metrics;
+    dead_metrics = reinterpret_cast<uintptr_t>(&metrics);
+    ModelRegistry registry;
+    registry.PublishMetrics(&metrics);
+    registry.Register("beer", replaced);
+    registry.Register("beer", MakeSession(7));  // hot swap
+  }
+  ASSERT_NE(reinterpret_cast<uintptr_t>(&replaced->stats().registry()),
+            dead_metrics);
+  ASSERT_FALSE(
+      replaced->Predict("still serving after the registry died").mask.empty());
+  EXPECT_EQ(replaced->stats().Snapshot().requests, 1);
+}
+
 TEST(ModelRegistryTest, HotSwapAndUnregisterKeepPrivateStatsPrivate) {
   // Sessions never rebound (no PublishMetrics) must keep their private
   // stats across hot swap, unregister, and registry destruction — the

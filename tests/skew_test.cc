@@ -27,7 +27,6 @@ TrainConfig SkewConfig() {
   config.embedding_dim = 8;
   config.hidden_dim = 6;
   config.batch_size = 16;
-  config.dropout = 0.0f;
   return config;
 }
 

@@ -30,7 +30,6 @@ TrainConfig TinyConfig() {
   config.hidden_dim = 6;
   config.batch_size = 16;
   config.epochs = 3;
-  config.dropout = 0.0f;
   config.lr = 3e-3f;
   return config;
 }
