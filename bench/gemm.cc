@@ -128,9 +128,11 @@ int Main(int argc, char** argv) {
 
   // Shape classes: the acceptance square, the encoder's flat input
   // projection, the tiny recurrent step (small-path regression guard), the
-  // backward's transposed products at the acceptance size, and the GRU
-  // input projection at training batch size: its gate width 3H = 72 leaves
-  // an 8-wide edge tile that the 80-wide row does not.
+  // backward's transposed products at the acceptance size, the GRU
+  // input projection at training batch size (its gate width 3H = 72 leaves
+  // an 8-wide column tail that the 80-wide row does not), and BPTT's
+  // per-step dh = dq · W_h^T (n = H = 24: one full panel and an 8-wide
+  // tail).
   struct Case {
     const char* label;
     gemm::Trans trans;
@@ -145,6 +147,7 @@ int Main(int argc, char** argv) {
       {"backward_tb_256", gemm::Trans::kTB, 256, 256, 256},
       {"gru_input_proj_nn", gemm::Trans::kNN, 3840, 72, 32},
       {"gru_input_proj_n80_nn", gemm::Trans::kNN, 3840, 80, 32},
+      {"gru_dh_tb", gemm::Trans::kTB, 64, 24, 72},
   };
 
   std::string results = "[\n    ";

@@ -13,6 +13,60 @@
 namespace dar {
 namespace nn {
 
+namespace {
+
+// The cell's row kernels: one batch row i of one step, j = 0 .. H-1. The
+// loop-invariant `keep` (store the BPTT state) and `masked` are template
+// parameters, since a branch in the loop body keeps GCC from vectorizing
+// it, and every pointer is __restrict: each addresses its own buffer.
+
+template <bool kKeep, bool kMasked>
+void ForwardRow(const float* __restrict prow, const float* __restrict qrow,
+                const float* __restrict hrow, float mi, int64_t hd,
+                float* __restrict orow, float* __restrict zrow,
+                float* __restrict rrow, float* __restrict nrow,
+                float* __restrict q2row) {
+  const float inv_mi = 1.0f - mi;
+  for (int64_t j = 0; j < hd; ++j) {
+    const float zv = fastmath::FastSigmoid(prow[j] + qrow[j]);
+    const float rv = fastmath::FastSigmoid(prow[hd + j] + qrow[hd + j]);
+    const float nv =
+        fastmath::FastTanh(prow[2 * hd + j] + rv * qrow[2 * hd + j]);
+    const float hprime = (1.0f - zv) * nv + zv * hrow[j];
+    if constexpr (kKeep) {
+      zrow[j] = zv;
+      rrow[j] = rv;
+      nrow[j] = nv;
+      q2row[j] = qrow[2 * hd + j];
+    }
+    orow[j] = kMasked ? mi * hprime + inv_mi * hrow[j] : hprime;
+  }
+}
+
+void BackwardRow(const float* __restrict grow, const float* __restrict zrow,
+                 const float* __restrict rrow, const float* __restrict nrow,
+                 const float* __restrict q2row, const float* __restrict hrow,
+                 float mi, int64_t hd, float* __restrict dprow,
+                 float* __restrict dqrow, float* __restrict dhrow) {
+  for (int64_t j = 0; j < hd; ++j) {
+    const float g = grow[j];
+    const float gm = g * mi;
+    const float zv = zrow[j], rv = rrow[j], nv = nrow[j];
+    const float dt = gm * (1.0f - zv) * (1.0f - nv * nv);
+    const float ds_r = dt * q2row[j] * rv * (1.0f - rv);
+    const float ds_z = gm * (hrow[j] - nv) * zv * (1.0f - zv);
+    dprow[j] = ds_z;
+    dprow[hd + j] = ds_r;
+    dprow[2 * hd + j] = dt;
+    dqrow[j] = ds_z;
+    dqrow[hd + j] = ds_r;
+    dqrow[2 * hd + j] = dt * rv;
+    dhrow[j] = gm * zv + g * (1.0f - mi);
+  }
+}
+
+}  // namespace
+
 /// Forward, for gate layout [z | r | n] in the 3H projections, with
 /// p = proj[:, t] and q = h · W_h:
 ///   z = sigmoid(p[:, 0H:1H] + q[:, 0H:1H])
@@ -30,7 +84,8 @@ namespace nn {
 ///   dz  = gm * (h - n);        dp0  = dq0 = dz * z * (1 - z)
 ///
 /// Keep the cell expressions as written (FastSigmoid/FastTanh from
-/// tensor/fastmath.h included; FP contraction acts per expression): every
+/// tensor/fastmath.h included; FP contraction acts per expression): the
+/// row kernels above run them unchanged as vector loops, and every
 /// consumer — training, serving, cached and uncached paths, all replica
 /// counts — sees the same bits because this is the one implementation, and
 /// tests/nn_gru_test.cc holds it bit for bit to a plain-loop per-step
@@ -65,6 +120,10 @@ ag::Variable GruSequence(const ag::Variable& proj, const ag::Variable& w_h,
   float* pn = n.data();
   float* pq2 = q2.data();
   float* po = out.data();
+  const auto forward_row =
+      keep ? (pm != nullptr ? ForwardRow<true, true> : ForwardRow<true, false>)
+           : (pm != nullptr ? ForwardRow<false, true>
+                            : ForwardRow<false, false>);
   for (int64_t s = 0; s < t_len; ++s) {
     const int64_t t = reverse ? t_len - 1 - s : s;
     const Tensor q = dar::MatMul(h, wv);
@@ -72,26 +131,11 @@ ag::Variable GruSequence(const ag::Variable& proj, const ag::Variable& w_h,
     const float* ph = h.data();
     for (int64_t i = 0; i < b; ++i) {
       const int64_t row = i * t_len + t;  // (i, t) in the [B, T, *] buffers
-      const float* prow = pp + row * 3 * hd;
-      const float* qrow = pq + i * 3 * hd;
-      const float* hrow = ph + i * hd;
-      const float mi = pm != nullptr ? pm[row] : 1.0f;
-      const float inv_mi = 1.0f - mi;
-      float* orow = po + row * hd;
-      for (int64_t j = 0; j < hd; ++j) {
-        const float zv = fastmath::FastSigmoid(prow[j] + qrow[j]);
-        const float rv = fastmath::FastSigmoid(prow[hd + j] + qrow[hd + j]);
-        const float nv =
-            fastmath::FastTanh(prow[2 * hd + j] + rv * qrow[2 * hd + j]);
-        const float hprime = (1.0f - zv) * nv + zv * hrow[j];
-        if (keep) {
-          pz[row * hd + j] = zv;
-          pr[row * hd + j] = rv;
-          pn[row * hd + j] = nv;
-          pq2[row * hd + j] = qrow[2 * hd + j];
-        }
-        orow[j] = pm != nullptr ? mi * hprime + inv_mi * hrow[j] : hprime;
-      }
+      const int64_t kept_row = keep ? row * hd : 0;  // z, r, n, q2 are empty
+      forward_row(pp + row * 3 * hd, pq + i * 3 * hd, ph + i * hd,
+                  pm != nullptr ? pm[row] : 1.0f, hd, po + row * hd,
+                  pz + kept_row, pr + kept_row, pn + kept_row,
+                  pq2 + kept_row);
     }
     for (int64_t i = 0; i < b; ++i) {
       const float* orow = po + (i * t_len + t) * hd;
@@ -148,31 +192,10 @@ ag::Variable GruSequence(const ag::Variable& proj, const ag::Variable& w_h,
       if (scan) check::ScanForNonFinite("gru_sequence", "grad", pg, b * hd);
       for (int64_t i = 0; i < b; ++i) {
         const int64_t row = i * t_len + t;
-        const float* grow = pg + i * hd;
-        const float* zrow = pz + row * hd;
-        const float* rrow = pr + row * hd;
-        const float* nrow = pn + row * hd;
-        const float* q2row = pq2 + row * hd;
-        const float* hrow = ph + i * hd;
-        const float mi = pm != nullptr ? pm[row] : 1.0f;
-        float* dprow = pdp + row * 3 * hd;
-        float* dqrow = pdq + i * 3 * hd;
-        float* dhrow = pdh + i * hd;
-        for (int64_t j = 0; j < hd; ++j) {
-          const float g = grow[j];
-          const float gm = g * mi;
-          const float zv = zrow[j], rv = rrow[j], nv = nrow[j];
-          const float dt = gm * (1.0f - zv) * (1.0f - nv * nv);
-          const float ds_r = dt * q2row[j] * rv * (1.0f - rv);
-          const float ds_z = gm * (hrow[j] - nv) * zv * (1.0f - zv);
-          dprow[j] = ds_z;
-          dprow[hd + j] = ds_r;
-          dprow[2 * hd + j] = dt;
-          dqrow[j] = ds_z;
-          dqrow[hd + j] = ds_r;
-          dqrow[2 * hd + j] = dt * rv;
-          dhrow[j] = gm * zv + g * (1.0f - mi);
-        }
+        BackwardRow(pg + i * hd, pz + row * hd, pr + row * hd, pn + row * hd,
+                    pq2 + row * hd, ph + i * hd,
+                    pm != nullptr ? pm[row] : 1.0f, hd, pdp + row * 3 * hd,
+                    pdq + i * 3 * hd, pdh + i * hd);
       }
       if (scan) check::ScanForNonFinite("gru_sequence", "grad", pdq, b * 3 * hd);
       if (s > 0) {

@@ -1,5 +1,6 @@
 #include "tensor/gemm.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -126,20 +127,6 @@ void PackA(const OpView& opa, int64_t i0, int64_t mc, int64_t pc, int64_t kc,
 // ---- Micro-kernels ---------------------------------------------------------
 // Each accumulates kc fma steps (ascending k) into the current C values —
 // resuming the per-element fma chain across kc panels losslessly.
-
-/// Edge tile (mr < kMr or nr < kNr): scalar fma over the packed panels.
-void MicroKernelEdge(const float* pa, const float* pb, float* c, int64_t ldc,
-                     int64_t kc, int64_t mr, int64_t nr) {
-  for (int64_t r = 0; r < mr; ++r) {
-    for (int64_t j = 0; j < nr; ++j) {
-      float acc = c[r * ldc + j];
-      for (int64_t kk = 0; kk < kc; ++kk) {
-        acc = std::fma(pa[kk * kMr + r], pb[kk * kNr + j], acc);
-      }
-      c[r * ldc + j] = acc;
-    }
-  }
-}
 
 #ifdef DAR_GEMM_AVX2
 
@@ -270,8 +257,7 @@ void MicroKernelTile(const float* pa, const float* pb, float* c, int64_t ldc,
 #endif  // DAR_GEMM_AVX2
 
 /// Full-width (nr == kNr) tile with a runtime row count: dispatches to the
-/// register-blocked kernel so chunk row tails (mr < 6) stay vectorized
-/// instead of dropping to the scalar edge kernel.
+/// register-blocked kernel so chunk row tails (mr < 6) stay vectorized.
 void MicroKernelFullWidth(const float* pa, const float* pb, float* c,
                           int64_t ldc, int64_t kc, int64_t mr) {
   switch (mr) {
@@ -281,6 +267,24 @@ void MicroKernelFullWidth(const float* pa, const float* pb, float* c,
     case 3: MicroKernelTile<3>(pa, pb, c, ldc, kc); break;
     case 2: MicroKernelTile<2>(pa, pb, c, ldc, kc); break;
     default: MicroKernelTile<1>(pa, pb, c, ldc, kc); break;
+  }
+}
+
+/// Edge tile (nr < kNr, the last column panel when n % 16 != 0): runs the
+/// full-width kernel on a zeroed 16-wide stack copy of the tile and writes
+/// its nr real columns back. Packed B is zero past n, so the pad columns
+/// never reach C, and each real element resumes its ascending-k fma chain
+/// from its stored C value — the same bits as a scalar loop, at vector
+/// speed (the GRU's 3H = 72 and H = 24 widths land here).
+void MicroKernelEdge(const float* pa, const float* pb, float* c, int64_t ldc,
+                     int64_t kc, int64_t mr, int64_t nr) {
+  alignas(32) float tile[kMr * kNr] = {};
+  for (int64_t r = 0; r < mr; ++r) {
+    std::copy(c + r * ldc, c + r * ldc + nr, tile + r * kNr);
+  }
+  MicroKernelFullWidth(pa, pb, tile, kNr, kc, mr);
+  for (int64_t r = 0; r < mr; ++r) {
+    std::copy(tile + r * kNr, tile + r * kNr + nr, c + r * ldc);
   }
 }
 
@@ -364,8 +368,9 @@ void GemmPacked(Trans trans, int64_t m, int64_t n, int64_t k, const float* a,
   const float* packed_b = t_pack_b.data();
 
   const int64_t num_chunks = CeilDiv(m, kRowChunk);
+  const int threads = State().threads.load(std::memory_order_relaxed);
   serve::ThreadPool* pool = State().pool_ptr.load(std::memory_order_acquire);
-  const bool threaded = pool != nullptr && num_chunks > 1 &&
+  const bool threaded = threads > 1 && pool != nullptr && num_chunks > 1 &&
                         2 * m * n * k >= kThreadFlopThreshold;
 
   if (!threaded) {
@@ -388,8 +393,10 @@ void GemmPacked(Trans trans, int64_t m, int64_t n, int64_t k, const float* a,
     }
   };
 
-  const int helpers = static_cast<int>(
-      std::min<int64_t>(pool->num_threads(), num_chunks - 1));
+  // The pool may hold more workers than the current budget (it only
+  // grows); the budget caps how many of them one call enlists.
+  const int helpers =
+      static_cast<int>(std::min<int64_t>(threads - 1, num_chunks - 1));
   Latch latch(helpers);
   Latch* latch_ptr = &latch;
   for (int h = 0; h < helpers; ++h) {
@@ -464,12 +471,14 @@ bool UsesPackedPath(int64_t m, int64_t n, int64_t k) {
 void SetKernelThreads(int n) {
   if (n < 1) n = 1;
   PoolState& state = State();
-  if (n == state.threads.load(std::memory_order_relaxed)) return;
-  // Quiesced-point contract (gemm.h): no Gemm is in flight, so dropping
-  // the old pool (joins its workers) and publishing the new one is safe.
-  state.pool_ptr.store(nullptr, std::memory_order_release);
-  state.pool.reset();
-  if (n > 1) {
+  // Grow-only: the pool is replaced only when n - 1 helpers exceed its
+  // workers, so alternating budgets (the bench's interleaved thread arms)
+  // reuse one set of threads. Quiesced-point contract (gemm.h): no Gemm
+  // is in flight, so dropping the old pool (joins its workers) and
+  // publishing the new one is safe.
+  const int workers = state.pool ? state.pool->num_threads() : 0;
+  if (n - 1 > workers) {
+    state.pool_ptr.store(nullptr, std::memory_order_release);
     state.pool = std::make_unique<serve::ThreadPool>(n - 1);
     state.pool_ptr.store(state.pool.get(), std::memory_order_release);
   }

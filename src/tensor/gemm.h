@@ -30,18 +30,23 @@
 //   * The AVX2 micro-kernel applies the same fma lanewise; lanes never
 //     interact, and GemmReference below is the scalar std::fma witness the
 //     tests compare every path against at float-bit granularity.
+//   * A column tail (n % 16 != 0) runs the same micro-kernel on a
+//     zero-padded 16-wide stack copy of its C tile and copies the real
+//     columns back: the pad lanes read packed B's zero padding and are
+//     discarded, so no element's chain changes.
 //
 // The vectorized loops therefore auto-parallelize across j (independent
 // elements) but never re-associate across k.
 //
 // ## Threading
 //
-// Threading is opt-in via SetKernelThreads(n): an internal
-// serve::ThreadPool is (re)built with n-1 workers and large GEMMs fan
-// their row blocks out to it (the calling thread takes a share too).
-// SetKernelThreads must be called at a quiesced point (no concurrent
-// Gemm in flight); TrainConfig::kernel_threads threads the knob through
-// Fit(). n <= 1 restores the inline path.
+// Threading is opt-in via SetKernelThreads(n): large GEMMs fan their row
+// blocks out to n-1 workers of an internal serve::ThreadPool (the calling
+// thread takes a share too). The pool only grows — it is rebuilt when n-1
+// exceeds its size and otherwise kept, so lowering n spawns and joins
+// nothing. SetKernelThreads must be called at a quiesced point (no
+// concurrent Gemm in flight); TrainConfig::kernel_threads threads the knob
+// through Fit(). n <= 1 restores the inline path.
 #ifndef DAR_TENSOR_GEMM_H_
 #define DAR_TENSOR_GEMM_H_
 
@@ -79,8 +84,9 @@ bool UsesPackedPath(int64_t m, int64_t n, int64_t k);
 
 /// Sets the kernel-thread budget (the pool serves every subsequent large
 /// Gemm). `n` is the TOTAL number of threads computing a GEMM, including
-/// the caller: n <= 1 means fully inline. Not safe to call with a Gemm in
-/// flight — call at configuration time, as Fit() and the router do.
+/// the caller: n <= 1 means fully inline. Grows the pool when needed and
+/// never shrinks it. Not safe to call with a Gemm in flight — call at
+/// configuration time, as Fit() does.
 void SetKernelThreads(int n);
 
 /// Current kernel-thread budget (>= 1).

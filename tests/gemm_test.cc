@@ -11,6 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "autograd/gradcheck.h"
@@ -184,6 +187,80 @@ TEST(GemmTest, RepeatedThreadedCallsAreStable) {
               0)
         << "rep=" << rep;
   }
+}
+
+TEST(GemmTest, GruTrainingShapesAtOneAndFourThreads) {
+  // The GRU's packed products at training size (B = 64, H = 24, 3H = 72,
+  // E = 32, B*T = 2816), in the orientations training runs them. Each has
+  // a column tail (n % 16 != 0); dW_x's k crosses 11 KC panels.
+  KernelThreadsGuard guard;
+  struct Case {
+    Trans trans;
+    Dims d;
+  };
+  const Case cases[] = {
+      {Trans::kNN, {64, 72, 24}},    // recurrent step h · W_h
+      {Trans::kTB, {64, 24, 72}},    // BPTT dh = dq · W_h^T
+      {Trans::kTA, {24, 72, 64}},    // dW_h = h^T · dq
+      {Trans::kNN, {2816, 72, 32}},  // input projection x · W_x
+      {Trans::kTA, {32, 72, 2816}},  // dW_x = x^T · dproj
+  };
+  for (int threads : {1, 4}) {
+    SetKernelThreads(threads);
+    for (const Case& cs : cases) {
+      SCOPED_TRACE(threads);
+      ASSERT_TRUE(UsesPackedPath(cs.d.m, cs.d.n, cs.d.k));
+      ExpectBitExact(cs.trans, cs.d.m, cs.d.n, cs.d.k);
+    }
+  }
+}
+
+TEST(GemmTest, EveryColumnTailWidth) {
+  // n = 17 .. 31 leaves a column tail of every width 1 .. 15 after one full
+  // 16-wide panel.
+  KernelThreadsGuard guard;
+  for (int threads : {1, 4}) {
+    SetKernelThreads(threads);
+    for (int64_t n = 17; n <= 31; ++n) {
+      SCOPED_TRACE(threads);
+      ASSERT_TRUE(UsesPackedPath(64, n, 96));
+      for (Trans t : kAllTrans) ExpectBitExact(t, 64, n, 96);
+    }
+  }
+}
+
+/// The thread ids of this process, as listed under /proc/self/task.
+std::set<std::string> ThreadIds() {
+  std::set<std::string> ids;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ids.insert(entry.path().filename().string());
+  }
+  return ids;
+}
+
+TEST(GemmTest, LoweringTheBudgetKeepsThePool) {
+  KernelThreadsGuard guard;
+  // Four row chunks and well past the fan-out floor: the threaded path.
+  const int64_t m = 384, n = 72, k = 80;
+  std::vector<float> a = Fill(m * k, 51), b = Fill(k * n, 52);
+  std::vector<float> c_ref(static_cast<size_t>(m * n), 0.0f);
+  GemmReference(Trans::kNN, m, n, k, a.data(), b.data(), c_ref.data());
+
+  SetKernelThreads(4);
+  const std::set<std::string> threads_at_four = ThreadIds();
+  for (int threads : {2, 4}) {
+    SetKernelThreads(threads);
+    ASSERT_EQ(KernelThreads(), threads);
+    std::vector<float> c(static_cast<size_t>(m * n), 0.0f);
+    Gemm(Trans::kNN, m, n, k, a.data(), b.data(), c.data());
+    ASSERT_EQ(std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(float)),
+              0)
+        << "threads=" << threads;
+  }
+  EXPECT_EQ(KernelThreads(), 4);
+  // Neither the drop to 2 nor the return to 4 spawned or joined a thread.
+  EXPECT_EQ(ThreadIds(), threads_at_four);
 }
 
 TEST(GemmTest, SetKernelThreadsClampsAndReports) {

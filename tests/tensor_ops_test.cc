@@ -1,10 +1,17 @@
 // Tests for tensor/tensor_ops.h kernels.
 #include "tensor/tensor_ops.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tensor/fastmath.h"
 #include "tensor/random.h"
 
 namespace dar {
@@ -206,6 +213,113 @@ TEST(ShapeOpsTest, SliceAndSetTime) {
 
 TEST(ShapeOpsTest, Norm2) {
   EXPECT_NEAR(Norm2(Tensor::FromVector({3.0f, 4.0f})), 5.0f, 1e-5f);
+}
+
+// ---- fastmath --------------------------------------------------------------
+
+// FastExp as first written, with std::floor and a std::min / std::max clamp
+// (a loop calling it stays scalar). tensor/fastmath.h rewrote the clamp and
+// the floor so loops vectorize; every result bit must stay the same.
+float ClampFloorExp(float x) {
+  x = std::min(88.0f, std::max(-87.0f, x));
+  float z = std::floor(x * 1.44269504089f + 0.5f);  // round(x / ln 2)
+  x -= z * 0.693359375f;                            // ln 2, high part
+  x -= z * -2.12194440e-4f;                         // ln 2, low part
+  float y = 1.9875691500e-4f;
+  y = y * x + 1.3981999507e-3f;
+  y = y * x + 8.3334519073e-3f;
+  y = y * x + 4.1665795894e-2f;
+  y = y * x + 1.6666665459e-1f;
+  y = y * x + 5.0000001201e-1f;
+  y = y * x * x + x + 1.0f;
+  uint32_t bits = static_cast<uint32_t>(static_cast<int32_t>(z) + 127) << 23;
+  float pow2;
+  std::memcpy(&pow2, &bits, sizeof(pow2));
+  return y * pow2;
+}
+
+float ClampFloorSigmoid(float x) { return 1.0f / (1.0f + ClampFloorExp(-x)); }
+
+float ClampFloorTanh(float x) {
+  return 2.0f / (1.0f + ClampFloorExp(-2.0f * x)) - 1.0f;
+}
+
+/// Number of positions where `got` and `want` differ in any bit.
+int64_t BitDifferences(const float* got, const std::vector<float>& want) {
+  if (std::memcmp(got, want.data(), want.size() * sizeof(float)) == 0) {
+    return 0;
+  }
+  int64_t diffs = 0;
+  for (size_t i = 0; i < want.size(); ++i) {
+    diffs += std::memcmp(&got[i], &want[i], sizeof(float)) != 0;
+  }
+  return diffs;
+}
+
+/// Holds FastExp, FastSigmoid, FastTanh and the tensor Sigmoid / Tanh
+/// kernels (vector loops in tensor_ops.cc) to the clamp-floor formula on xs.
+void ExpectFastMathMatches(const std::vector<float>& xs) {
+  const Tensor in(Shape{static_cast<int64_t>(xs.size())}, xs);
+  std::vector<float> want(xs.size()), got(xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) want[i] = ClampFloorExp(xs[i]);
+  for (size_t i = 0; i < xs.size(); ++i) got[i] = fastmath::FastExp(xs[i]);
+  EXPECT_EQ(BitDifferences(got.data(), want), 0) << "FastExp";
+  for (size_t i = 0; i < xs.size(); ++i) want[i] = ClampFloorSigmoid(xs[i]);
+  for (size_t i = 0; i < xs.size(); ++i) got[i] = fastmath::FastSigmoid(xs[i]);
+  EXPECT_EQ(BitDifferences(got.data(), want), 0) << "FastSigmoid";
+  EXPECT_EQ(BitDifferences(Sigmoid(in).data(), want), 0) << "Sigmoid";
+  for (size_t i = 0; i < xs.size(); ++i) want[i] = ClampFloorTanh(xs[i]);
+  for (size_t i = 0; i < xs.size(); ++i) got[i] = fastmath::FastTanh(xs[i]);
+  EXPECT_EQ(BitDifferences(got.data(), want), 0) << "FastTanh";
+  EXPECT_EQ(BitDifferences(Tanh(in).data(), want), 0) << "Tanh";
+}
+
+/// x and the `ulps` floats on either side of it.
+void AddNeighbours(float x, int ulps, std::vector<float>& xs) {
+  const float inf = std::numeric_limits<float>::infinity();
+  float lo = x, hi = x;
+  xs.push_back(x);
+  for (int u = 0; u < ulps; ++u) {
+    lo = std::nextafter(lo, -inf);
+    hi = std::nextafter(hi, inf);
+    xs.push_back(lo);
+    xs.push_back(hi);
+  }
+}
+
+TEST(FastMathTest, EvenlySpacedBitPatternsMatchClampFloorFormula) {
+  // 2^24 patterns, every 256th of the 2^32 floats, in chunks of 2^14.
+  constexpr uint32_t kChunk = 1u << 14;
+  std::vector<float> xs(kChunk);
+  for (uint32_t base = 0; base < (1u << 24); base += kChunk) {
+    for (uint32_t i = 0; i < kChunk; ++i) {
+      xs[i] = std::bit_cast<float>((base + i) << 8);
+    }
+    ExpectFastMathMatches(xs);
+    if (HasFailure()) FAIL() << "first failing chunk at pattern " << base;
+  }
+}
+
+TEST(FastMathTest, EdgeInputsMatchClampFloorFormula) {
+  using limits = std::numeric_limits<float>;
+  std::vector<float> xs = {0.0f,
+                           -0.0f,
+                           limits::infinity(),
+                           -limits::infinity(),
+                           limits::quiet_NaN(),
+                           limits::denorm_min(),
+                           -limits::denorm_min(),
+                           2 * limits::denorm_min(),
+                           -2 * limits::denorm_min(),
+                           limits::min(),
+                           -limits::min()};
+  // The clamp bounds and their neighbours.
+  for (float edge : {87.0f, -87.0f, 88.0f, -88.0f}) AddNeighbours(edge, 4, xs);
+  // Where floor(x / ln 2 + 1/2) steps from k - 1 to k.
+  for (int k = -126; k <= 127; ++k) {
+    AddNeighbours(static_cast<float>((k - 0.5) * 0.6931471805599453), 4, xs);
+  }
+  ExpectFastMathMatches(xs);
 }
 
 }  // namespace
