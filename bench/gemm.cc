@@ -6,7 +6,10 @@
 //     zero-skip branch included), and
 //   * thread scaling at 256x256x256 (single-core containers will honestly
 //     record ~1x, like train_scaling does).
-// Timings are medians of interleaved reps, with spreads (MeasureInterleaved).
+// A sample runs one arm's products back to back, as many as make it last
+// at least 2 ms (0.5 ms quick; the count is calibrated once per arm and
+// recorded in its row), and reads the time per product. Timings are
+// medians of interleaved samples, with spreads (MeasureInterleaved).
 //
 // Emits BENCH_gemm.json. The headline field `speedup_256cubed` (blocked vs
 // seed-naive at 256x256x256, single-threaded) is the one CI smoke-greps.
@@ -52,21 +55,25 @@ struct Product {
     for (float& x : b) x = rng.NextFloat() * 2.0f - 1.0f;
   }
 
-  /// Runs the seed kernel (`naive`) or the blocked one once into a zeroed
-  /// output and returns its wall time in ms. The seed kernel only ever
-  /// implemented the NN orientation; the equivalent-cost NN product stands
-  /// in for TA/TB rows.
-  double RepMs(bool naive) {
+  /// Runs the seed kernel (`naive`) or the blocked one `count` times back
+  /// to back, accumulating into an output zeroed before the clock starts,
+  /// and returns the wall time per product in ms. The seed kernel only
+  /// ever implemented the NN orientation; the equivalent-cost NN product
+  /// stands in for TA/TB rows.
+  double PerProductMs(bool naive, int64_t count) {
     std::fill(c.begin(), c.end(), 0.0f);
     const auto start = std::chrono::steady_clock::now();
-    if (naive) {
-      SeedNaiveMatMul(m, n, k, a.data(), b.data(), c.data());
-    } else {
-      gemm::Gemm(trans, m, n, k, a.data(), b.data(), c.data());
+    for (int64_t i = 0; i < count; ++i) {
+      if (naive) {
+        SeedNaiveMatMul(m, n, k, a.data(), b.data(), c.data());
+      } else {
+        gemm::Gemm(trans, m, n, k, a.data(), b.data(), c.data());
+      }
     }
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - start)
-        .count();
+               .count() /
+           static_cast<double>(count);
   }
 
   gemm::Trans trans;
@@ -74,25 +81,46 @@ struct Product {
   std::vector<float> a, b, c;
 };
 
+/// Products per sample: the count, doubling from 1, at which one sample
+/// of `per_product_ms` lasts at least `min_sample_ms`.
+int64_t CalibrateProducts(const std::function<double(int64_t)>& per_product_ms,
+                          double min_sample_ms) {
+  int64_t count = 1;
+  while (per_product_ms(count) * static_cast<double>(count) < min_sample_ms) {
+    count *= 2;
+  }
+  return count;
+}
+
 struct ShapeResult {
   std::string label;
   int64_t m, n, k;
-  ArmStats naive_ms;
-  ArmStats blocked_ms;
+  int64_t naive_products, blocked_products;  // per sample
+  ArmStats naive_ms;    // per product
+  ArmStats blocked_ms;  // per product
   double gflops;   // blocked kernel throughput
   double speedup;  // naive_ms / blocked_ms (medians)
 };
 
 /// Times one shape: the naive and blocked kernels as two interleaved arms
-/// on identical inputs, `reps` rounds.
+/// on identical inputs, `reps` rounds of calibrated samples.
 ShapeResult TimeShape(const std::string& label, gemm::Trans trans, int64_t m,
-                      int64_t n, int64_t k, int reps) {
+                      int64_t n, int64_t k, int reps, double min_sample_ms) {
   Product product(trans, m, n, k);
+  auto naive = [&](int64_t count) {
+    return product.PerProductMs(/*naive=*/true, count);
+  };
+  auto blocked = [&](int64_t count) {
+    return product.PerProductMs(/*naive=*/false, count);
+  };
+  const int64_t naive_products = CalibrateProducts(naive, min_sample_ms);
+  const int64_t blocked_products = CalibrateProducts(blocked, min_sample_ms);
   const std::vector<ArmStats> arms =
-      MeasureInterleaved({[&] { return product.RepMs(/*naive=*/true); },
-                          [&] { return product.RepMs(/*naive=*/false); }},
+      MeasureInterleaved({[&] { return naive(naive_products); },
+                          [&] { return blocked(blocked_products); }},
                          reps);
-  ShapeResult r{label, m, n, k, arms[0], arms[1], 0.0, 0.0};
+  ShapeResult r{label, m, n, k, naive_products, blocked_products,
+                arms[0], arms[1], 0.0, 0.0};
   const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
                        static_cast<double>(k);
   r.gflops = flops / (r.blocked_ms.median * 1e6);
@@ -101,16 +129,20 @@ ShapeResult TimeShape(const std::string& label, gemm::Trans trans, int64_t m,
 }
 
 std::string ResultJson(const ShapeResult& r) {
-  char buf[384];
+  char buf[448];
   std::snprintf(buf, sizeof(buf),
                 "{\"shape\": \"%s\", \"m\": %lld, \"n\": %lld, \"k\": %lld, "
-                "\"naive_ms\": %.3f, \"naive_spread_pct\": %.1f, "
-                "\"blocked_ms\": %.3f, \"blocked_spread_pct\": %.1f, "
+                "\"naive_products\": %lld, \"naive_ms\": %.6f, "
+                "\"naive_spread_pct\": %.1f, \"blocked_products\": %lld, "
+                "\"blocked_ms\": %.6f, \"blocked_spread_pct\": %.1f, "
                 "\"gflops\": %.2f, \"speedup\": %.2f}",
                 r.label.c_str(), static_cast<long long>(r.m),
                 static_cast<long long>(r.n), static_cast<long long>(r.k),
-                r.naive_ms.median, r.naive_ms.spread_pct, r.blocked_ms.median,
-                r.blocked_ms.spread_pct, r.gflops, r.speedup);
+                static_cast<long long>(r.naive_products), r.naive_ms.median,
+                r.naive_ms.spread_pct,
+                static_cast<long long>(r.blocked_products),
+                r.blocked_ms.median, r.blocked_ms.spread_pct, r.gflops,
+                r.speedup);
   return buf;
 }
 
@@ -124,6 +156,7 @@ int Main(int argc, char** argv) {
               options);
 
   const int reps = options.quick ? 3 : 7;
+  const double min_sample_ms = options.quick ? 0.5 : 2.0;
   gemm::SetKernelThreads(1);
 
   // Shape classes: the acceptance square, the encoder's flat input
@@ -155,7 +188,8 @@ int Main(int argc, char** argv) {
   double gflops_256 = 0.0;
   bool first = true;
   for (const Case& cs : cases) {
-    ShapeResult r = TimeShape(cs.label, cs.trans, cs.m, cs.n, cs.k, reps);
+    ShapeResult r = TimeShape(cs.label, cs.trans, cs.m, cs.n, cs.k, reps,
+                              min_sample_ms);
     std::printf("%s\n", ResultJson(r).c_str());
     std::fflush(stdout);
     if (!first) results += ",\n    ";
@@ -174,22 +208,29 @@ int Main(int argc, char** argv) {
   std::printf("\nthread scaling at 256x256x256 (total threads incl. caller):\n");
   const int thread_counts[] = {1, 2, 4};
   Product square(gemm::Trans::kNN, 256, 256, 256);
+  std::vector<int64_t> scaling_products;
   std::vector<std::function<double()>> scaling_arms;
   for (int threads : thread_counts) {
-    scaling_arms.push_back([&square, threads] {
+    auto arm = [&square, threads](int64_t count) {
       gemm::SetKernelThreads(threads);
-      return square.RepMs(/*naive=*/false);
-    });
+      return square.PerProductMs(/*naive=*/false, count);
+    };
+    const int64_t products = CalibrateProducts(arm, min_sample_ms);
+    scaling_products.push_back(products);
+    scaling_arms.push_back([arm, products] { return arm(products); });
   }
   const std::vector<ArmStats> scaled = MeasureInterleaved(scaling_arms, reps);
   gemm::SetKernelThreads(1);
   std::string scaling = "[\n    ";
   for (size_t i = 0; i < scaled.size(); ++i) {
-    char buf[160];
+    char buf[192];
     std::snprintf(buf, sizeof(buf),
-                  "{\"threads\": %d, \"blocked_ms\": %.3f, "
-                  "\"blocked_spread_pct\": %.1f, \"scale\": %.2f}",
-                  thread_counts[i], scaled[i].median, scaled[i].spread_pct,
+                  "{\"threads\": %d, \"products\": %lld, "
+                  "\"blocked_ms\": %.6f, \"blocked_spread_pct\": %.1f, "
+                  "\"scale\": %.2f}",
+                  thread_counts[i],
+                  static_cast<long long>(scaling_products[i]),
+                  scaled[i].median, scaled[i].spread_pct,
                   scaled[0].median / scaled[i].median);
     std::printf("  %s\n", buf);
     if (i > 0) scaling += ",\n    ";

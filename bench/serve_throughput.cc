@@ -186,7 +186,6 @@ int main(int argc, char** argv) {
     serve::BatcherConfig batcher_config;
     batcher_config.num_workers = arm.workers;
     batcher_config.max_batch = arm.max_batch;
-    batcher_config.max_wait_us = 200;
     // Backpressure: cap queued requests at the batcher's length-selection
     // scan window; deeper queues only add queueing delay and cache traffic.
     batcher_config.max_queue = arm.max_batch * 8;

@@ -60,7 +60,6 @@ int main() {
   // 4. Serve requests through the micro-batcher.
   serve::BatcherConfig batcher_config;
   batcher_config.max_batch = 8;
-  batcher_config.max_wait_us = 500;
   batcher_config.num_workers = 2;
   serve::MicroBatcher batcher(*registry.Get("beer-appearance"), batcher_config);
 

@@ -51,10 +51,8 @@ struct RouterConfig {
   /// Batcher settings applied to every model endpoint. max_queue bounds
   /// the queue so saturation becomes 503 (TrySubmit) instead of blocked
   /// connection threads; 0 would mean "never reject".
-  serve::BatcherConfig batcher = {.max_batch = 16,
-                                  .max_wait_us = 200,
-                                  .num_workers = 2,
-                                  .max_queue = 128};
+  serve::BatcherConfig batcher = {
+      .max_batch = 16, .num_workers = 2, .max_queue = 128};
   /// Serving-stack configuration. When serve.cache.enabled the Router
   /// owns a ServeCache, attaches it to the model registry (every served
   /// model joins it), publishes its metrics, and stamps each predict

@@ -13,7 +13,6 @@ MicroBatcher::MicroBatcher(const InferenceSession& session,
                            BatcherConfig config)
     : session_(&session), config_(config) {
   DAR_CHECK_GT(config_.max_batch, 0);
-  DAR_CHECK_GE(config_.max_wait_us, 0);
   DAR_CHECK_GT(config_.num_workers, 0);
   workers_.reserve(static_cast<size_t>(config_.num_workers));
   for (int i = 0; i < config_.num_workers; ++i) {
@@ -24,8 +23,21 @@ MicroBatcher::MicroBatcher(const InferenceSession& session,
 MicroBatcher::~MicroBatcher() { Shutdown(); }
 
 std::future<InferenceResult> MicroBatcher::Submit(const std::string& text) {
+  return *Enqueue(text, /*block=*/true);
+}
+
+std::optional<std::future<InferenceResult>> MicroBatcher::TrySubmit(
+    const std::string& text) {
+  return Enqueue(text, /*block=*/false);
+}
+
+std::optional<std::future<InferenceResult>> MicroBatcher::Enqueue(
+    const std::string& text, bool block) {
   obs::Span span("serve.enqueue");
   Pending pending;
+  // Encoding before taking the lock keeps the critical section short; a
+  // rejected request wastes one tokenization, which is cheap next to the
+  // forward it is shedding.
   pending.tokens = session_->Encode(text);
   pending.enqueued = std::chrono::steady_clock::now();
   pending.trace = obs::CurrentRequestTrace();
@@ -36,39 +48,15 @@ std::future<InferenceResult> MicroBatcher::Submit(const std::string& text) {
     DAR_CHECK(!stop_);
     if (config_.max_queue > 0) {
       while (static_cast<int64_t>(queue_.size()) >= config_.max_queue) {
+        if (!block) return std::nullopt;
         space_cv_.Wait(mu_);
       }
       DAR_CHECK(!stop_);
     }
     queue_.push_back(std::move(pending));
-    // Workers only wait while the queue is below one full batch; past that
-    // they are busy computing, so the wake would be wasted work.
-    notify = static_cast<int64_t>(queue_.size()) <= config_.max_batch;
-  }
-  if (notify) cv_.NotifyOne();
-  return future;
-}
-
-std::optional<std::future<InferenceResult>> MicroBatcher::TrySubmit(
-    const std::string& text) {
-  obs::Span span("serve.enqueue");
-  Pending pending;
-  // Encoding before taking the lock mirrors Submit and keeps the queue
-  // bound strict; a rejected request wastes one tokenization, which is
-  // cheap next to the forward it is shedding.
-  pending.tokens = session_->Encode(text);
-  pending.enqueued = std::chrono::steady_clock::now();
-  pending.trace = obs::CurrentRequestTrace();
-  std::future<InferenceResult> future = pending.promise.get_future();
-  bool notify;
-  {
-    sync::MutexLock lock(mu_);
-    DAR_CHECK(!stop_);
-    if (config_.max_queue > 0 &&
-        static_cast<int64_t>(queue_.size()) >= config_.max_queue) {
-      return std::nullopt;
-    }
-    queue_.push_back(std::move(pending));
+    // Workers wait only while the queue is empty. Past one full batch the
+    // wakes already sent, chained by each worker's post-take notify, cover
+    // every worker that can take a batch, so another would be wasted work.
     notify = static_cast<int64_t>(queue_.size()) <= config_.max_batch;
   }
   if (notify) cv_.NotifyOne();
@@ -155,27 +143,10 @@ void MicroBatcher::WorkerLoop() {
       sync::MutexLock lock(mu_);
       while (!stop_ && queue_.empty()) cv_.Wait(mu_);
       if (queue_.empty()) return;  // stopping and fully drained
-      if (!stop_ && config_.max_wait_us > 0 &&
-          static_cast<int64_t>(queue_.size()) < config_.max_batch) {
-        // Linger briefly so concurrent submitters can fill the batch; wake
-        // early once it is full or shutdown begins. Explicit deadline loop
-        // (predicate waits cannot carry thread-safety annotations).
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::microseconds(config_.max_wait_us);
-        while (!stop_ &&
-               static_cast<int64_t>(queue_.size()) < config_.max_batch) {
-          const int64_t remaining_us =
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  deadline - std::chrono::steady_clock::now())
-                  .count();
-          if (remaining_us <= 0) break;
-          cv_.WaitForUs(mu_, remaining_us);
-        }
-      }
-      size_t take = std::min(queue_.size(),
-                             static_cast<size_t>(config_.max_batch));
-      if (take == 0) continue;
-      taken = TakeBatchLocked(take);
+      // Greedy: serve what is queued now rather than wait for a fuller
+      // batch. Under load the queue refills while this forward runs.
+      taken = TakeBatchLocked(
+          std::min(queue_.size(), static_cast<size_t>(config_.max_batch)));
     }
     // Another worker may still be needed for what remains in the queue,
     // and blocked submitters now have space.

@@ -1,12 +1,15 @@
 // Dynamic micro-batching for single-request traffic.
 //
 // Callers submit one text at a time and get a future; a pool of worker
-// threads drains the shared queue, coalescing up to `max_batch` waiting
-// requests (lingering up to `max_wait_us` for stragglers) into one padded
+// threads drains the shared queue. Batching is greedy: a free worker takes
+// everything queued at that moment, up to `max_batch`, as one padded
 // batch, runs a single forward through the session, and fulfills each
-// request's future. Deterministic eval masks guarantee batched results are
-// identical to the single-request path — padding cannot leak across rows
-// because every op is gated on the validity mask.
+// request's future. It never waits for a batch to fill, so a request that
+// finds a worker free starts its forward at once; batches form under load,
+// from the requests that queue while every worker is mid-forward.
+// Deterministic eval masks guarantee batched results are identical to the
+// single-request path — padding cannot leak across rows because every op
+// is gated on the validity mask.
 //
 // When the queue holds more requests than fit in one batch, workers pick a
 // *length-homogeneous* subset from the front region of the queue instead
@@ -36,12 +39,12 @@ namespace serve {
 
 /// Tuning knobs for the micro-batcher.
 struct BatcherConfig {
-  /// Largest number of requests coalesced into one forward.
+  /// Largest number of requests coalesced into one forward. A free worker
+  /// takes min(queued, max_batch) requests at once and never waits for
+  /// more.
   int64_t max_batch = 16;
-  /// How long a worker lingers for the batch to fill once it has at least
-  /// one request (0 = greedy: take whatever is queued).
-  int64_t max_wait_us = 200;
-  /// Worker threads draining the queue.
+  /// Worker threads draining the queue. What arrives while all of them are
+  /// mid-forward queues up and becomes the next free worker's batch.
   int num_workers = 2;
   /// Admission bound: Submit blocks while this many requests are already
   /// queued (0 = unbounded). Backpressure keeps queueing delay and the
@@ -97,6 +100,13 @@ class MicroBatcher {
   /// How far past one batch the length-aware selection looks into the
   /// queue; bounds selection cost to O(scan log scan) under the lock.
   static constexpr size_t kLengthScanFactor = 8;
+
+  /// The body of Submit and TrySubmit: encodes `text`, stamps it and
+  /// queues it. At `max_queue`, waits for space when `block` is set and
+  /// returns nullopt otherwise.
+  std::optional<std::future<InferenceResult>> Enqueue(const std::string& text,
+                                                      bool block)
+      DAR_EXCLUDES(mu_);
 
   /// Removes and returns `take` requests from the queue: the whole queue
   /// when it fits, otherwise a length-homogeneous subset that always

@@ -224,13 +224,5 @@ void Mutex::SlowUnlockTracking() { internal::PopHeld(this); }
 
 void Mutex::PushAfterTryLock() { internal::PushHeld(this, rank_, name_); }
 
-bool CondVar::WaitForUs(Mutex& mu, int64_t timeout_us) {
-  std::unique_lock<std::mutex> native(mu.native(), std::adopt_lock);
-  const std::cv_status status =
-      cv_.wait_for(native, std::chrono::microseconds(timeout_us));
-  native.release();
-  return status == std::cv_status::no_timeout;
-}
-
 }  // namespace sync
 }  // namespace dar

@@ -232,10 +232,6 @@ class CondVar {
     native.release();
   }
 
-  /// Wait() with a timeout; returns false when the timeout elapsed first.
-  /// Spurious wakeups return true — callers loop on predicate + deadline.
-  bool WaitForUs(Mutex& mu, int64_t timeout_us) DAR_REQUIRES(mu);
-
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 

@@ -13,7 +13,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "core/rnp.h"
 #include "datasets/beer.h"
 #include "eval/experiment.h"
+#include "gated_model.h"
 #include "net/client.h"
 #include "net/http.h"
 #include "net/routes.h"
@@ -396,15 +399,17 @@ core::TrainConfig TinyConfig() {
 }
 
 /// Untrained tiny RNP session: serving correctness (routing, wire format,
-/// bit-identical responses) does not require a trained model.
-std::shared_ptr<serve::InferenceSession> MakeSession(uint64_t seed = 7) {
+/// bit-identical responses) does not require a trained model. With a
+/// `gate`, every forward waits until the test opens it (gated_model.h).
+std::shared_ptr<serve::InferenceSession> MakeSession(
+    uint64_t seed = 7, std::shared_ptr<ForwardGate> gate = nullptr) {
   datasets::SyntheticDataset dataset = datasets::MakeBeerDataset(
       datasets::BeerAspect::kAppearance, {.train = 40, .dev = 10, .test = 10},
       seed);
   core::TrainConfig config = TinyConfig();
   config.seed = seed;
-  auto model = std::make_unique<core::RnpModel>(
-      eval::BuildEmbeddings(dataset, config), config);
+  auto model = MakeRnpModel(eval::BuildEmbeddings(dataset, config), config,
+                            std::move(gate));
   return std::make_shared<serve::InferenceSession>(std::move(model),
                                                    dataset.vocab);
 }
@@ -416,9 +421,11 @@ struct Loopback {
   std::unique_ptr<HttpServer> server;
   std::shared_ptr<serve::InferenceSession> session;
 
+  /// Serves `served`, or a fresh MakeSession() when it is null.
   explicit Loopback(RouterConfig router_config = {},
-                    ServerConfig server_config = {}) {
-    session = MakeSession();
+                    ServerConfig server_config = {},
+                    std::shared_ptr<serve::InferenceSession> served = nullptr)
+      : session(served != nullptr ? std::move(served) : MakeSession()) {
     router = std::make_unique<Router>(registry, router_config);
     router->ServeModel("beer", session);
     server_config.port = 0;
@@ -642,39 +649,80 @@ TEST(HttpEndToEndTest, OversizedBodyAnswers413) {
 }
 
 TEST(HttpEndToEndTest, QueueSaturationSheds503WithoutHanging) {
-  // One lingering worker holds the first request in the queue for the
-  // whole max_wait window (it lingers *without* dequeuing until the batch
-  // fills), so with max_queue == 1 the second concurrent predict
-  // deterministically finds the queue full.
+  // The gated model holds the lone worker mid-forward on the first
+  // request, so with max_queue == 1 exactly one of the next two concurrent
+  // predicts is admitted and the other deterministically finds the queue
+  // full.
+  auto gate = std::make_shared<ForwardGate>();
   RouterConfig router_config;
-  router_config.batcher = {.max_batch = 8,
-                           .max_wait_us = 1'500'000,
-                           .num_workers = 1,
-                           .max_queue = 1};
-  Loopback loop(router_config);
+  router_config.batcher = {.max_batch = 8, .num_workers = 1, .max_queue = 1};
+  Loopback loop(router_config, {}, MakeSession(7, gate));
+  OpenOnExit release(gate);
 
   std::thread first([&] {
     HttpClient client = loop.Client();
     auto response =
         client.Post("/v1/models/beer/predict", PredictBody("slow one"));
     ASSERT_TRUE(response.has_value()) << client.error();
-    EXPECT_EQ(response->status, 200);  // served once the linger expires
+    EXPECT_EQ(response->status, 200);  // served once the gate opens
   });
-  // Let the first request reach the batcher queue.
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  gate->AwaitEntered();
 
-  HttpClient client = loop.Client();
-  auto start = std::chrono::steady_clock::now();
-  auto shed = client.Post("/v1/models/beer/predict", PredictBody("shed me"));
-  auto elapsed = std::chrono::steady_clock::now() - start;
-  ASSERT_TRUE(shed.has_value()) << client.error();
-  EXPECT_EQ(shed->status, 503) << shed->body;
-  ASSERT_NE(shed->FindHeader("retry-after"), nullptr);
-  // The 503 must shed immediately, not wait behind the lingering batch.
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                .count(),
-            1000);
+  struct Answer {
+    bool received = false;
+    std::string error;  // the client's, when nothing was received
+    int status = 0;
+    std::string body;
+    bool retry_after = false;
+    int64_t elapsed_ms = 0;
+  };
+  Answer answers[2];
+  const std::string texts[2] = {"queue me", "shed me"};
+  std::promise<void> answered;
+  std::once_flag answered_once;
+  size_t first_answer = 0;
+  std::vector<std::thread> racers;
+  for (size_t r = 0; r < 2; ++r) {
+    racers.emplace_back([&, r] {
+      HttpClient client = loop.Client();
+      auto start = std::chrono::steady_clock::now();
+      auto response =
+          client.Post("/v1/models/beer/predict", PredictBody(texts[r]));
+      Answer& answer = answers[r];
+      answer.elapsed_ms =
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+      if (response.has_value()) {
+        answer.received = true;
+        answer.status = response->status;
+        answer.body = response->body;
+        answer.retry_after = response->FindHeader("retry-after") != nullptr;
+      } else {
+        answer.error = client.error();
+      }
+      std::call_once(answered_once, [&] {
+        first_answer = r;
+        answered.set_value();
+      });
+    });
+  }
+  // The shed answer must arrive while the gate still holds the worker:
+  // the 503 must not wait behind the busy batch.
+  EXPECT_EQ(answered.get_future().wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  gate->Open();
+  for (std::thread& racer : racers) racer.join();
   first.join();
+
+  const Answer& shed = answers[first_answer];
+  const Answer& admitted = answers[1 - first_answer];
+  ASSERT_TRUE(shed.received) << shed.error;
+  EXPECT_EQ(shed.status, 503) << shed.body;
+  EXPECT_TRUE(shed.retry_after);
+  EXPECT_LT(shed.elapsed_ms, 1000);
+  ASSERT_TRUE(admitted.received) << admitted.error;
+  EXPECT_EQ(admitted.status, 200) << admitted.body;  // served after the gate
 }
 
 TEST(HttpEndToEndTest, ConcurrentClientsGetBitIdenticalResponses) {

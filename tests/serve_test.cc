@@ -11,6 +11,9 @@
 #include "core/rnp.h"
 #include "datasets/beer.h"
 #include "eval/experiment.h"
+#include "gated_model.h"
+#include "obs/recorder.h"
+#include "obs/trace_context.h"
 #include "serve/batcher.h"
 #include "serve/cache.h"
 #include "serve/registry.h"
@@ -36,13 +39,25 @@ core::TrainConfig TinyConfig() {
   return config;
 }
 
-std::unique_ptr<InferenceSession> MakeSession(uint64_t seed = 3) {
+/// With a `gate`, every forward waits until the test opens it
+/// (gated_model.h); the weights are the same either way.
+std::unique_ptr<InferenceSession> MakeSession(
+    uint64_t seed = 3, std::shared_ptr<ForwardGate> gate = nullptr) {
   datasets::SyntheticDataset dataset = TinyDataset(seed);
   core::TrainConfig config = TinyConfig();
   config.seed = seed;
-  auto model = std::make_unique<core::RnpModel>(
-      eval::BuildEmbeddings(dataset, config), config);
+  auto model = MakeRnpModel(eval::BuildEmbeddings(dataset, config), config,
+                            std::move(gate));
   return std::make_unique<InferenceSession>(std::move(model), dataset.vocab);
+}
+
+/// Counts of each batch size a session has served: entry b-1 counts
+/// batches of b requests (serve.batch_size has unit-width buckets).
+std::vector<int64_t> BatchSizeCounts(const InferenceSession& session) {
+  return session.stats()
+      .registry()
+      .GetHistogram("serve.batch_size", {})
+      .BucketCounts();
 }
 
 /// Sample request texts built from dataset vocabulary tokens (so they
@@ -196,7 +211,6 @@ TEST(MicroBatcherTest, BatchedResultsEqualSingleRequestPath) {
 
   BatcherConfig config;
   config.max_batch = 8;
-  config.max_wait_us = 500;
   config.num_workers = 2;
   MicroBatcher batcher(*session, config);
 
@@ -212,7 +226,8 @@ TEST(MicroBatcherTest, BatchedResultsEqualSingleRequestPath) {
 
 TEST(MicroBatcherTest, CachedSessionBatchesMisses) {
   datasets::SyntheticDataset dataset = TinyDataset();
-  auto session = MakeSession();
+  auto gate = std::make_shared<ForwardGate>();
+  auto session = MakeSession(3, gate);
   auto uncached = MakeSession();
   CacheConfig cache_config;
   cache_config.enabled = true;
@@ -226,14 +241,19 @@ TEST(MicroBatcherTest, CachedSessionBatchesMisses) {
 
   BatcherConfig config;
   config.max_batch = 8;
-  config.max_wait_us = 2000;
   config.num_workers = 1;
   {
     MicroBatcher batcher(*session, config);
+    OpenOnExit release(gate);
+    // The gate holds the lone worker on the first request, so the other
+    // 31 queue up behind it and drain as full batches.
     std::vector<std::future<InferenceResult>> futures;
-    for (const std::string& text : texts) {
-      futures.push_back(batcher.Submit(text));
+    futures.push_back(batcher.Submit(texts[0]));
+    gate->AwaitEntered();
+    for (size_t i = 1; i < texts.size(); ++i) {
+      futures.push_back(batcher.Submit(texts[i]));
     }
+    gate->Open();
     for (size_t i = 0; i < texts.size(); ++i) {
       InferenceResult batched = futures[i].get();
       EXPECT_NE(batched.cache, CacheOutcome::kHit);
@@ -244,6 +264,12 @@ TEST(MicroBatcherTest, CachedSessionBatchesMisses) {
   EXPECT_EQ(stats.requests, static_cast<int64_t>(texts.size()));
   EXPECT_LT(stats.batches, stats.requests);
   EXPECT_GT(stats.mean_batch_size, 1.0);
+  // 1 + 8 + 8 + 8 + 7.
+  EXPECT_EQ(stats.batches, 5);
+  std::vector<int64_t> sizes = BatchSizeCounts(*session);
+  EXPECT_EQ(sizes[0], 1);
+  EXPECT_EQ(sizes[6], 1);
+  EXPECT_EQ(sizes[7], 3);
 }
 
 TEST(MicroBatcherTest, ConcurrentProducersAllResolve) {
@@ -256,7 +282,6 @@ TEST(MicroBatcherTest, ConcurrentProducersAllResolve) {
 
   BatcherConfig config;
   config.max_batch = 16;
-  config.max_wait_us = 200;
   config.num_workers = 3;
   std::atomic<int> resolved{0};
   {
@@ -290,7 +315,6 @@ TEST(MicroBatcherTest, ShutdownDrainsQueue) {
   auto session = MakeSession();
   BatcherConfig config;
   config.max_batch = 4;
-  config.max_wait_us = 50;
   config.num_workers = 1;
   std::vector<std::future<InferenceResult>> futures;
   {
@@ -306,25 +330,84 @@ TEST(MicroBatcherTest, ShutdownDrainsQueue) {
 }
 
 TEST(MicroBatcherTest, CoalescesUnderConcurrentLoad) {
-  auto session = MakeSession();
+  auto gate = std::make_shared<ForwardGate>();
+  auto session = MakeSession(3, gate);
   BatcherConfig config;
   config.max_batch = 8;
-  config.max_wait_us = 2000;
   config.num_workers = 1;
   {
     MicroBatcher batcher(*session, config);
+    OpenOnExit release(gate);
     std::vector<std::future<InferenceResult>> futures;
-    for (int i = 0; i < 32; ++i) {
+    futures.push_back(batcher.Submit("crisp golden lager"));
+    gate->AwaitEntered();
+    for (int i = 1; i < 32; ++i) {
       futures.push_back(batcher.Submit("crisp golden lager"));
     }
+    gate->Open();
     for (auto& f : futures) f.get();
   }
   StatsSnapshot snapshot = session->stats().Snapshot();
   EXPECT_EQ(snapshot.requests, 32);
-  // With one worker and a linger window, requests must have been coalesced
-  // into far fewer forwards than requests.
+  // The first request runs alone while the other 31 queue behind it; the
+  // free worker then takes them greedily, max_batch at a time: far fewer
+  // forwards than requests, exactly 1 + 8 + 8 + 8 + 7.
   EXPECT_LT(snapshot.batches, 32);
   EXPECT_GT(snapshot.mean_batch_size, 1.0);
+  EXPECT_EQ(snapshot.batches, 5);
+  std::vector<int64_t> sizes = BatchSizeCounts(*session);
+  EXPECT_EQ(sizes[0], 1);
+  EXPECT_EQ(sizes[6], 1);
+  EXPECT_EQ(sizes[7], 3);
+}
+
+TEST(MicroBatcherTest, GreedyDrainServesQueuedRequestsAsOneLinkedBatch) {
+  datasets::SyntheticDataset dataset = TinyDataset();
+  std::vector<std::string> texts = SampleTexts(dataset, 4);
+  auto gate = std::make_shared<ForwardGate>();
+  auto session = MakeSession(3, gate);
+  auto twin = MakeSession();
+  BatcherConfig config;
+  config.max_batch = 8;
+  config.num_workers = 1;
+  MicroBatcher batcher(*session, config);
+  OpenOnExit release(gate);
+
+  // A holds the worker; B, C and D queue behind it, each traced.
+  std::future<InferenceResult> held = batcher.Submit(texts[0]);
+  gate->AwaitEntered();
+  std::vector<std::shared_ptr<obs::TraceCollector>> traces;
+  std::vector<std::future<InferenceResult>> queued;
+  for (size_t i = 1; i < texts.size(); ++i) {
+    traces.push_back(
+        std::make_shared<obs::TraceCollector>(obs::MakeTraceContext()));
+    obs::ScopedRequestTrace scope(traces.back());
+    queued.push_back(batcher.Submit(texts[i]));
+  }
+  gate->Open();
+
+  ExpectSameResult(held.get(), twin->Predict(texts[0]));
+  for (size_t i = 0; i < queued.size(); ++i) {
+    ExpectSameResult(queued[i].get(), twin->Predict(texts[i + 1]));
+  }
+  // Two forwards: A alone, then B, C and D together.
+  EXPECT_EQ(session->stats().Snapshot().batches, 2);
+  std::vector<int64_t> sizes = BatchSizeCounts(*session);
+  EXPECT_EQ(sizes[0], 1);
+  EXPECT_EQ(sizes[2], 1);
+  // Each co-batched trace links exactly the other two.
+  for (size_t i = 0; i < traces.size(); ++i) {
+    obs::CompletedTrace trace = traces[i]->Finish("predict", "beer", 200);
+    std::set<std::string> peers;
+    for (size_t j = 0; j < traces.size(); ++j) {
+      if (j != i) peers.insert(obs::TraceIdHex(traces[j]->context()));
+    }
+    EXPECT_EQ(std::set<std::string>(trace.batch_links.begin(),
+                                    trace.batch_links.end()),
+              peers);
+    EXPECT_EQ(trace.batch_links.size(), 2u);
+    EXPECT_EQ(trace.total_links, 2u);
+  }
 }
 
 TEST(MicroBatcherTest, BoundedQueueStillServesEverything) {
@@ -334,7 +417,6 @@ TEST(MicroBatcherTest, BoundedQueueStillServesEverything) {
 
   BatcherConfig config;
   config.max_batch = 4;
-  config.max_wait_us = 100;
   config.num_workers = 1;
   config.max_queue = 6;  // far fewer slots than in-flight submissions
   MicroBatcher batcher(*session, config);
@@ -364,38 +446,44 @@ TEST(MicroBatcherTest, BoundedQueueStillServesEverything) {
 }
 
 TEST(MicroBatcherTest, TrySubmitRejectsAtQueueBound) {
-  auto session = MakeSession();
+  auto gate = std::make_shared<ForwardGate>();
+  auto session = MakeSession(3, gate);
   BatcherConfig config;
   config.max_batch = 8;
-  // A long linger keeps the lone worker waiting for the batch to fill
-  // *without dequeuing* — the queued request deterministically occupies
-  // the one queue slot while we probe the bound.
-  config.max_wait_us = 1'500'000;
   config.num_workers = 1;
   config.max_queue = 1;
   MicroBatcher batcher(*session, config);
+  OpenOnExit release(gate);
 
-  auto accepted = batcher.TrySubmit("first request fills the queue");
+  // The gate holds the lone worker mid-forward on the first request, so
+  // the second deterministically occupies the one queue slot while we
+  // probe the bound.
+  auto held = batcher.TrySubmit("first request holds the worker");
+  ASSERT_TRUE(held.has_value());
+  gate->AwaitEntered();
+  auto accepted = batcher.TrySubmit("second request fills the queue");
   ASSERT_TRUE(accepted.has_value());
-  auto rejected = batcher.TrySubmit("second request must shed");
+  auto rejected = batcher.TrySubmit("third request must shed");
   EXPECT_FALSE(rejected.has_value());
+  gate->Open();
 
-  // The accepted request is served normally once the linger expires, and
-  // rejection never corrupted it.
+  // The admitted requests are served normally once the gate opens, and
+  // rejection never corrupted them.
+  ExpectSameResult(held->get(),
+                   session->Predict("first request holds the worker"));
   ExpectSameResult(accepted->get(),
-                   session->Predict("first request fills the queue"));
+                   session->Predict("second request fills the queue"));
   // With the queue drained, admission reopens.
-  auto after = batcher.TrySubmit("third request fits again");
-  EXPECT_TRUE(after.has_value());
+  auto after = batcher.TrySubmit("fourth request fits again");
+  ASSERT_TRUE(after.has_value());
   ExpectSameResult(after->get(),
-                   session->Predict("third request fits again"));
+                   session->Predict("fourth request fits again"));
 }
 
 TEST(MicroBatcherTest, TrySubmitUnboundedNeverRejects) {
   auto session = MakeSession();
   BatcherConfig config;
   config.max_batch = 2;
-  config.max_wait_us = 0;
   config.num_workers = 1;
   config.max_queue = 0;  // unbounded
   MicroBatcher batcher(*session, config);

@@ -192,13 +192,6 @@ TEST(SyncMutexTest, CondVarWaitKeepsHeldStackCoherent) {
   EXPECT_EQ(HeldLockCount(), 0u);
 }
 
-TEST(SyncMutexTest, CondVarWaitForUsTimesOut) {
-  Mutex mu(Rank::kBatcher, "test.cv_timeout");
-  CondVar cv;
-  MutexLock lock(mu);
-  EXPECT_FALSE(cv.WaitForUs(mu, 1000));  // nobody signals: timeout
-}
-
 TEST(SyncContentionTest, BucketLayoutMatchesObsDurationBuckets) {
   EXPECT_EQ(ContentionBucketBoundsUs(), obs::DurationBucketsUs());
 }
