@@ -106,22 +106,24 @@ int main(int argc, char** argv) {
                      "serving-path scaling (no paper analogue)", options);
 
   // Throughput depends on architecture and shapes, not on trained weights:
-  // an untrained RNP serves identical tensor work per request.
+  // an untrained RNP serves identical tensor work per request. Every
+  // session below is built the same way (same seed, same weights).
   datasets::SyntheticDataset dataset = datasets::MakeBeerDataset(
       datasets::BeerAspect::kAppearance, {.train = 50, .dev = 10, .test = 10},
       options.seed);
   core::TrainConfig config;
   config.seed = options.seed;
-  serve::InferenceSession session(
-      std::make_unique<core::RnpModel>(eval::BuildEmbeddings(dataset, config),
-                                       config),
-      dataset.vocab);
-  // Identical weights (same seed, same construction) behind the serving
-  // cache, so the uncached arms stay untouched by it.
-  serve::InferenceSession cached_session(
-      std::make_unique<core::RnpModel>(eval::BuildEmbeddings(dataset, config),
-                                       config),
-      dataset.vocab);
+  auto make_session = [&] {
+    return std::make_unique<serve::InferenceSession>(
+        std::make_unique<core::RnpModel>(
+            eval::BuildEmbeddings(dataset, config), config),
+        dataset.vocab);
+  };
+  // Serves the arms outside the table (trace levels, sentinel modes).
+  const std::unique_ptr<serve::InferenceSession> session = make_session();
+  // Behind the serving cache, so the uncached arms stay untouched by it.
+  const std::unique_ptr<serve::InferenceSession> cached_session =
+      make_session();
 
   size_t num_requests = options.quick ? 1500 : 4000;
   std::vector<std::string> requests =
@@ -134,44 +136,43 @@ int main(int argc, char** argv) {
     prefix_requests.push_back(text + " " + dataset.vocab.Token(2));
   }
   const int rounds = options.quick ? 3 : 5;
-  MeasureNaive(session, {requests.begin(), requests.begin() + 50});  // warm
+  MeasureNaive(*session, {requests.begin(), requests.begin() + 50});  // warm
 
-  // The in-process group, interleaved. Each arm resets the session's stats
-  // before its rep and keeps the snapshot after it, so the table's batch
-  // and latency columns come from the arm's last round.
+  // The in-process group, interleaved.
   std::vector<std::string> labels;
   std::vector<std::function<double()>> arms;
-  std::vector<serve::StatsSnapshot> snapshots;
   auto add_arm = [&](std::string label, std::function<double()> run) {
-    const size_t a = arms.size();
     labels.push_back(std::move(label));
-    snapshots.emplace_back();
-    arms.push_back([&, a, run = std::move(run)] {
-      session.stats().Reset();
-      const double rate = run();
-      snapshots[a] = session.stats().Snapshot();
-      return rate;
-    });
-    return a;
+    arms.push_back(std::move(run));
+    return arms.size() - 1;
+  };
+  // The table's arms come first, and arm a serves through table_sessions[a]
+  // alone, so its batch and latency columns cover all of its rounds, like
+  // the Req/s median beside them.
+  std::vector<std::unique_ptr<serve::InferenceSession>> table_sessions;
+  auto table_session = [&]() -> const serve::InferenceSession& {
+    table_sessions.push_back(make_session());
+    return *table_sessions.back();
   };
   // The naive loop at one trace level and sentinel mode. The default is
   // both off: a Span is then one relaxed atomic load and every sentinel
   // hook one relaxed load and a predictable branch. kCoarse adds one
   // steady_clock pair per request, kDetailed times every matmul, GRU and
   // Gumbel sample, kRecord/kTrap scan every op output.
-  auto naive = [&](obs::TraceLevel level, check::SentinelMode mode) {
-    return [&, level, mode] {
+  auto naive = [&](const serve::InferenceSession& served,
+                   obs::TraceLevel level, check::SentinelMode mode) {
+    return [&, served = &served, level, mode] {
       obs::SetTraceLevel(level);
       check::SetSentinelMode(mode);
-      const double rate = MeasureNaive(session, requests);
+      const double rate = MeasureNaive(*served, requests);
       obs::SetTraceLevel(obs::TraceLevel::kOff);
       check::SetSentinelMode(check::SentinelMode::kOff);
       return rate;
     };
   };
-  const size_t naive_arm = add_arm(
-      "naive 1-at-a-time",
-      naive(obs::TraceLevel::kOff, check::SentinelMode::kOff));
+  const size_t naive_arm =
+      add_arm("naive 1-at-a-time", naive(table_session(), obs::TraceLevel::kOff,
+                                         check::SentinelMode::kOff));
 
   struct BatchedArm {
     int workers;
@@ -192,39 +193,42 @@ int main(int argc, char** argv) {
     char label[64];
     std::snprintf(label, sizeof(label), "%dw x batch%lld", arm.workers,
                   static_cast<long long>(arm.max_batch));
-    add_arm(label, [&, batcher_config, producers = arm.producers] {
-      return MeasureBatched(session, requests, batcher_config, producers);
+    add_arm(label, [&, &served = table_session(), batcher_config,
+                    producers = arm.producers] {
+      return MeasureBatched(served, requests, batcher_config, producers);
     });
   }
   const size_t end_batched = arms.size();
 
-  const size_t coarse_arm = add_arm(
-      "coarse", naive(obs::TraceLevel::kCoarse, check::SentinelMode::kOff));
-  const size_t detailed_arm = add_arm(
-      "detailed", naive(obs::TraceLevel::kDetailed, check::SentinelMode::kOff));
-  const size_t record_arm = add_arm(
-      "record", naive(obs::TraceLevel::kOff, check::SentinelMode::kRecord));
-  const size_t trap_arm = add_arm(
-      "trap", naive(obs::TraceLevel::kOff, check::SentinelMode::kTrap));
+  const size_t coarse_arm =
+      add_arm("coarse", naive(*session, obs::TraceLevel::kCoarse,
+                              check::SentinelMode::kOff));
+  const size_t detailed_arm =
+      add_arm("detailed", naive(*session, obs::TraceLevel::kDetailed,
+                                check::SentinelMode::kOff));
+  const size_t record_arm =
+      add_arm("record", naive(*session, obs::TraceLevel::kOff,
+                              check::SentinelMode::kRecord));
+  const size_t trap_arm =
+      add_arm("trap", naive(*session, obs::TraceLevel::kOff,
+                            check::SentinelMode::kTrap));
 
   // Serving cache, naive path. cold: every sequence distinct, so all
   // misses, the insert-side cost of filling both tiers. prefix: runs right
   // after cold in each round; encoder misses but embedding-row reuse, the
   // only measurement of what the embedding tier buys.
-  serve::CacheConfig cache_config;
-  cache_config.enabled = true;
-  serve::ServeCache cache(cache_config);
+  serve::ServeCache cache(serve::CacheConfig{});
   double cache_embedding_hit_rate = 0.0;
   const size_t cold_arm = add_arm("cold", [&] {
     // Re-enabling issues a fresh cache model id, so every round starts cold.
-    cached_session.EnableCache(&cache, "bench");
-    return MeasureNaive(cached_session, requests);
+    cached_session->EnableCache(&cache, "bench");
+    return MeasureNaive(*cached_session, requests);
   });
   const size_t prefix_arm = add_arm("prefix", [&] {
-    const serve::ServeCache::ModelId id = cached_session.cache_model_id();
+    const serve::ServeCache::ModelId id = cached_session->cache_model_id();
     const serve::CacheTierStats before =
         cache.Stats(id, serve::ServeCache::kEmbeddingTierName);
-    const double rate = MeasureNaive(cached_session, prefix_requests);
+    const double rate = MeasureNaive(*cached_session, prefix_requests);
     const serve::CacheTierStats after =
         cache.Stats(id, serve::ServeCache::kEmbeddingTierName);
     const int64_t hits = after.hits - before.hits;
@@ -245,17 +249,18 @@ int main(int argc, char** argv) {
                             "MeanBatch", "p50us", "p95us", "p99us"});
   double best_rps = 0.0;
   auto add_row = [&](size_t a) {
+    const serve::StatsSnapshot snapshot = table_sessions[a]->stats().Snapshot();
     char rps_buf[32], spread[32], speedup[32], mean_batch[32];
     std::snprintf(rps_buf, sizeof(rps_buf), "%.0f", rates[a].median);
     std::snprintf(spread, sizeof(spread), "%.1f%%", rates[a].spread_pct);
     std::snprintf(speedup, sizeof(speedup), "%.2fx",
                   rates[a].median / naive_rps);
     std::snprintf(mean_batch, sizeof(mean_batch), "%.1f",
-                  snapshots[a].mean_batch_size);
+                  snapshot.mean_batch_size);
     table.AddRow({labels[a], rps_buf, spread, speedup, mean_batch,
-                  std::to_string(snapshots[a].latency_p50_us),
-                  std::to_string(snapshots[a].latency_p95_us),
-                  std::to_string(snapshots[a].latency_p99_us)});
+                  std::to_string(snapshot.latency_p50_us),
+                  std::to_string(snapshot.latency_p95_us),
+                  std::to_string(snapshot.latency_p99_us)});
   };
   add_row(naive_arm);
   for (size_t a = first_batched; a < end_batched; ++a) {
@@ -361,13 +366,12 @@ int main(int argc, char** argv) {
               exemplar_observe_per_sec);
 
   // An uncontended Lock/Unlock pair of the annotated mutex wrapper
-  // (sync/mutex.h): off-mode (two relaxed loads and a branch), with
-  // contention tracking armed (one extra try_lock), and with lock-rank
-  // checking armed (the held-rank stack push and pop).
+  // (sync/mutex.h): as deployed (a relaxed load, a branch and the
+  // try_lock), and with lock-rank checking armed (the held-rank stack push
+  // and pop).
   sync::Mutex probe_mu(sync::Rank::kStats, "bench.lock_probe");
   constexpr int kLockOps = 2000000;
-  auto pair_ns = [&probe_mu](bool tracked, bool ranked) {
-    sync::SetContentionTracking(tracked);
+  auto pair_ns = [&probe_mu](bool ranked) {
     sync::SetLockRankCheck(ranked);
     auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < kLockOps; ++i) {
@@ -376,19 +380,16 @@ int main(int argc, char** argv) {
     }
     std::chrono::duration<double, std::nano> elapsed =
         std::chrono::steady_clock::now() - start;
-    sync::SetContentionTracking(false);
     sync::SetLockRankCheck(false);
     return elapsed.count() / kLockOps;
   };
-  pair_ns(false, false);  // warm
+  pair_ns(false);  // warm
   const std::vector<bench::ArmStats> lock_pair = bench::MeasureInterleaved(
-      {[&] { return pair_ns(false, false); },
-       [&] { return pair_ns(true, false); },
-       [&] { return pair_ns(false, true); }},
+      {[&] { return pair_ns(false); }, [&] { return pair_ns(true); }},
       rounds);
-  std::printf("\nLock/Unlock pair (uncontended): %.1f ns off-mode, %.1f ns "
-              "tracked, %.1f ns rank-checked\n",
-              lock_pair[0].median, lock_pair[1].median, lock_pair[2].median);
+  std::printf("\nLock/Unlock pair (uncontended): %.1f ns, %.1f ns "
+              "rank-checked\n",
+              lock_pair[0].median, lock_pair[1].median);
 
   bench::BenchJsonWriter json("serve_throughput", options);
   json.Field("requests", static_cast<int64_t>(num_requests));
@@ -414,9 +415,8 @@ int main(int argc, char** argv) {
   json.Field("trace_sampled_cost_spread_pct", trace_costs[1].spread_pct, 2);
   json.Field("flight_recorder_record_per_sec", ring_record_per_sec, 0);
   json.Field("exemplar_observe_per_sec", exemplar_observe_per_sec, 0);
-  json.Field("sync_lock_pair_off_ns", lock_pair[0].median, 2);
-  json.Field("sync_lock_pair_tracked_ns", lock_pair[1].median, 2);
-  json.Field("sync_lock_pair_rank_ns", lock_pair[2].median, 2);
+  json.Field("sync_lock_pair_ns", lock_pair[0].median, 2);
+  json.Field("sync_lock_pair_rank_ns", lock_pair[1].median, 2);
   if (json.Write("BENCH_serve_throughput.json")) {
     std::printf("\nwrote BENCH_serve_throughput.json\n");
   }

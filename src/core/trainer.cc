@@ -67,7 +67,7 @@ TrainRun RunGame(RationalizerBase& model,
 
   // Telemetry fan-out: the classic verbose console line is itself a
   // TrainObserver now; user observers ride alongside it.
-  obs::ConsoleTrainLogger console(obs::LogLevel::kInfo);
+  obs::ConsoleTrainLogger console;
   obs::MultiTrainObserver observers;
   if (verbose) observers.Add(&console);
   observers.Add(observer);

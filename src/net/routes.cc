@@ -89,8 +89,8 @@ Router::Router(serve::ModelRegistry& registry, RouterConfig config)
     : registry_(&registry), config_(std::move(config)) {
   registry_->PublishMetrics(&metrics_);
   if (config_.serve.cache.enabled) {
-    cache_ = std::make_unique<serve::ServeCache>(config_.serve.cache);
-    cache_->PublishMetrics(&metrics_);
+    cache_ =
+        std::make_unique<serve::ServeCache>(config_.serve.cache, &metrics_);
     registry_->AttachCache(cache_.get());
   }
   if (config_.tracing.enabled) {
@@ -248,18 +248,22 @@ HttpResponse Router::HandleHealthz() {
 HttpResponse Router::HandleMetrics() {
   HttpResponse response;
   response.content_type = "text/plain; version=0.0.4";
-  // Fold the sync layer's contention deltas in first, so the scrape that
-  // follows a contended burst sees it.
+  // Bring the sync layer's contention counts up to date first, so the
+  // scrape that follows a contended burst sees it.
   obs::PublishSyncContentionMetrics(metrics_);
   response.body = metrics_.ExportPrometheus();
   return response;
 }
 
 HttpResponse Router::HandleModels() {
+  std::map<std::string, std::shared_ptr<Endpoint>> endpoints;
+  {
+    sync::MutexLock lock(mu_);
+    endpoints = endpoints_;
+  }
   JsonValue models = JsonValue::Array();
-  for (const std::string& name : registry_->Names()) {
-    auto session = registry_->Get(name);
-    if (session == nullptr) continue;  // unregistered between calls
+  for (const auto& [name, endpoint] : endpoints) {
+    const serve::InferenceSession* session = endpoint->session.get();
     models.Push(
         JsonValue::Object()
             .Set("name", JsonValue::Str(name))

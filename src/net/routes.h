@@ -7,12 +7,14 @@
 //       concurrent clients coalesce into padded batches exactly like the
 //       in-process serving path — responses are bit-identical to
 //       InferenceSession::Predict. A full batching queue answers 503.
-//   GET  /v1/models                  registry listing (name, method, ...)
+//   GET  /v1/models                  the models ServeModel put behind this
+//                                    router (name, method, ...): the same
+//                                    set /healthz counts and predict routes
 //   GET  /metrics                    Prometheus text exposition of the
 //                                    shared registry: per-model serving
 //                                    counters (serve_requests_total{model=...})
 //                                    plus the per-route HTTP metrics below
-//   GET  /healthz                    liveness + model count
+//   GET  /healthz                    liveness + served model count
 //   GET  /debug/requests             recent completed requests (the flight
 //                                    recorder ring, newest first)
 //   GET  /debug/trace/<id>           one request's span tree by trace id
@@ -54,9 +56,9 @@ struct RouterConfig {
   serve::BatcherConfig batcher = {
       .max_batch = 16, .num_workers = 2, .max_queue = 128};
   /// Serving-stack configuration. When serve.cache.enabled the Router
-  /// owns a ServeCache, attaches it to the model registry (every served
-  /// model joins it), publishes its metrics, and stamps each predict
-  /// response with an X-DAR-Cache: hit|partial|miss header. Off by
+  /// owns a ServeCache publishing into its metrics registry, attaches it
+  /// to the model registry (every served model joins it), and stamps each
+  /// predict response with an X-DAR-Cache: hit|partial|miss header. Off by
   /// default: responses are bit-identical either way, the header and the
   /// serve_cache_* series are the only observable difference.
   serve::ServeConfig serve;

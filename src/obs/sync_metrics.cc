@@ -1,7 +1,7 @@
 #include "obs/sync_metrics.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,34 +13,21 @@ namespace obs {
 
 namespace {
 
-/// Cumulative totals already published, per mutex name. Claimed under the
-/// publisher mutex so each delta is merged by exactly one caller; the
-/// merges themselves happen after release (registry instruments are
-/// atomic), keeping this lock leaf-like in practice.
-struct Published {
-  uint64_t contention_total = 0;
-  uint64_t wait_us_sum = 0;
-  std::vector<uint64_t> bucket_counts;
-};
-
-struct PublisherState {
-  sync::Mutex mu{sync::Rank::kObsDetail, "obs.sync_publish"};
-  std::map<std::string, Published> published DAR_GUARDED_BY(mu);
-};
-
-/// Leaked: /metrics scrapes may race static destruction at shutdown.
-PublisherState& State() {
-  static PublisherState& state = *new PublisherState;
-  return state;
+/// Serializes each read-and-merge, so two scrapes of one registry never
+/// both merge the same contention. Leaked: /metrics scrapes may race
+/// static destruction at shutdown.
+sync::Mutex& PublishMutex() {
+  static sync::Mutex& mu =
+      *new sync::Mutex(sync::Rank::kObsDetail, "obs.sync_publish");
+  return mu;
 }
 
-/// One claimed delta, ready to merge.
-struct Delta {
-  std::string name;
-  int64_t contention = 0;
-  double wait_us = 0.0;
-  double wait_us_max = 0.0;  // cumulative max: histogram max merges by max
-  std::vector<int64_t> bucket_counts;
+/// One mutex name's cumulative stats and the registry instruments that
+/// publish them.
+struct Series {
+  const sync::MutexContentionStats* stats;
+  Counter* total;
+  Histogram* wait;
 };
 
 }  // namespace
@@ -48,46 +35,40 @@ struct Delta {
 void PublishSyncContentionMetrics(MetricsRegistry& registry) {
   const std::vector<sync::MutexContentionStats> snapshot =
       sync::ContentionSnapshot();
-  std::vector<Delta> deltas;
-  deltas.reserve(snapshot.size());
-  PublisherState& state = State();
-  {
-    sync::MutexLock lock(state.mu);
-    for (const sync::MutexContentionStats& stats : snapshot) {
-      Published& prior = state.published[stats.name];
-      if (prior.bucket_counts.empty()) {
-        prior.bucket_counts.resize(stats.bucket_counts.size(), 0);
-      }
-      Delta delta;
-      delta.name = stats.name;
-      delta.contention =
-          static_cast<int64_t>(stats.contention_total - prior.contention_total);
-      delta.wait_us =
-          static_cast<double>(stats.wait_us_sum - prior.wait_us_sum);
-      delta.wait_us_max = static_cast<double>(stats.wait_us_max);
-      delta.bucket_counts.resize(stats.bucket_counts.size(), 0);
-      for (size_t i = 0; i < stats.bucket_counts.size(); ++i) {
-        delta.bucket_counts[i] = static_cast<int64_t>(
-            stats.bucket_counts[i] - prior.bucket_counts[i]);
-      }
-      prior.contention_total = stats.contention_total;
-      prior.wait_us_sum = stats.wait_us_sum;
-      prior.bucket_counts = stats.bucket_counts;
-      deltas.push_back(std::move(delta));
-    }
-  }
-  for (const Delta& delta : deltas) {
+  // Every lookup takes the registry's map lock (rank 50), so all of them
+  // happen before the publish lock (rank 60) is taken.
+  std::vector<Series> series;
+  series.reserve(snapshot.size());
+  for (const sync::MutexContentionStats& stats : snapshot) {
     const std::vector<std::pair<std::string, std::string>> labels = {
-        {"mutex", delta.name}};
-    Counter& total =
-        registry.GetCounter(LabeledName("sync.contention_total", labels));
-    if (delta.contention > 0) total.Increment(delta.contention);
-    Histogram& wait = registry.GetHistogram(
-        LabeledName("sync.wait_us", labels), sync::ContentionBucketBoundsUs());
-    if (delta.contention > 0) {
-      wait.MergeCounts(delta.bucket_counts.data(), delta.contention,
-                       delta.wait_us, delta.wait_us_max);
+        {"mutex", stats.name}};
+    series.push_back(
+        {&stats,
+         &registry.GetCounter(LabeledName("sync.contention_total", labels)),
+         &registry.GetHistogram(LabeledName("sync.wait_us", labels),
+                                sync::ContentionBucketBoundsUs())});
+  }
+  sync::MutexLock lock(PublishMutex());
+  for (const Series& s : series) {
+    const sync::MutexContentionStats& stats = *s.stats;
+    // The registry's own instruments are the baseline: merge only what the
+    // process-wide cumulative counts exceed them by.
+    const int64_t contention =
+        static_cast<int64_t>(stats.contention_total) - s.total->value();
+    if (contention > 0) s.total->Increment(contention);
+
+    std::vector<int64_t> buckets = s.wait->BucketCounts();
+    if (buckets.size() != stats.bucket_counts.size()) continue;
+    for (size_t i = 0; i < buckets.size(); ++i) {
+      buckets[i] = std::max<int64_t>(
+          0, static_cast<int64_t>(stats.bucket_counts[i]) - buckets[i]);
     }
+    s.wait->MergeCounts(
+        buckets.data(),
+        std::max<int64_t>(
+            0, static_cast<int64_t>(stats.contention_total) - s.wait->count()),
+        std::max(0.0, static_cast<double>(stats.wait_us_sum) - s.wait->sum()),
+        static_cast<double>(stats.wait_us_max));
   }
 }
 

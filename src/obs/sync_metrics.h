@@ -11,10 +11,11 @@
 //                                                  buckets, same layout as
 //                                                  every duration histogram)
 //
-// Publication is delta-based and claim-once: each call computes what
-// accumulated since the previous call (process-wide publisher state) and
-// merges exactly that, so concurrent or repeated /metrics scrapes never
-// double-count. Router::HandleMetrics calls this before exporting.
+// Each call brings one registry up to the process-wide cumulative counts:
+// the registry's own counter and histogram are the baseline, so every
+// registry reports the process total whichever other registries publish,
+// and concurrent or repeated /metrics scrapes never double-count.
+// Router::HandleMetrics calls this before exporting.
 #ifndef DAR_OBS_SYNC_METRICS_H_
 #define DAR_OBS_SYNC_METRICS_H_
 
@@ -23,11 +24,11 @@
 namespace dar {
 namespace obs {
 
-/// Merges the contention accumulated since the last call into `registry`.
+/// Merges into `registry` the contention its series have not yet counted.
 /// Mutex names that never saw contention still get their counter and
 /// histogram registered (zero-valued) so dashboards see a stable series
-/// set. Thread-safe; cheap when contention tracking is off (the snapshot
-/// is a handful of relaxed loads per registered name).
+/// set. Thread-safe; a scrape with no new contention reads a handful of
+/// relaxed atomics per registered name and changes nothing.
 void PublishSyncContentionMetrics(MetricsRegistry& registry);
 
 }  // namespace obs

@@ -95,24 +95,10 @@ void JsonlTrainObserver::OnEpoch(const EpochTelemetry& t) {
   out.flush();
 }
 
-ConsoleTrainLogger::ConsoleTrainLogger(LogLevel level) : level_(level) {}
-
 void ConsoleTrainLogger::OnEpoch(const EpochTelemetry& t) {
-  if (level_ < LogLevel::kInfo) return;
-  // The historical Fit(verbose=true) line, byte for byte.
-  std::printf("  [%s] epoch %2lld  loss %.4f  dev_acc %.3f",
+  std::printf("  [%s] epoch %2lld  loss %.4f  dev_acc %.3f\n",
               t.model.c_str(), static_cast<long long>(t.epoch), t.train_loss,
               t.dev_acc);
-  if (level_ >= LogLevel::kDebug) {
-    std::printf("  |grad| %.3f", t.grad_norm);
-    if (t.has_breakdown) {
-      std::printf("  ce %.4f  omega %.4f  sparsity %.3f", t.task_ce, t.omega,
-                  t.sparsity);
-    }
-    if (t.has_align) std::printf("  align_ce %.4f", t.align_ce);
-    if (t.has_shift) std::printf("  shift %.4f", t.rationale_shift);
-  }
-  std::printf("\n");
   std::fflush(stdout);
 }
 

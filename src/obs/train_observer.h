@@ -1,6 +1,6 @@
 // Training telemetry: the observer interface core::Fit() and the
 // data-parallel trainer report into, plus stock observers (metrics
-// registry, JSONL stream, level-gated console logger).
+// registry, JSONL stream, console logger).
 //
 // The trainer fills a BatchTelemetry per optimizer step and an
 // EpochTelemetry per epoch. All fields are plain numbers so this header
@@ -152,31 +152,15 @@ class JsonlTrainObserver : public TrainObserver {
   bool per_batch_;
 };
 
-/// Log verbosity of the console logger.
-enum class LogLevel : int {
-  kSilent = 0,
-  /// One line per epoch — byte-identical to the historical
-  /// `  [NAME] epoch  N  loss L  dev_acc A` printf.
-  kInfo = 1,
-  /// Adds loss components, gradient norm, sparsity, and the shift gauge.
-  kDebug = 2,
-};
-
-/// The human-readable epoch log, level-gated. Fit(verbose=true) attaches
-/// one at kInfo, reproducing the historical stdout format.
+/// The human-readable epoch log: one line per epoch, byte-identical to the
+/// historical `  [NAME] epoch  N  loss L  dev_acc A` printf. Fit(verbose=
+/// true) attaches one.
 class ConsoleTrainLogger : public TrainObserver {
  public:
-  explicit ConsoleTrainLogger(LogLevel level = LogLevel::kInfo);
-
   void OnEpoch(const EpochTelemetry& telemetry) override;
-  /// The shift gauge costs extra forwards; the plain epoch line does not
-  /// show it, so only kDebug asks for it.
-  bool WantsRationaleShift() const override {
-    return level_ >= LogLevel::kDebug;
-  }
-
- private:
-  LogLevel level_;
+  /// The shift gauge costs extra forwards, and the epoch line does not
+  /// show it.
+  bool WantsRationaleShift() const override { return false; }
 };
 
 }  // namespace obs

@@ -45,7 +45,8 @@ const char* CacheOutcomeName(CacheOutcome outcome) {
   return "uncached";
 }
 
-ServeCache::ServeCache(CacheConfig config) : config_(std::move(config)) {
+ServeCache::ServeCache(CacheConfig config, obs::MetricsRegistry* metrics)
+    : config_(std::move(config)), metrics_(metrics) {
   DAR_CHECK_GT(config_.num_shards, 0);
   DAR_CHECK_GT(config_.capacity_bytes, size_t{0});
   embedding_shards_.reserve(static_cast<size_t>(config_.num_shards));
@@ -56,24 +57,17 @@ ServeCache::ServeCache(CacheConfig config) : config_(std::move(config)) {
   }
 }
 
-void ServeCache::PublishMetrics(obs::MetricsRegistry* metrics) {
-  sync::MutexLock lock(models_mu_);
-  metrics_ = metrics;
-  if (metrics_ == nullptr) return;
-  for (auto& [id, state] : models_) BindInstrumentsLocked(*state);
-}
-
 ServeCache::ModelId ServeCache::RegisterModel(const std::string& label) {
-  sync::MutexLock lock(models_mu_);
-  ModelId id = next_model_id_++;
   auto state = std::make_unique<ModelState>();
   state->label = label;
-  if (metrics_ != nullptr) BindInstrumentsLocked(*state);
+  if (metrics_ != nullptr) BindInstruments(*state);
+  sync::MutexLock lock(models_mu_);
+  ModelId id = next_model_id_++;
   models_[id] = std::move(state);
   return id;
 }
 
-void ServeCache::BindInstrumentsLocked(ModelState& state) {
+void ServeCache::BindInstruments(ModelState& state) const {
   auto bind = [&](TierCounters& tc, const char* tier) {
     std::vector<std::pair<std::string, std::string>> labels = {
         {"model", state.label}, {"tier", tier}};
@@ -87,8 +81,6 @@ void ServeCache::BindInstrumentsLocked(ModelState& state) {
         obs::LabeledName("serve.cache_collisions_total", labels));
     tc.bytes_gauge =
         &metrics_->GetGauge(obs::LabeledName("serve.cache_bytes", labels));
-    tc.hit_rate_gauge =
-        &metrics_->GetGauge(obs::LabeledName("serve.cache_hit_rate", labels));
   };
   bind(state.embedding, kEmbeddingTierName);
   bind(state.encoder, kEncoderTierName);
@@ -103,22 +95,9 @@ ServeCache::ModelState* ServeCache::FindModel(ModelId model) const {
 }
 
 void ServeCache::RecordLookup(TierCounters& tc, bool hit) {
-  int64_t hits, misses;
-  if (hit) {
-    hits = tc.hits.fetch_add(1, std::memory_order_relaxed) + 1;
-    misses = tc.misses.load(std::memory_order_relaxed);
-    if (tc.hits_counter != nullptr) tc.hits_counter->Increment();
-  } else {
-    misses = tc.misses.fetch_add(1, std::memory_order_relaxed) + 1;
-    hits = tc.hits.load(std::memory_order_relaxed);
-    if (tc.misses_counter != nullptr) tc.misses_counter->Increment();
-  }
-  if (tc.hit_rate_gauge != nullptr) {
-    int64_t total = hits + misses;
-    tc.hit_rate_gauge->Set(total > 0 ? static_cast<double>(hits) /
-                                           static_cast<double>(total)
-                                     : 0.0);
-  }
+  (hit ? tc.hits : tc.misses).fetch_add(1, std::memory_order_relaxed);
+  obs::Counter* counter = hit ? tc.hits_counter : tc.misses_counter;
+  if (counter != nullptr) counter->Increment();
 }
 
 void ServeCache::RecordBytesDelta(TierCounters& tc, int64_t delta,
@@ -163,17 +142,13 @@ ServeCache::Shard<ServeCache::EncoderSlot>& ServeCache::EncoderShardFor(
 }
 
 size_t ServeCache::TierShardBudget() const {
-  int enabled_tiers = (config_.embedding_tier ? 1 : 0) +
-                      (config_.encoder_tier ? 1 : 0);
-  if (enabled_tiers == 0) return 0;
-  size_t per_tier = config_.capacity_bytes / static_cast<size_t>(enabled_tiers);
+  const size_t per_tier = config_.capacity_bytes / 2;
   return std::max<size_t>(1, per_tier /
                                  static_cast<size_t>(config_.num_shards));
 }
 
 bool ServeCache::LookupEmbeddingRow(ModelId model, uint32_t table_tag,
                                     int64_t token, float* out, int64_t dim) {
-  if (!config_.enabled || !config_.embedding_tier) return false;
   ModelState* state = FindModel(model);
   if (state == nullptr || !state->alive) return false;
   uint64_t key = EmbeddingKey(model, table_tag, token);
@@ -200,7 +175,6 @@ bool ServeCache::LookupEmbeddingRow(ModelId model, uint32_t table_tag,
 void ServeCache::InsertEmbeddingRow(ModelId model, uint32_t table_tag,
                                     int64_t token, const float* row,
                                     int64_t dim) {
-  if (!config_.enabled || !config_.embedding_tier) return;
   ModelState* state = FindModel(model);
   if (state == nullptr || !state->alive) return;
   uint64_t key = EmbeddingKey(model, table_tag, token);
@@ -252,7 +226,6 @@ void ServeCache::InsertEmbeddingRow(ModelId model, uint32_t table_tag,
 
 std::shared_ptr<const EncoderStatesEntry> ServeCache::LookupEncoderStates(
     ModelId model, const std::vector<int64_t>& ids) {
-  if (!config_.enabled || !config_.encoder_tier) return nullptr;
   ModelState* state = FindModel(model);
   if (state == nullptr || !state->alive) return nullptr;
   uint64_t digest = SequenceDigest(model, ids);
@@ -287,7 +260,6 @@ std::shared_ptr<const EncoderStatesEntry> ServeCache::LookupEncoderStates(
 void ServeCache::InsertEncoderStates(ModelId model,
                                      const std::vector<int64_t>& ids,
                                      Tensor gen_states, Tensor pred_states) {
-  if (!config_.enabled || !config_.encoder_tier) return;
   ModelState* state = FindModel(model);
   if (state == nullptr || !state->alive) return;
   uint64_t digest = SequenceDigest(model, ids);

@@ -69,15 +69,13 @@ namespace serve {
 /// Cache behavior knobs. The cache ships disabled: serving is bit-exact
 /// with or without it, so turning it on is purely a latency/memory trade.
 struct CacheConfig {
-  /// Master switch. When false, sessions never consult the cache and
-  /// responses report CacheOutcome::kUncached.
+  /// Whether a net::Router builds a cache for the models it serves; when
+  /// false they run uncached and responses report CacheOutcome::kUncached.
+  /// A ServeCache never reads it: once built, it runs both tiers.
   bool enabled = false;
-  /// Per-tier switches (both on by default when enabled).
-  bool embedding_tier = true;
-  bool encoder_tier = true;
-  /// Total byte budget across both tiers (split evenly between enabled
-  /// tiers, then evenly across shards). The accounting covers payloads
-  /// plus a fixed per-entry overhead estimate.
+  /// Total byte budget, half per tier, each half split evenly across
+  /// shards. The accounting covers payloads plus a fixed per-entry
+  /// overhead estimate.
   size_t capacity_bytes = size_t{64} << 20;
   /// Lock striping width. More shards = less contention, coarser budget
   /// granularity.
@@ -96,7 +94,7 @@ struct ServeConfig {
 /// What the cache contributed to one request, carried on InferenceResult
 /// and surfaced as the X-DAR-Cache response header.
 enum class CacheOutcome : uint8_t {
-  /// No cache attached (or disabled): the pre-cache serving path.
+  /// No cache attached: the pre-cache serving path.
   kUncached = 0,
   /// Cache consulted, nothing reused.
   kMiss = 1,
@@ -144,18 +142,17 @@ class ServeCache {
   static constexpr const char* kEmbeddingTierName = "embedding";
   static constexpr const char* kEncoderTierName = "encoder";
 
-  explicit ServeCache(CacheConfig config);
-
-  /// Attaches the metrics registry (not owned, must outlive the cache)
-  /// that per-model instruments publish into:
+  /// With `metrics` (not owned, must outlive the cache), every registered
+  /// model's counters also publish into it:
   ///   serve.cache_hits_total{model=...,tier=...}
   ///   serve.cache_misses_total{model=...,tier=...}
   ///   serve.cache_evictions_total{model=...,tier=...}
   ///   serve.cache_collisions_total{model=...,tier="encoder"}
   ///   serve.cache_bytes{model=...,tier=...}          (gauge)
-  ///   serve.cache_hit_rate{model=...,tier=...}       (gauge, hits/lookups)
-  /// Models registered before or after the call both get instruments.
-  void PublishMetrics(obs::MetricsRegistry* metrics);
+  /// The encoder tier takes exactly one lookup per request, so its hits
+  /// and misses count requests; the hit rate is their ratio.
+  explicit ServeCache(CacheConfig config,
+                      obs::MetricsRegistry* metrics = nullptr);
 
   /// Issues a fresh model id for one session under a metrics label.
   /// Fresh ids are never reused, so a reloaded checkpoint (a new session)
@@ -176,8 +173,8 @@ class ServeCache {
   bool LookupEmbeddingRow(ModelId model, uint32_t table_tag, int64_t token,
                           float* out, int64_t dim);
 
-  /// Publishes a row copy. Dropped when the tier is off or the model is
-  /// dead. Re-inserting an existing key refreshes recency only.
+  /// Publishes a row copy. Dropped when the model is dead. Re-inserting
+  /// an existing key refreshes recency only.
   void InsertEmbeddingRow(ModelId model, uint32_t table_tag, int64_t token,
                           const float* row, int64_t dim);
 
@@ -190,18 +187,17 @@ class ServeCache {
       ModelId model, const std::vector<int64_t>& ids);
 
   /// Publishes the two state tensors for (model, ids). Dropped when the
-  /// tier is off or the model is dead; a digest collision with a live
-  /// entry replaces it (the newer sequence wins).
+  /// model is dead; a digest collision with a live entry replaces it (the
+  /// newer sequence wins).
   void InsertEncoderStates(ModelId model, const std::vector<int64_t>& ids,
                            Tensor gen_states, Tensor pred_states);
 
   // ---- Introspection -------------------------------------------------------
 
   /// Counters for one (model, tier); tier names above. Zeroes for an
-  /// unknown model.
+  /// unknown model. Kept per model id, where the registry series are per
+  /// label, which a hot swap reuses.
   CacheTierStats Stats(ModelId model, const std::string& tier) const;
-
-  const CacheConfig& config() const { return config_; }
 
   /// Test hook: overwrites element [0, 0, 0] of the cached generator
   /// states for (model, ids) with NaN, simulating in-memory corruption of
@@ -241,7 +237,7 @@ class ServeCache {
   };
 
   /// Per-(model, tier) counters plus cached instrument pointers (null
-  /// until a metrics registry is attached).
+  /// without a metrics registry).
   struct TierCounters {
     std::atomic<int64_t> hits{0};
     std::atomic<int64_t> misses{0};
@@ -254,7 +250,6 @@ class ServeCache {
     obs::Counter* evictions_counter = nullptr;
     obs::Counter* collisions_counter = nullptr;
     obs::Gauge* bytes_gauge = nullptr;
-    obs::Gauge* hit_rate_gauge = nullptr;
   };
   struct ModelState {
     std::string label;
@@ -271,12 +266,13 @@ class ServeCache {
   Shard<EncoderSlot>& EncoderShardFor(uint64_t key);
   size_t TierShardBudget() const;
   ModelState* FindModel(ModelId model) const DAR_EXCLUDES(models_mu_);
-  void BindInstrumentsLocked(ModelState& state) DAR_REQUIRES(models_mu_);
+  void BindInstruments(ModelState& state) const;
   static void RecordLookup(TierCounters& tc, bool hit);
   static void RecordBytesDelta(TierCounters& tc, int64_t delta,
                                int64_t entries_delta);
 
-  CacheConfig config_;
+  const CacheConfig config_;
+  obs::MetricsRegistry* const metrics_;
   std::vector<std::unique_ptr<Shard<EmbeddingEntry>>> embedding_shards_;
   std::vector<std::unique_ptr<Shard<EncoderSlot>>> encoder_shards_;
 
@@ -289,7 +285,6 @@ class ServeCache {
   std::unordered_map<ModelId, std::unique_ptr<ModelState>> models_
       DAR_GUARDED_BY(models_mu_);
   ModelId next_model_id_ DAR_GUARDED_BY(models_mu_) = 1;
-  obs::MetricsRegistry* metrics_ DAR_GUARDED_BY(models_mu_) = nullptr;
 };
 
 }  // namespace serve

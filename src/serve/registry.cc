@@ -64,14 +64,6 @@ std::shared_ptr<InferenceSession> ModelRegistry::Get(
   return it == sessions_.end() ? nullptr : it->second;
 }
 
-std::vector<std::string> ModelRegistry::Names() const {
-  sync::MutexLock lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(sessions_.size());
-  for (const auto& [name, session] : sessions_) names.push_back(name);
-  return names;
-}
-
 std::optional<InferenceResult> ModelRegistry::Predict(
     const std::string& name, const std::string& text) const {
   std::shared_ptr<InferenceSession> session = Get(name);

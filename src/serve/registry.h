@@ -73,9 +73,6 @@ class ModelRegistry {
 
   bool Contains(const std::string& name) const { return Get(name) != nullptr; }
 
-  /// Registered names, sorted.
-  std::vector<std::string> Names() const;
-
   /// Routes one request to the named model. nullopt when `name` is not
   /// registered.
   std::optional<InferenceResult> Predict(const std::string& name,

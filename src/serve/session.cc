@@ -181,7 +181,7 @@ Tensor ValidSteps(const Tensor& states, int64_t row, int64_t len) {
 std::vector<InferenceResult> InferenceSession::PredictTokenBatch(
     const std::vector<std::vector<int64_t>>& sequences) const {
   obs::Span span("serve.forward");
-  const bool cached = cache_ != nullptr && cache_->config().enabled;
+  const bool cached = cache_ != nullptr;
   std::vector<InferenceResult> results(sequences.size());
 
   // Misses are stored only after their batch has run, so every lookup
@@ -225,10 +225,9 @@ std::vector<InferenceResult> InferenceSession::PredictTokenBatch(
         data::Batch::FromTokenSequences(misses, data::Vocabulary::kPadId);
     // reused[j]: miss j took at least one embedding row from the tier.
     std::vector<uint8_t> reused(misses.size(), 0);
-    const bool embed = cached && cache_->config().embedding_tier;
     Tensor gen_emb;
     Tensor pred_emb;
-    if (embed) {
+    if (cached) {
       gen_emb = AssembleEmbedded(model_->generator().embedding(),
                                  gen_table_tag_, misses, batch.max_len(),
                                  &reused);
@@ -241,21 +240,18 @@ std::vector<InferenceResult> InferenceSession::PredictTokenBatch(
           pred_table_tag_ != gen_table_tag_ ? &reused : nullptr);
     }
     Tensor gen_states =
-        model_->GenEncoderStatesConst(batch, embed ? &gen_emb : nullptr);
+        model_->GenEncoderStatesConst(batch, cached ? &gen_emb : nullptr);
     Tensor mask = model_->EvalMaskFromStatesConst(batch, gen_states);
     Tensor pred_states = model_->PredEncoderStatesConst(
-        batch, mask, embed ? &pred_emb : nullptr);
+        batch, mask, cached ? &pred_emb : nullptr);
     Tensor probs = ScannedProbs(
         model_->PredictLogitsFromStatesConst(batch, pred_states));
-    const bool store = cached && cache_->config().encoder_tier;
     for (size_t j = 0; j < misses.size(); ++j) {
       const int64_t row = static_cast<int64_t>(j);
       InferenceResult& r = results[miss_rows[j]];
       r = AssembleResult(misses[j], row, mask, probs);
       if (cached) {
         r.cache = reused[j] ? CacheOutcome::kPartial : CacheOutcome::kMiss;
-      }
-      if (store) {
         const int64_t len = static_cast<int64_t>(misses[j].size());
         cache_->InsertEncoderStates(cache_model_, misses[j],
                                     ValidSteps(gen_states, row, len),
@@ -265,7 +261,6 @@ std::vector<InferenceResult> InferenceSession::PredictTokenBatch(
   }
 
   stats_->RecordBatch(static_cast<int64_t>(sequences.size()));
-  for (const InferenceResult& r : results) stats_->RecordCacheOutcome(r.cache);
   return results;
 }
 

@@ -87,11 +87,11 @@ class InferenceSession {
   InferenceResult Predict(const std::string& text) const;
 
   /// Serves a batch of already-encoded requests: the one serving forward,
-  /// behind Predict and the micro-batcher. With an enabled cache, hits
+  /// behind Predict and the micro-batcher. With a cache attached, hits
   /// re-run only the head stages on their stored states, and all misses
   /// run as one padded batch and are stored. Every lookup precedes every
   /// insert, so a sequence given twice misses twice (and leaves one
-  /// entry). Records one batch and one cache outcome per row. Thread-safe.
+  /// entry). Records one batch. Thread-safe.
   std::vector<InferenceResult> PredictTokenBatch(
       const std::vector<std::vector<int64_t>>& sequences) const;
 

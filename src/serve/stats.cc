@@ -49,12 +49,6 @@ ServingStats::ServingStats(obs::MetricsRegistry* registry, std::string prefix,
   };
   requests_ = &registry_->GetCounter(name(".requests_total"));
   batches_ = &registry_->GetCounter(name(".batches_total"));
-  cache_hit_requests_ =
-      &registry_->GetCounter(name(".cache_hit_requests_total"));
-  cache_partial_requests_ =
-      &registry_->GetCounter(name(".cache_partial_requests_total"));
-  cache_miss_requests_ =
-      &registry_->GetCounter(name(".cache_miss_requests_total"));
   latency_hist_ =
       &registry_->GetHistogram(name(".latency_us"), obs::DurationBucketsUs());
   batch_size_hist_ =
@@ -65,22 +59,6 @@ void ServingStats::RecordBatch(int64_t batch_size) {
   batches_->Increment();
   requests_->Increment(batch_size);
   batch_size_hist_->Observe(static_cast<double>(batch_size));
-}
-
-void ServingStats::RecordCacheOutcome(CacheOutcome outcome) {
-  switch (outcome) {
-    case CacheOutcome::kUncached:
-      break;
-    case CacheOutcome::kHit:
-      cache_hit_requests_->Increment();
-      break;
-    case CacheOutcome::kPartial:
-      cache_partial_requests_->Increment();
-      break;
-    case CacheOutcome::kMiss:
-      cache_miss_requests_->Increment();
-      break;
-  }
 }
 
 void ServingStats::RecordLatencyUs(int64_t us) {
@@ -99,26 +77,7 @@ StatsSnapshot ServingStats::Snapshot() const {
   snapshot.latency_p95_us = std::llround(latency_hist_->Percentile(95.0));
   snapshot.latency_p99_us = std::llround(latency_hist_->Percentile(99.0));
   snapshot.latency_max_us = std::llround(latency_hist_->max());
-  snapshot.cache_hits = cache_hit_requests_->value();
-  snapshot.cache_partial = cache_partial_requests_->value();
-  snapshot.cache_misses = cache_miss_requests_->value();
-  int64_t cached_total =
-      snapshot.cache_hits + snapshot.cache_partial + snapshot.cache_misses;
-  if (cached_total > 0) {
-    snapshot.cache_hit_rate = static_cast<double>(snapshot.cache_hits) /
-                              static_cast<double>(cached_total);
-  }
   return snapshot;
-}
-
-void ServingStats::Reset() {
-  requests_->Reset();
-  batches_->Reset();
-  cache_hit_requests_->Reset();
-  cache_partial_requests_->Reset();
-  cache_miss_requests_->Reset();
-  latency_hist_->Reset();
-  batch_size_hist_->Reset();
 }
 
 }  // namespace serve

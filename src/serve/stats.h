@@ -14,7 +14,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "serve/cache.h"
 
 namespace dar {
 namespace serve {
@@ -36,14 +35,6 @@ struct StatsSnapshot {
   int64_t latency_p95_us = 0;
   int64_t latency_p99_us = 0;
   int64_t latency_max_us = 0;
-  /// Per-request cache outcomes (all zero on the uncached path; the
-  /// ServeCache's own per-tier counters track lookups, these track
-  /// requests).
-  int64_t cache_hits = 0;
-  int64_t cache_partial = 0;
-  int64_t cache_misses = 0;
-  /// cache_hits / (hits + partial + misses); 0 with no cached requests.
-  double cache_hit_rate = 0.0;
 
   /// One-line human-readable rendering.
   std::string ToString() const;
@@ -84,14 +75,7 @@ class ServingStats {
   /// Records one fulfilled request's end-to-end latency.
   void RecordLatencyUs(int64_t us);
 
-  /// Records one request's cache outcome (`<prefix>.cache_hit_requests_total`
-  /// / partial / miss counters). kUncached records nothing — the uncached
-  /// path stays zero-cost and its exposition unchanged.
-  void RecordCacheOutcome(CacheOutcome outcome);
-
   StatsSnapshot Snapshot() const;
-
-  void Reset();
 
   /// The registry the stats publish into (the private one by default).
   obs::MetricsRegistry& registry() { return *registry_; }
@@ -107,9 +91,6 @@ class ServingStats {
   // Cached instrument pointers (stable for the registry's lifetime).
   obs::Counter* requests_;
   obs::Counter* batches_;
-  obs::Counter* cache_hit_requests_;
-  obs::Counter* cache_partial_requests_;
-  obs::Counter* cache_miss_requests_;
   obs::Histogram* latency_hist_;
   obs::Histogram* batch_size_hist_;
 };

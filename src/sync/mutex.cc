@@ -11,7 +11,6 @@ namespace sync {
 namespace internal {
 
 std::atomic<bool> g_rank_check{false};
-std::atomic<bool> g_contention{false};
 
 namespace {
 /// Wait-histogram edges: the 1-2-5 series from 1us to 1e7us. Must stay
@@ -166,10 +165,6 @@ void SetLockRankCheck(bool enabled) {
   internal::g_rank_check.store(enabled, std::memory_order_relaxed);
 }
 
-void SetContentionTracking(bool enabled) {
-  internal::g_contention.store(enabled, std::memory_order_relaxed);
-}
-
 size_t HeldLockCount() {
   return static_cast<size_t>(internal::t_held.depth);
 }
@@ -201,23 +196,19 @@ const std::vector<double>& ContentionBucketBoundsUs() {
   return bounds;
 }
 
-void Mutex::SlowLock() {
-  const bool rank_on = LockRankCheckEnabled();
-  if (rank_on) internal::CheckRankBeforeBlocking(rank_, name_);
-  if (ContentionTrackingEnabled()) {
-    if (!mu_.try_lock()) {
-      const auto wait_start = std::chrono::steady_clock::now();
-      mu_.lock();
-      const auto waited =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - wait_start)
-              .count();
-      counters_->Record(static_cast<uint64_t>(waited < 0 ? 0 : waited));
-    }
-  } else {
-    mu_.lock();
-  }
-  if (rank_on) internal::PushHeld(this, rank_, name_);
+void Mutex::RankCheckedLock() {
+  internal::CheckRankBeforeBlocking(rank_, name_);
+  if (!mu_.try_lock()) ContendedLock();
+  internal::PushHeld(this, rank_, name_);
+}
+
+void Mutex::ContendedLock() {
+  const auto wait_start = std::chrono::steady_clock::now();
+  mu_.lock();
+  const auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
+                          std::chrono::steady_clock::now() - wait_start)
+                          .count();
+  counters_->Record(static_cast<uint64_t>(waited < 0 ? 0 : waited));
 }
 
 void Mutex::SlowUnlockTracking() { internal::PopHeld(this); }

@@ -34,20 +34,21 @@
 //      inside an existing band gets a fresh intermediate rank and a row
 //      in this table (DESIGN.md §12 is the canonical copy).
 //
-//   3. Contention observability (mode-gated, default off). With
-//      SetContentionTracking(true) a blocking Lock() that fails the
-//      initial try_lock times its wait and charges a per-*name* cumulative
-//      counter set (contended acquisitions + wait-time histogram in the
-//      shared 1-2-5 microsecond bucket layout). obs/sync_metrics.h
-//      publishes the deltas to a MetricsRegistry as
-//      `sync_contention_total{mutex=...}` / `sync_wait_us{mutex=...}`,
-//      which /metrics exposes. Same-named mutexes (e.g. all cache shards)
-//      share one counter set by design.
+//   3. Contention observability (always on). Lock() first tries the
+//      lock; only when that try_lock fails does it time its wait and
+//      charge a per-*name* cumulative counter set (contended acquisitions
+//      + wait-time histogram in the shared 1-2-5 microsecond bucket
+//      layout). obs/sync_metrics.h publishes the counts to a
+//      MetricsRegistry as `sync_contention_total{mutex=...}` /
+//      `sync_wait_us{mutex=...}`, which /metrics exposes. Same-named
+//      mutexes (e.g. all cache shards) share one counter set by design.
 //
-// Cost model, mirroring check/sentinel.h: with both gates off, Lock() and
-// Unlock() are two relaxed atomic loads and predictable branches around
-// the plain std::mutex ops — bench/serve_throughput times an uncontended
-// Lock/Unlock pair off-mode, tracked and rank-checked.
+// Cost model: with the rank gate off, an uncontended Lock() is one relaxed
+// atomic load, a predictable branch and the std::mutex try_lock, and
+// Unlock() the load, the branch and the unlock; a contended Lock() adds
+// two steady_clock reads and a handful of relaxed atomic adds to a wait
+// that is already a futex sleep. bench/serve_throughput times an
+// uncontended Lock/Unlock pair plain and rank-checked.
 //
 // This header is dependency-free (C++ standard library only): sync sits
 // below obs/ in the link order, and obs's own mutexes are sync::Mutex too.
@@ -102,16 +103,13 @@ using RankViolationHandler = void (*)(const RankViolation&);
 /// default handler (render to stderr + abort).
 RankViolationHandler SetRankViolationHandler(RankViolationHandler handler);
 
-/// Gates. Both default to off; both are one relaxed atomic load on the
-/// Lock() fast path. Toggle at quiesced points — enabling rank checks
-/// while locks are already held leaves those holds untracked until
-/// released.
+/// The rank gate. Defaults to off; one relaxed atomic load on the Lock()
+/// fast path. Toggle at quiesced points — enabling rank checks while locks
+/// are already held leaves those holds untracked until released.
 void SetLockRankCheck(bool enabled);
-void SetContentionTracking(bool enabled);
 
 namespace internal {
 extern std::atomic<bool> g_rank_check;
-extern std::atomic<bool> g_contention;
 struct ContentionCounters;  // per-name cumulative stats (mutex.cc)
 ContentionCounters* CountersForName(const char* name);
 }  // namespace internal
@@ -119,16 +117,13 @@ ContentionCounters* CountersForName(const char* name);
 inline bool LockRankCheckEnabled() {
   return internal::g_rank_check.load(std::memory_order_relaxed);
 }
-inline bool ContentionTrackingEnabled() {
-  return internal::g_contention.load(std::memory_order_relaxed);
-}
 
 /// Number of sync::Mutexes the calling thread currently holds, as seen by
 /// the rank tracker (0 when rank checking is off). Test hook.
 size_t HeldLockCount();
 
 /// Cumulative contention stats for one mutex name (all counters since
-/// process start; the obs bridge publishes deltas).
+/// process start).
 struct MutexContentionStats {
   std::string name;
   uint64_t contention_total = 0;  // blocking acquisitions that waited
@@ -159,11 +154,11 @@ class DAR_CAPABILITY("mutex") Mutex {
   Mutex& operator=(const Mutex&) = delete;
 
   void Lock() DAR_ACQUIRE() {
-    if (LockRankCheckEnabled() || ContentionTrackingEnabled()) {
-      SlowLock();
+    if (LockRankCheckEnabled()) {
+      RankCheckedLock();
       return;
     }
-    mu_.lock();
+    if (!mu_.try_lock()) ContendedLock();
   }
 
   void Unlock() DAR_RELEASE() {
@@ -187,7 +182,8 @@ class DAR_CAPABILITY("mutex") Mutex {
   std::mutex& native() { return mu_; }
 
  private:
-  void SlowLock();             // rank check + contention timing path
+  void RankCheckedLock();      // rank check, then Lock()'s body
+  void ContendedLock();        // timed blocking lock after a failed try
   void SlowUnlockTracking();   // pops the held-stack entry
   void PushAfterTryLock();
 

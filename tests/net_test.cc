@@ -521,6 +521,52 @@ void ExpectResponseMatches(const std::string& body,
   EXPECT_EQ(rationale->Find("text")->string_value, direct.rationale_text);
 }
 
+// /v1/models, /healthz and the predict route all read the models this
+// router serves. A session registered straight into the registry has no
+// endpoint here: before the listing read the endpoints too, it was listed
+// with a predict_path that answers 404.
+TEST(RouterTest, ModelsListsExactlyTheServedModels) {
+  serve::ModelRegistry registry;
+  Router router(registry);
+  router.ServeModel("beer", MakeSession());
+  registry.Register("stout", MakeSession(8));
+
+  auto handle = [&](const std::string& method, const std::string& target,
+                    const std::string& body) {
+    HttpRequest request;
+    request.method = method;
+    request.target = target;
+    request.version = "HTTP/1.1";
+    request.body = body;
+    return router.Handle(request);
+  };
+  const HttpResponse models = handle("GET", "/v1/models", "");
+  ASSERT_EQ(models.status, 200);
+  std::string error;
+  const auto listing = JsonValue::Parse(models.body, &error);
+  ASSERT_TRUE(listing.has_value()) << error;
+  const JsonValue* list = listing->Find("models");
+  ASSERT_NE(list, nullptr);
+  ASSERT_EQ(list->items.size(), 1u) << models.body;
+  EXPECT_EQ(list->items[0].Find("name")->string_value, "beer");
+  EXPECT_EQ(list->items[0].Find("predict_path")->string_value,
+            "/v1/models/beer/predict");
+
+  const HttpResponse health = handle("GET", "/healthz", "");
+  ASSERT_EQ(health.status, 200);
+  const auto healthz = JsonValue::Parse(health.body, &error);
+  ASSERT_TRUE(healthz.has_value()) << error;
+  EXPECT_EQ(static_cast<size_t>(healthz->Find("models")->number_value),
+            list->items.size());
+
+  EXPECT_EQ(handle("POST", "/v1/models/beer/predict", PredictBody("amber"))
+                .status,
+            200);
+  EXPECT_EQ(handle("POST", "/v1/models/stout/predict", PredictBody("amber"))
+                .status,
+            404);
+}
+
 TEST(HttpEndToEndTest, HealthzAndModels) {
   Loopback loop;
   HttpClient client = loop.Client();

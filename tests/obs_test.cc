@@ -446,7 +446,7 @@ TEST(ServingStatsTest, ResetClearsRegistryInstruments) {
   serve::ServingStats stats;
   stats.RecordBatch(3);
   stats.RecordLatencyUs(100);
-  stats.Reset();
+  stats.registry().ResetAll();
   serve::StatsSnapshot snapshot = stats.Snapshot();
   EXPECT_EQ(snapshot.requests, 0);
   EXPECT_EQ(snapshot.batches, 0);

@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -80,7 +81,7 @@ struct DifferentialPair {
   ServeCache::ModelId model_id = 0;
 };
 
-DifferentialPair MakePair(Method method, CacheConfig cache_config,
+DifferentialPair MakePair(Method method, CacheConfig cache_config = {},
                           uint64_t seed = 3) {
   datasets::SyntheticDataset dataset = TinyDataset(seed);
   core::TrainConfig config = TinyConfig(seed);
@@ -190,9 +191,7 @@ std::vector<std::string> RandomStream(const std::vector<std::string>& base,
 
 TEST(ServeCacheDifferentialTest, RandomizedStreamsBitIdenticalAcrossMethods) {
   for (Method method : {Method::kRnp, Method::kDar, Method::kVib}) {
-    CacheConfig config;
-    config.enabled = true;
-    DifferentialPair pair = MakePair(method, config);
+    DifferentialPair pair = MakePair(method);
     ASSERT_NE(pair.cached, nullptr);
     ASSERT_NE(pair.uncached, nullptr);
 
@@ -223,9 +222,7 @@ TEST(ServeCacheDifferentialTest, BatchedRequestsMatchUncachedBatches) {
   // EvalMaskFromStatesConst, the stage a hit replays on restored states.
   for (Method method : {Method::kRnp, Method::kDar, Method::kVib,
                         Method::kSpectra, Method::kRnpStar}) {
-    CacheConfig config;
-    config.enabled = true;
-    DifferentialPair pair = MakePair(method, config);
+    DifferentialPair pair = MakePair(method);
     ASSERT_NE(pair.cached, nullptr);
     ASSERT_NE(pair.uncached, nullptr);
     const std::string what =
@@ -305,7 +302,6 @@ TEST(ServeCacheDifferentialTest, BatchedRequestsMatchUncachedBatches) {
 
 TEST(ServeCacheDifferentialTest, ForcedEvictionsStayBitIdentical) {
   CacheConfig config;
-  config.enabled = true;
   // A few KB across 2 shards: a working set of 40 sequences cannot fit,
   // so the repeat pass recomputes through evicted keys constantly.
   config.capacity_bytes = 8 * 1024;
@@ -330,7 +326,6 @@ TEST(ServeCacheDifferentialTest, ForcedEvictionsStayBitIdentical) {
 
 TEST(ServeCacheDifferentialTest, HashCollisionsVerifiedAndRejected) {
   CacheConfig config;
-  config.enabled = true;
   // Every sequence digests to the same value: every cross-sequence lookup
   // is a collision the full-id comparison must reject.
   config.sequence_hash_override = [](const std::vector<int64_t>&) {
@@ -364,12 +359,12 @@ TEST(ServeCacheDifferentialTest, HashCollisionsVerifiedAndRejected) {
 // ---- Outcome classification ------------------------------------------------
 
 TEST(ServeCacheOutcomeTest, MissThenHitThenPartial) {
-  CacheConfig config;
-  config.enabled = true;
-  DifferentialPair pair = MakePair(Method::kRnp, config);
+  DifferentialPair pair = MakePair(Method::kRnp);
   const data::Vocabulary& vocab = pair.cached->vocab();
 
   std::string text = DistinctText(vocab, 0, 6);
+  // A session with no cache attached serves the pre-cache path.
+  EXPECT_EQ(pair.uncached->Predict(text).cache, CacheOutcome::kUncached);
   EXPECT_EQ(pair.cached->Predict(text).cache, CacheOutcome::kMiss);
   EXPECT_EQ(pair.cached->Predict(text).cache, CacheOutcome::kHit);
   // Same words, different order: encoder misses (different sequence),
@@ -382,42 +377,6 @@ TEST(ServeCacheOutcomeTest, MissThenHitThenPartial) {
             CacheOutcome::kMiss);
 }
 
-TEST(ServeCacheOutcomeTest, EmbeddingTierOnlyNeverFullyHits) {
-  CacheConfig config;
-  config.enabled = true;
-  config.encoder_tier = false;
-  DifferentialPair pair = MakePair(Method::kRnp, config);
-
-  std::string text = DistinctText(pair.cached->vocab(), 0, 6);
-  EXPECT_EQ(pair.cached->Predict(text).cache, CacheOutcome::kMiss);
-  InferenceResult repeat = pair.cached->Predict(text);
-  EXPECT_EQ(repeat.cache, CacheOutcome::kPartial);
-  ExpectBitIdentical(repeat, pair.uncached->Predict(text),
-                     "embedding tier only");
-}
-
-TEST(ServeCacheOutcomeTest, EncoderTierOnlyNeverPartial) {
-  CacheConfig config;
-  config.enabled = true;
-  config.embedding_tier = false;
-  DifferentialPair pair = MakePair(Method::kRnp, config);
-
-  std::string text = DistinctText(pair.cached->vocab(), 0, 6);
-  EXPECT_EQ(pair.cached->Predict(text).cache, CacheOutcome::kMiss);
-  EXPECT_EQ(pair.cached->Predict(text).cache, CacheOutcome::kHit);
-  CacheTierStats emb =
-      pair.cache->Stats(pair.model_id, ServeCache::kEmbeddingTierName);
-  EXPECT_EQ(emb.hits + emb.misses, 0);
-}
-
-TEST(ServeCacheOutcomeTest, DisabledCacheReportsUncached) {
-  auto session_pair = MakePair(Method::kRnp, CacheConfig{});  // enabled=false
-  std::string text = DistinctText(session_pair.cached->vocab(), 0, 4);
-  EXPECT_EQ(session_pair.cached->Predict(text).cache, CacheOutcome::kUncached);
-  EXPECT_EQ(session_pair.uncached->Predict(text).cache,
-            CacheOutcome::kUncached);
-}
-
 TEST(ServeCacheOutcomeTest, OutcomeNames) {
   EXPECT_STREQ(CacheOutcomeName(CacheOutcome::kUncached), "uncached");
   EXPECT_STREQ(CacheOutcomeName(CacheOutcome::kMiss), "miss");
@@ -428,9 +387,7 @@ TEST(ServeCacheOutcomeTest, OutcomeNames) {
 // ---- Sentinels on the cache-restore path -----------------------------------
 
 TEST(ServeCacheSentinelTest, CorruptedEntryRecordedInRecordMode) {
-  CacheConfig config;
-  config.enabled = true;
-  DifferentialPair pair = MakePair(Method::kRnp, config);
+  DifferentialPair pair = MakePair(Method::kRnp);
   std::string text = DistinctText(pair.cached->vocab(), 0, 5);
   std::vector<int64_t> ids = pair.cached->Encode(text);
   pair.cached->Predict(text);  // warm
@@ -452,9 +409,7 @@ TEST(ServeCacheSentinelTest, CorruptedEntryRecordedInRecordMode) {
 }
 
 TEST(ServeCacheSentinelTest, OffModeStillServes) {
-  CacheConfig config;
-  config.enabled = true;
-  DifferentialPair pair = MakePair(Method::kRnp, config);
+  DifferentialPair pair = MakePair(Method::kRnp);
   std::string text = DistinctText(pair.cached->vocab(), 0, 5);
   std::vector<int64_t> ids = pair.cached->Encode(text);
   pair.cached->Predict(text);
@@ -468,9 +423,7 @@ TEST(ServeCacheSentinelTest, OffModeStillServes) {
 
 TEST(ServeCacheSentinelDeathTest, TrapModeAbortsOnCorruptedEntry) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  CacheConfig config;
-  config.enabled = true;
-  DifferentialPair pair = MakePair(Method::kRnp, config);
+  DifferentialPair pair = MakePair(Method::kRnp);
   std::string text = DistinctText(pair.cached->vocab(), 0, 5);
   std::vector<int64_t> ids = pair.cached->Encode(text);
   pair.cached->Predict(text);
@@ -488,11 +441,10 @@ TEST(ServeCacheSentinelDeathTest, TrapModeAbortsOnCorruptedEntry) {
 
 TEST(ServeCacheLruTest, MostRecentSurvivesEviction) {
   CacheConfig config;
-  config.enabled = true;
-  config.encoder_tier = false;
   config.num_shards = 1;
-  // Budget for roughly two embedding rows (row = 16 floats + overhead).
-  config.capacity_bytes = 2 * (16 * sizeof(float) + 96);
+  // Half the budget per tier: roughly two embedding rows (row = 16 floats
+  // + overhead).
+  config.capacity_bytes = 2 * 2 * (16 * sizeof(float) + 96);
   ServeCache cache(config);
   ServeCache::ModelId model = cache.RegisterModel("lru");
 
@@ -515,10 +467,8 @@ TEST(ServeCacheLruTest, MostRecentSurvivesEviction) {
 
 TEST(ServeCacheLruTest, LookupRefreshesRecency) {
   CacheConfig config;
-  config.enabled = true;
-  config.encoder_tier = false;
   config.num_shards = 1;
-  config.capacity_bytes = 2 * (16 * sizeof(float) + 96);
+  config.capacity_bytes = 2 * 2 * (16 * sizeof(float) + 96);
   ServeCache cache(config);
   ServeCache::ModelId model = cache.RegisterModel("lru");
 
@@ -536,9 +486,7 @@ TEST(ServeCacheLruTest, LookupRefreshesRecency) {
 // ---- Invalidation and reload ------------------------------------------------
 
 TEST(ServeCacheInvalidationTest, RegistryReloadStartsColdAndSweeps) {
-  CacheConfig config;
-  config.enabled = true;
-  ServeCache cache(config);
+  ServeCache cache(CacheConfig{});
   ModelRegistry registry;
   registry.AttachCache(&cache);
 
@@ -584,7 +532,6 @@ TEST(ServeCacheInvalidationTest, RegistryReloadStartsColdAndSweeps) {
 
 TEST(ServeCacheConcurrencyTest, EightClientsTwoModelsConcurrentReload) {
   CacheConfig config;
-  config.enabled = true;
   config.capacity_bytes = 1 << 20;
   ServeCache cache(config);
   ModelRegistry registry;
@@ -679,11 +626,8 @@ TEST(ServeCacheConcurrencyTest, EightClientsTwoModelsConcurrentReload) {
 // ---- Metrics & stats surfaces ------------------------------------------------
 
 TEST(ServeCacheMetricsTest, PrometheusExposesPerModelPerTierSeries) {
-  CacheConfig config;
-  config.enabled = true;
-  ServeCache cache(config);
   obs::MetricsRegistry metrics;
-  cache.PublishMetrics(&metrics);
+  ServeCache cache(CacheConfig{}, &metrics);
 
   ModelRegistry registry;
   registry.PublishMetrics(&metrics);
@@ -699,32 +643,29 @@ TEST(ServeCacheMetricsTest, PrometheusExposesPerModelPerTierSeries) {
   registry.Predict("beer", text);
   registry.Predict("beer", text);
 
+  // Each request takes one encoder-tier lookup, so the tier's hits and
+  // misses are the per-request outcomes: one miss, then one hit.
   std::string exposition = metrics.ExportPrometheus();
   EXPECT_NE(exposition.find(
-                "serve_cache_hits_total{model=\"beer\",tier=\"encoder\"}"),
+                "serve_cache_hits_total{model=\"beer\",tier=\"encoder\"} 1"),
             std::string::npos)
       << exposition;
-  EXPECT_NE(exposition.find(
-                "serve_cache_misses_total{model=\"beer\",tier=\"encoder\"}"),
-            std::string::npos);
+  EXPECT_NE(
+      exposition.find(
+          "serve_cache_misses_total{model=\"beer\",tier=\"encoder\"} 1"),
+      std::string::npos);
   EXPECT_NE(exposition.find("serve_cache_bytes{model=\"beer\","),
             std::string::npos);
-  EXPECT_NE(exposition.find("serve_cache_hit_rate{model=\"beer\","),
-            std::string::npos);
-
-  // Request-level outcome counters on the session's serving stats.
-  StatsSnapshot snapshot = session->stats().Snapshot();
-  EXPECT_EQ(snapshot.cache_misses, 1);
-  EXPECT_EQ(snapshot.cache_hits, 1);
-  EXPECT_DOUBLE_EQ(snapshot.cache_hit_rate, 0.5);
+  CacheTierStats enc =
+      cache.Stats(session->cache_model_id(), ServeCache::kEncoderTierName);
+  EXPECT_EQ(enc.misses, 1);
+  EXPECT_EQ(enc.hits, 1);
+  EXPECT_EQ(session->stats().Snapshot().requests, 2);
 }
 
-TEST(ServeCacheMetricsTest, HitRateGaugeTracksLookups) {
-  CacheConfig config;
-  config.enabled = true;
-  ServeCache cache(config);
+TEST(ServeCacheMetricsTest, EncoderLookupsCountedInStatsAndCounters) {
   obs::MetricsRegistry metrics;
-  cache.PublishMetrics(&metrics);
+  ServeCache cache(CacheConfig{}, &metrics);
   ServeCache::ModelId model = cache.RegisterModel("g");
 
   std::vector<int64_t> ids = {5, 6, 7};
@@ -732,12 +673,19 @@ TEST(ServeCacheMetricsTest, HitRateGaugeTracksLookups) {
   cache.InsertEncoderStates(model, ids, Tensor(Shape{1, 3, 4}),
                             Tensor(Shape{1, 3, 4}));
   EXPECT_NE(cache.LookupEncoderStates(model, ids), nullptr);
-  double rate =
-      metrics
-          .GetGauge(obs::LabeledName("serve.cache_hit_rate",
-                                     {{"model", "g"}, {"tier", "encoder"}}))
-          .value();
-  EXPECT_DOUBLE_EQ(rate, 0.5);
+  CacheTierStats enc = cache.Stats(model, ServeCache::kEncoderTierName);
+  EXPECT_EQ(enc.hits, 1);
+  EXPECT_EQ(enc.misses, 1);
+  const std::vector<std::pair<std::string, std::string>> labels = {
+      {"model", "g"}, {"tier", "encoder"}};
+  EXPECT_EQ(
+      metrics.GetCounter(obs::LabeledName("serve.cache_hits_total", labels))
+          .value(),
+      1);
+  EXPECT_EQ(
+      metrics.GetCounter(obs::LabeledName("serve.cache_misses_total", labels))
+          .value(),
+      1);
 }
 
 // ---- HTTP header mapping -----------------------------------------------------

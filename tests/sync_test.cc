@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,14 +22,13 @@ namespace dar {
 namespace sync {
 namespace {
 
-/// Restores both runtime gates and the violation handler on scope exit, so
+/// Restores the rank gate and the violation handler on scope exit, so
 /// tests cannot leak mode into each other.
 class ScopedSyncModes {
  public:
   ScopedSyncModes() = default;
   ~ScopedSyncModes() {
     SetLockRankCheck(false);
-    SetContentionTracking(false);
     SetRankViolationHandler(nullptr);
   }
 };
@@ -205,12 +205,12 @@ uint64_t ContentionTotalFor(const std::string& name) {
   return 0;
 }
 
-/// Deterministically records at least one contention event on `mu`
-/// (tracking must already be on): hold the lock while a second thread
-/// attempts it, and retry until the snapshot shows the collision. A fixed
-/// sleep is not enough on an oversubscribed host — the blocked thread may
-/// not get scheduled inside any particular window — so loop on the
-/// observable effect instead of on time.
+/// Deterministically records at least one contention event on `mu`: hold
+/// the lock while a second thread attempts it, and retry until the
+/// snapshot shows the collision. A fixed sleep is not enough on an
+/// oversubscribed host — the blocked thread may not get scheduled inside
+/// any particular window — so loop on the observable effect instead of on
+/// time.
 void ForceOneContentionEvent(Mutex& mu) {
   const uint64_t before = ContentionTotalFor(mu.name());
   for (int attempt = 0; attempt < 200; ++attempt) {
@@ -234,9 +234,20 @@ void ForceOneContentionEvent(Mutex& mu) {
   }
 }
 
+TEST(SyncContentionTest, ContendedLockCountedWithNoSetup) {
+  // No gate to arm: a Lock() that finds the mutex held is counted.
+  Mutex mu(Rank::kStats, "test.no_setup");
+  ForceOneContentionEvent(mu);
+  EXPECT_GE(ContentionTotalFor("test.no_setup"), 1u);
+  // An uncontended Lock() counts nothing.
+  const uint64_t before = ContentionTotalFor("test.no_setup");
+  for (int i = 0; i < 100; ++i) {
+    MutexLock lock(mu);
+  }
+  EXPECT_EQ(ContentionTotalFor("test.no_setup"), before);
+}
+
 TEST(SyncContentionTest, HammerRecordsContention) {
-  ScopedSyncModes restore;
-  SetContentionTracking(true);
   Mutex mu(Rank::kStats, "test.hammer");
   constexpr int kThreads = 8;
   constexpr int kIterations = 200;
@@ -278,7 +289,6 @@ TEST(SyncContentionTest, HammerRecordsContention) {
   // the observable count, so the invariant checks below always have at
   // least one event to look at.
   if (ContentionTotalFor("test.hammer") == 0) ForceOneContentionEvent(mu);
-  SetContentionTracking(false);
   EXPECT_EQ(shared.load(),
             int64_t{rounds} * kThreads * kIterations * kHeldWork);
 
@@ -303,8 +313,6 @@ TEST(SyncContentionTest, PublishDeltasAreIdempotent) {
   // Force at least one counted contention event so the published series
   // exist with a known-positive value.
   {
-    ScopedSyncModes restore;
-    SetContentionTracking(true);
     Mutex mu(Rank::kStats, "test.publish");
     ForceOneContentionEvent(mu);
     ASSERT_GE(ContentionTotalFor("test.publish"), 1u);
@@ -317,8 +325,8 @@ TEST(SyncContentionTest, PublishDeltasAreIdempotent) {
   const int64_t first = total.value();
   EXPECT_GE(first, 1);
 
-  // No contention happened in between: a second publish must be a no-op
-  // (delta-based claim-once), not a re-count of the cumulative total.
+  // No contention happened in between: a second publish must be a no-op,
+  // not a re-count of the cumulative total.
   obs::PublishSyncContentionMetrics(registry);
   EXPECT_EQ(total.value(), first);
 
@@ -333,6 +341,42 @@ TEST(SyncContentionTest, PublishDeltasAreIdempotent) {
             std::string::npos);
   EXPECT_NE(text.find("sync_wait_us_count{mutex=\"test.publish\"}"),
             std::string::npos);
+}
+
+TEST(SyncContentionTest, EachRegistryReportsTheCumulativeCount) {
+  // Two registries in one process (two routers, say) each publish the
+  // process total, however their scrapes interleave.
+  const std::vector<std::pair<std::string, std::string>> labels = {
+      {"mutex", "test.two_registries"}};
+  auto total_in = [&](obs::MetricsRegistry& registry) {
+    return registry
+        .GetCounter(obs::LabeledName("sync.contention_total", labels))
+        .value();
+  };
+  auto waits_in = [&](obs::MetricsRegistry& registry) {
+    return registry
+        .GetHistogram(obs::LabeledName("sync.wait_us", labels),
+                      ContentionBucketBoundsUs())
+        .count();
+  };
+  Mutex mu(Rank::kStats, "test.two_registries");
+  ForceOneContentionEvent(mu);
+  obs::MetricsRegistry a;
+  obs::PublishSyncContentionMetrics(a);
+  EXPECT_EQ(total_in(a),
+            static_cast<int64_t>(ContentionTotalFor("test.two_registries")));
+
+  ForceOneContentionEvent(mu);
+  const int64_t cumulative =
+      static_cast<int64_t>(ContentionTotalFor("test.two_registries"));
+  ASSERT_GE(cumulative, 2);
+  obs::MetricsRegistry b;
+  obs::PublishSyncContentionMetrics(b);
+  obs::PublishSyncContentionMetrics(a);
+  EXPECT_EQ(total_in(b), cumulative);
+  EXPECT_EQ(total_in(a), cumulative);
+  EXPECT_EQ(waits_in(b), cumulative);
+  EXPECT_EQ(waits_in(a), cumulative);
 }
 
 }  // namespace
