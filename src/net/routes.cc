@@ -87,11 +87,9 @@ JsonValue ResultToJson(const std::string& model,
 
 Router::Router(serve::ModelRegistry& registry, RouterConfig config)
     : registry_(&registry), config_(std::move(config)) {
-  registry_->PublishMetrics(&metrics_);
   if (config_.serve.cache.enabled) {
     cache_ =
         std::make_unique<serve::ServeCache>(config_.serve.cache, &metrics_);
-    registry_->AttachCache(cache_.get());
   }
   if (config_.tracing.enabled) {
     tracer_ = std::make_unique<obs::RequestTracer>(config_.tracing);
@@ -99,10 +97,9 @@ Router::Router(serve::ModelRegistry& registry, RouterConfig config)
 }
 
 Router::~Router() {
-  // The server feeding Handle() has stopped. Each model leaves the
-  // registry while the cache holding its entries is alive, and the
-  // registry, which may outlive the router, is detached from this
-  // router's metrics and cache.
+  // The server feeding Handle() has stopped. The registry may outlive the
+  // router, so the models it served leave it: their stats and cache
+  // entries die with the router.
   std::map<std::string, std::shared_ptr<Endpoint>> endpoints;
   {
     sync::MutexLock lock(mu_);
@@ -112,22 +109,32 @@ Router::~Router() {
     endpoint->batcher->Shutdown();
     if (registry_->Get(name) == endpoint->session) registry_->Unregister(name);
   }
-  registry_->PublishMetrics(nullptr);
-  registry_->AttachCache(nullptr);
 }
 
 void Router::ServeModel(const std::string& name,
                         std::shared_ptr<serve::InferenceSession> session) {
   DAR_CHECK(session != nullptr);
-  // Register first: this rebinds the session's stats under {model=name}
-  // before any request can reach it through the endpoint map.
+  // Bind first, so no request reaches the session, through the registry
+  // or the endpoint map, before its stats and cache are this router's.
+  session->BindStats(&metrics_, name);
+  if (cache_ != nullptr) session->EnableCache(cache_.get(), name);
   registry_->Register(name, session);
   auto endpoint = std::make_shared<Endpoint>();
   endpoint->session = session;
   endpoint->batcher =
       std::make_unique<serve::MicroBatcher>(*session, config_.batcher);
-  sync::MutexLock lock(mu_);
-  endpoints_[name] = std::move(endpoint);  // old endpoint freed by last user
+  std::shared_ptr<Endpoint> replaced;
+  {
+    sync::MutexLock lock(mu_);
+    replaced = std::exchange(endpoints_[name], std::move(endpoint));
+  }
+  // Hot swap: the new session writes under a fresh cache model id, so the
+  // old one's entries are dead bytes. Reclaim them now and drop the late
+  // inserts of its in-flight requests (they finish against the old
+  // endpoint, which the last of them frees).
+  if (replaced != nullptr && cache_ != nullptr) {
+    cache_->InvalidateModel(replaced->session->cache_model_id());
+  }
 }
 
 std::shared_ptr<Router::Endpoint> Router::FindEndpoint(

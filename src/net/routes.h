@@ -56,11 +56,11 @@ struct RouterConfig {
   serve::BatcherConfig batcher = {
       .max_batch = 16, .num_workers = 2, .max_queue = 128};
   /// Serving-stack configuration. When serve.cache.enabled the Router
-  /// owns a ServeCache publishing into its metrics registry, attaches it
-  /// to the model registry (every served model joins it), and stamps each
-  /// predict response with an X-DAR-Cache: hit|partial|miss header. Off by
-  /// default: responses are bit-identical either way, the header and the
-  /// serve_cache_* series are the only observable difference.
+  /// owns a ServeCache publishing into its metrics registry, every model
+  /// ServeModel serves joins it, and each predict response is stamped with
+  /// an X-DAR-Cache: hit|partial|miss header. Off by default: responses
+  /// are bit-identical either way, the header and the serve_cache_* series
+  /// are the only observable difference.
   serve::ServeConfig serve;
   /// Request tracing (on by default). tracing.enabled=false removes the
   /// X-DAR-Trace-Id header, turns the /debug routes into 404s, and reduces
@@ -73,30 +73,32 @@ struct RouterConfig {
 /// [&router](const HttpRequest& r) { return router.Handle(r); } (or
 /// Router::AsHandler) to HttpServer.
 ///
-/// One Router fronts one ModelRegistry: the constructor points the
-/// registry's stats publishing and cache at this router's, so a second
-/// Router over the same registry would silently take them over. A session
-/// served through a Router must not serve after that Router is destroyed
-/// (its stats and cache entries lived in the router).
+/// The Router owns what it serves: ServeModel binds each session to this
+/// router's metrics registry and cache before registering it. Sessions
+/// registered straight into the registry stay unbound, and any number of
+/// Routers may share one registry. A session served through a Router must
+/// not serve after that Router is destroyed (its stats and cache entries
+/// lived in the router).
 class Router {
  public:
-  /// Attaches to `registry` (not owned, must outlive the router) and
-  /// points its per-model stats publishing at the metrics registry.
+  /// Fronts `registry` (not owned, must outlive the router).
   Router(serve::ModelRegistry& registry, RouterConfig config = {});
 
-  /// Drains and joins every model's batcher, unregisters each model it
-  /// served that the registry still maps to its session, and detaches the
-  /// registry from this router's metrics and cache.
+  /// Drains and joins every model's batcher, and unregisters each model it
+  /// served that the registry still maps to its session.
   ~Router();
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Registers `session` under `name` in the model registry (per-model
-  /// labeled stats included) and spins up its micro-batcher. Re-serving an
-  /// existing name hot-swaps: new requests route to the new session while
-  /// in-flight ones finish against the old endpoint, which is destroyed
-  /// (batcher drained) when the last of them releases it.
+  /// Binds `session` to this router — its stats publish under
+  /// `{model=name}` into metrics(), and it joins cache() cold when one is
+  /// on — then registers it under `name` in the model registry and spins
+  /// up its micro-batcher. The session must not have served traffic yet.
+  /// Re-serving an existing name hot-swaps: new requests route to the new
+  /// session while in-flight ones finish against the old endpoint, which
+  /// is destroyed (batcher drained) when the last of them releases it; the
+  /// old session's cache entries are swept.
   void ServeModel(const std::string& name,
                   std::shared_ptr<serve::InferenceSession> session);
 

@@ -192,6 +192,9 @@ void ServeCache::InsertEmbeddingRow(ModelId model, uint32_t table_tag,
   std::vector<EmbeddingEntry> evicted;
   {
     sync::MutexLock lock(shard.mu);
+    // Re-checked under the lock: an InvalidateModel that ran since the
+    // check above has already swept this shard.
+    if (!state->alive) return;
     auto it = shard.index.find(key);
     if (it != shard.index.end()) {
       // Already present (same key): refresh recency, keep the stored row.
@@ -283,6 +286,8 @@ void ServeCache::InsertEncoderStates(ModelId model,
   std::vector<EncoderSlot> evicted;
   {
     sync::MutexLock lock(shard.mu);
+    // Re-checked under the lock, as in InsertEmbeddingRow.
+    if (!state->alive) return;
     auto it = shard.index.find(digest);
     if (it != shard.index.end()) {
       // Digest already occupied: same sequence -> refresh recency; a
@@ -322,6 +327,9 @@ void ServeCache::InsertEncoderStates(ModelId model,
 void ServeCache::InvalidateModel(ModelId model) {
   ModelState* state = FindModel(model);
   if (state == nullptr) return;
+  // Stored before any shard is swept: an insert that takes a shard's lock
+  // after its sweep sees the store (the lock orders them), and one that
+  // takes it before is swept.
   state->alive.store(false, std::memory_order_relaxed);
   for (auto& shard_ptr : embedding_shards_) {
     Shard<EmbeddingEntry>& shard = *shard_ptr;

@@ -39,9 +39,9 @@
 // Invalidation. Every InferenceSession that attaches to the cache gets a
 // fresh monotonically increasing model id, which prefixes every key that
 // session writes. A checkpoint reload builds a new session, so it can
-// never observe the old session's entries; invalidation (swept when the
-// registry replaces or removes a model) only reclaims the dead bytes
-// early and blocks in-flight stragglers from inserting.
+// never observe the old session's entries; invalidation (swept when a
+// net::Router hot-swaps a model) only reclaims the dead bytes early and
+// blocks in-flight stragglers from inserting.
 //
 // Concurrency. Entries are sharded by key digest; each shard holds its
 // own mutex, LRU list, and byte budget, so concurrent requests contend

@@ -91,10 +91,6 @@ void InferenceSession::EnableCache(ServeCache* cache,
   pred_table_tag_ = identical ? 0 : 1;
 }
 
-void InferenceSession::InvalidateCacheEntries() const {
-  if (cache_ != nullptr) cache_->InvalidateModel(cache_model_);
-}
-
 InferenceResult InferenceSession::AssembleResult(
     const std::vector<int64_t>& ids, int64_t i, const Tensor& mask,
     const Tensor& probs) const {

@@ -105,16 +105,16 @@ class InferenceSession {
   /// Replaces the private stats accumulator with one publishing into
   /// `registry` (not owned, must outlive the session) under a
   /// `{model="model_label"}` label block — per-model serving series on a
-  /// shared /metrics registry. ModelRegistry::Register calls this with the
-  /// registered name when the registry has a publish target. Must be called
-  /// before the session serves traffic (it swaps the accumulator, and the
-  /// batcher caches nothing but reads stats() concurrently once running);
-  /// previously recorded counts are dropped.
+  /// shared /metrics registry. net::Router::ServeModel calls this with the
+  /// served name. Must be called before the session serves traffic (it
+  /// swaps the accumulator, and the batcher caches nothing but reads
+  /// stats() concurrently once running); previously recorded counts are
+  /// dropped.
   void BindStats(obs::MetricsRegistry* registry,
                  const std::string& model_label);
 
-  /// Attaches the serving cache (not owned, must outlive the session; the
-  /// ModelRegistry calls this from Register when one is attached there).
+  /// Attaches the serving cache (not owned, must outlive the session;
+  /// net::Router::ServeModel calls this when its cache is on).
   /// Registers this session as a fresh cache model under `label` — a
   /// session always starts cold, so a checkpoint reload (a new session)
   /// can never serve the old session's entries. Like BindStats this must
@@ -123,13 +123,6 @@ class InferenceSession {
   /// every stock method — both copy the same pretrained vectors) the two
   /// players share one embedding-tier key space, halving row storage.
   void EnableCache(ServeCache* cache, const std::string& label);
-
-  /// Sweeps this session's entries from the attached cache (no-op without
-  /// one). The registry calls this on the replaced session during a
-  /// hot-swap and on Unregister: in-flight requests against the old
-  /// session keep working — they just miss, and their late inserts are
-  /// dropped.
-  void InvalidateCacheEntries() const;
 
   /// The cache model id this session writes under (0 = no cache).
   ServeCache::ModelId cache_model_id() const { return cache_model_; }

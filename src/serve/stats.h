@@ -62,7 +62,7 @@ class ServingStats {
   /// A non-empty `model_label` adds a `{model="..."}` Prometheus label
   /// block to every instrument name (serve.requests_total{model="beer"},
   /// ...), so one shared registry can carry per-model serving series for
-  /// every session the ModelRegistry routes to — the /metrics endpoint's
+  /// every session a net::Router serves — the /metrics endpoint's
   /// per-aspect dimension. Unlabeled and labeled stats of the same prefix
   /// coexist in one registry without colliding.
   explicit ServingStats(obs::MetricsRegistry* registry,

@@ -447,10 +447,10 @@ struct Loopback {
   HttpClient Client() { return HttpClient("127.0.0.1", server->port()); }
 };
 
-// ~Router takes the models it served out of the registry and detaches the
-// registry from its metrics and cache. Before it did, a registry outliving
-// its router bound later sessions into the dead metrics registry and
-// served the router's model from the dead cache (caught by ASan).
+// ~Router takes the models it served out of the registry, and the registry
+// binds nothing itself. Before, a registry outliving its router bound later
+// sessions into the dead metrics registry and served the router's model
+// from the dead cache (caught by ASan).
 void ServeAndDestroyCachedRouter(serve::ModelRegistry& registry) {
   RouterConfig config;
   config.serve.cache.enabled = true;
@@ -476,6 +476,17 @@ TEST(RouterTest, RegistryOutlivingItsRouterForgetsItsModels) {
 
 std::string PredictBody(const std::string& text) {
   return JsonValue::Object().Set("text", JsonValue::Str(text)).Dump();
+}
+
+/// One request through `router`, without a server.
+HttpResponse Call(Router& router, const std::string& method,
+                  const std::string& target, const std::string& body = "") {
+  HttpRequest request;
+  request.method = method;
+  request.target = target;
+  request.version = "HTTP/1.1";
+  request.body = body;
+  return router.Handle(request);
 }
 
 /// Asserts an HTTP predict response carries exactly the fields of the
@@ -531,16 +542,7 @@ TEST(RouterTest, ModelsListsExactlyTheServedModels) {
   router.ServeModel("beer", MakeSession());
   registry.Register("stout", MakeSession(8));
 
-  auto handle = [&](const std::string& method, const std::string& target,
-                    const std::string& body) {
-    HttpRequest request;
-    request.method = method;
-    request.target = target;
-    request.version = "HTTP/1.1";
-    request.body = body;
-    return router.Handle(request);
-  };
-  const HttpResponse models = handle("GET", "/v1/models", "");
+  const HttpResponse models = Call(router, "GET", "/v1/models");
   ASSERT_EQ(models.status, 200);
   std::string error;
   const auto listing = JsonValue::Parse(models.body, &error);
@@ -552,19 +554,194 @@ TEST(RouterTest, ModelsListsExactlyTheServedModels) {
   EXPECT_EQ(list->items[0].Find("predict_path")->string_value,
             "/v1/models/beer/predict");
 
-  const HttpResponse health = handle("GET", "/healthz", "");
+  const HttpResponse health = Call(router, "GET", "/healthz");
   ASSERT_EQ(health.status, 200);
   const auto healthz = JsonValue::Parse(health.body, &error);
   ASSERT_TRUE(healthz.has_value()) << error;
   EXPECT_EQ(static_cast<size_t>(healthz->Find("models")->number_value),
             list->items.size());
 
-  EXPECT_EQ(handle("POST", "/v1/models/beer/predict", PredictBody("amber"))
-                .status,
-            200);
-  EXPECT_EQ(handle("POST", "/v1/models/stout/predict", PredictBody("amber"))
-                .status,
-            404);
+  EXPECT_EQ(
+      Call(router, "POST", "/v1/models/beer/predict", PredictBody("amber"))
+          .status,
+      200);
+  EXPECT_EQ(
+      Call(router, "POST", "/v1/models/stout/predict", PredictBody("amber"))
+          .status,
+      404);
+}
+
+// ServeModel binds only the session it serves. Before, every session
+// registered while a Router was attached was bound to it, so one
+// registered straight into the registry wrote the router's freed metrics
+// once the router was gone (caught by ASan).
+TEST(RouterTest, SessionRegisteredBesideARouterStaysUnbound) {
+  serve::ModelRegistry registry;
+  std::shared_ptr<serve::InferenceSession> beside = MakeSession(8);
+  {
+    RouterConfig config;
+    config.serve.cache.enabled = true;
+    // On the heap, so that ASan reports any later use of it.
+    auto router = std::make_unique<Router>(registry, config);
+    router->ServeModel("beer", MakeSession());
+    registry.Register("stout", beside);
+    ASSERT_TRUE(registry.Predict("stout", "pours a hazy amber").has_value());
+    const std::string exposition = router->metrics().ExportPrometheus();
+    EXPECT_EQ(exposition.find("model=\"stout\""), std::string::npos)
+        << exposition;
+  }
+  EXPECT_EQ(beside->cache_model_id(), 0u);
+  ASSERT_TRUE(registry.Predict("stout", "thin head but clear").has_value());
+  EXPECT_EQ(beside->stats().Snapshot().requests, 2);
+}
+
+// Each Router publishes the models it serves into its own /metrics, so
+// two Routers can share one registry. Before, each one pointed the shared
+// registry at its own metrics on construction, and the model served
+// through the first landed in the second's.
+TEST(RouterTest, TwoRoutersOverOneRegistryKeepTheirSeries) {
+  serve::ModelRegistry registry;
+  Router first(registry);
+  Router second(registry);
+  first.ServeModel("beer", MakeSession());
+  ASSERT_EQ(
+      Call(first, "POST", "/v1/models/beer/predict", PredictBody("amber"))
+          .status,
+      200);
+  const std::string first_metrics = Call(first, "GET", "/metrics").body;
+  const std::string second_metrics = Call(second, "GET", "/metrics").body;
+  EXPECT_NE(first_metrics.find("serve_requests_total{model=\"beer\"} 1"),
+            std::string::npos)
+      << first_metrics;
+  EXPECT_EQ(second_metrics.find("serve_requests_total{model=\"beer\"}"),
+            std::string::npos)
+      << second_metrics;
+}
+
+TEST(RouterTest, ServeModelLabelsSeriesPerModel) {
+  serve::ModelRegistry registry;
+  Router router(registry);
+  router.ServeModel("beer", MakeSession(7));
+  router.ServeModel("hotel", MakeSession(8));
+
+  ASSERT_TRUE(registry.Predict("beer", "pours a hazy amber").has_value());
+  ASSERT_TRUE(registry.Predict("beer", "thin head but clear").has_value());
+  ASSERT_TRUE(registry.Predict("hotel", "spotless lobby").has_value());
+
+  // One shared exposition carries a distinct series per model.
+  const std::string exposition = router.metrics().ExportPrometheus();
+  EXPECT_NE(exposition.find("serve_requests_total{model=\"beer\"} 2"),
+            std::string::npos)
+      << exposition;
+  EXPECT_NE(exposition.find("serve_requests_total{model=\"hotel\"} 1"),
+            std::string::npos)
+      << exposition;
+  // Latency histograms carry the model label merged with the bucket label.
+  EXPECT_NE(exposition.find("serve_latency_us_bucket{model=\"beer\",le="),
+            std::string::npos)
+      << exposition;
+}
+
+/// The X-DAR-Cache header of `response`, or "" without one.
+std::string CacheHeader(const HttpResponse& response) {
+  for (const auto& [name, value] : response.extra_headers) {
+    if (name == "X-DAR-Cache") return value;
+  }
+  return "";
+}
+
+// A hot swap while predicts flow through the endpoint's batcher (the TSan
+// lane runs this). Every response comes whole from one generation; once
+// ServeModel has returned, every text gets the second generation's body,
+// cold and warm, and the first generation has no cache entry left.
+TEST(RouterTest, HotSwapUnderLoadServesOneGenerationPerResponse) {
+  const uint64_t kFirstSeed = 7;
+  const uint64_t kSecondSeed = 9;
+  std::shared_ptr<serve::InferenceSession> first = MakeSession(kFirstSeed);
+  std::shared_ptr<serve::InferenceSession> second = MakeSession(kSecondSeed);
+  // Distinct token sequences of in-vocabulary words. Texts [0, kLoaded)
+  // flow during the swap; the rest first arrive after it.
+  const size_t kLoaded = 6;
+  const data::Vocabulary& vocab = first->vocab();
+  std::vector<std::string> texts;
+  for (int64_t k = 0; k < 8; ++k) {
+    std::string text;
+    for (int64_t j = 0; j < 3 + k % 4; ++j) {
+      if (j > 0) text += ' ';
+      text += vocab.Token(2 + (5 * k + j) % (vocab.size() - 2));
+    }
+    texts.push_back(text);
+  }
+  auto predict = [](Router& router, const std::string& text) {
+    return Call(router, "POST", "/v1/models/beer/predict", PredictBody(text));
+  };
+
+  // Reference bodies of both generations, from an uncached router.
+  std::vector<std::string> first_body, second_body;
+  {
+    serve::ModelRegistry reference_registry;
+    Router reference(reference_registry);
+    reference.ServeModel("beer", MakeSession(kFirstSeed));
+    for (const std::string& text : texts) {
+      first_body.push_back(predict(reference, text).body);
+    }
+    reference.ServeModel("beer", MakeSession(kSecondSeed));
+    for (const std::string& text : texts) {
+      second_body.push_back(predict(reference, text).body);
+    }
+  }
+  ASSERT_NE(first_body, second_body);
+
+  serve::ModelRegistry registry;
+  RouterConfig config;
+  config.serve.cache.enabled = true;
+  Router router(registry, config);
+  router.ServeModel("beer", first);
+
+  std::atomic<int64_t> completed{0};
+  std::atomic<int64_t> mismatches{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c]() {
+      for (size_t i = c; !stop.load(); ++i) {
+        const size_t t = i % kLoaded;
+        const HttpResponse response = predict(router, texts[t]);
+        if (response.status != 200 || (response.body != first_body[t] &&
+                                       response.body != second_body[t])) {
+          ++mismatches;
+        }
+        ++completed;
+      }
+    });
+  }
+  auto wait_for = [&](int64_t count) {
+    while (completed.load() < count) std::this_thread::yield();
+  };
+  wait_for(20);
+  router.ServeModel("beer", second);
+  wait_for(completed.load() + 40);
+  stop.store(true);
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(mismatches.load(), 0);
+
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t t = 0; t < texts.size(); ++t) {
+      const HttpResponse response = predict(router, texts[t]);
+      ASSERT_EQ(response.status, 200);
+      EXPECT_EQ(response.body, second_body[t]) << "pass " << pass;
+      if (pass == 1) {
+        EXPECT_EQ(CacheHeader(response), "hit") << texts[t];
+      } else if (t >= kLoaded) {
+        EXPECT_NE(CacheHeader(response), "hit") << texts[t];
+      }
+    }
+  }
+  for (const char* tier : {serve::ServeCache::kEmbeddingTierName,
+                           serve::ServeCache::kEncoderTierName}) {
+    EXPECT_EQ(router.cache()->Stats(first->cache_model_id(), tier).entries, 0)
+        << tier;
+  }
 }
 
 TEST(HttpEndToEndTest, HealthzAndModels) {

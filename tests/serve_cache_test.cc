@@ -485,11 +485,15 @@ TEST(ServeCacheLruTest, LookupRefreshesRecency) {
 
 // ---- Invalidation and reload ------------------------------------------------
 
-TEST(ServeCacheInvalidationTest, RegistryReloadStartsColdAndSweeps) {
-  ServeCache cache(CacheConfig{});
-  ModelRegistry registry;
-  registry.AttachCache(&cache);
+/// A router whose cache (default capacity) every model it serves joins.
+net::RouterConfig CachedRouterConfig() {
+  net::RouterConfig config;
+  config.serve.cache.enabled = true;
+  return config;
+}
 
+TEST(ServeCacheInvalidationTest, RegistryReloadStartsColdAndSweeps) {
+  ModelRegistry registry;
   datasets::SyntheticDataset dataset = TinyDataset();
   core::TrainConfig model_config = TinyConfig();
   Tensor embeddings = eval::BuildEmbeddings(dataset, model_config);
@@ -499,43 +503,77 @@ TEST(ServeCacheInvalidationTest, RegistryReloadStartsColdAndSweeps) {
         MakeModel(Method::kRnp, embeddings, c), dataset.vocab);
   };
 
-  auto first = make_session(3);
-  registry.Register("m", first);
-  ServeCache::ModelId first_id = first->cache_model_id();
-  std::string text = DistinctText(first->vocab(), 0, 5);
-  registry.Predict("m", text);
-  EXPECT_GT(cache.Stats(first_id, ServeCache::kEncoderTierName).entries, 0);
+  {
+    net::Router router(registry, CachedRouterConfig());
+    ServeCache& cache = *router.cache();
+    auto first = make_session(3);
+    router.ServeModel("m", first);
+    ServeCache::ModelId first_id = first->cache_model_id();
+    std::string text = DistinctText(first->vocab(), 0, 5);
+    registry.Predict("m", text);
+    EXPECT_GT(cache.Stats(first_id, ServeCache::kEncoderTierName).entries, 0);
 
-  // Hot swap = new cache model id, old entries swept.
-  auto second = make_session(17);
-  registry.Register("m", second);
-  ServeCache::ModelId second_id = second->cache_model_id();
-  EXPECT_NE(first_id, second_id);
-  EXPECT_EQ(cache.Stats(first_id, ServeCache::kEncoderTierName).entries, 0);
-  EXPECT_EQ(cache.Stats(first_id, ServeCache::kEncoderTierName).bytes, 0);
+    // Hot swap = new cache model id, old entries swept.
+    auto second = make_session(17);
+    router.ServeModel("m", second);
+    ServeCache::ModelId second_id = second->cache_model_id();
+    EXPECT_NE(first_id, second_id);
+    EXPECT_EQ(cache.Stats(first_id, ServeCache::kEncoderTierName).entries, 0);
+    EXPECT_EQ(cache.Stats(first_id, ServeCache::kEncoderTierName).bytes, 0);
 
-  // The reloaded model starts cold — its first request is a miss even
-  // though the old model served the same text.
-  std::optional<InferenceResult> r = registry.Predict("m", text);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->cache, CacheOutcome::kMiss);
+    // The reloaded model starts cold — its first request is a miss even
+    // though the old model served the same text.
+    std::optional<InferenceResult> r = registry.Predict("m", text);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->cache, CacheOutcome::kMiss);
 
-  // Late inserts from the invalidated session are dropped.
-  first->Predict(text);
-  EXPECT_EQ(cache.Stats(first_id, ServeCache::kEncoderTierName).entries, 0);
+    // Late inserts from the invalidated session are dropped.
+    first->Predict(text);
+    EXPECT_EQ(cache.Stats(first_id, ServeCache::kEncoderTierName).entries, 0);
+  }
+  // The router's teardown takes the model it served (and whose cache
+  // entries died with it) out of the registry.
+  EXPECT_FALSE(registry.Contains("m"));
+}
 
-  registry.Unregister("m");
-  EXPECT_EQ(cache.Stats(second_id, ServeCache::kEncoderTierName).entries, 0);
+// An insert checks that its model is alive before it takes the shard lock.
+// An invalidation between the two has already swept that shard, so the
+// insert must check again under the lock. Before it did, it left a dead
+// entry that only LRU eviction reclaimed.
+TEST(ServeCacheInvalidationTest, InsertRacingAnInvalidationIsDropped) {
+  ServeCache* target = nullptr;
+  ServeCache::ModelId model = 0;
+  bool invalidate_in_digest = false;
+  CacheConfig config;
+  // The encoder insert digests its sequence between the check and the
+  // lock: invalidate the model right there.
+  config.sequence_hash_override = [&](const std::vector<int64_t>&) {
+    if (invalidate_in_digest) {
+      invalidate_in_digest = false;
+      target->InvalidateModel(model);
+    }
+    return uint64_t{42};
+  };
+  ServeCache cache(config);
+  target = &cache;
+  model = cache.RegisterModel("m");
+
+  invalidate_in_digest = true;
+  cache.InsertEncoderStates(model, {5, 6, 7}, Tensor(Shape{1, 3, 4}),
+                            Tensor(Shape{1, 3, 4}));
+  ASSERT_FALSE(invalidate_in_digest) << "the insert never took its digest";
+  CacheTierStats enc = cache.Stats(model, ServeCache::kEncoderTierName);
+  EXPECT_EQ(enc.entries, 0);
+  EXPECT_EQ(enc.bytes, 0);
 }
 
 // ---- Concurrency (the TSan lane runs this) ----------------------------------
 
 TEST(ServeCacheConcurrencyTest, EightClientsTwoModelsConcurrentReload) {
-  CacheConfig config;
-  config.capacity_bytes = 1 << 20;
-  ServeCache cache(config);
+  net::RouterConfig config = CachedRouterConfig();
+  config.serve.cache.capacity_bytes = 1 << 20;
   ModelRegistry registry;
-  registry.AttachCache(&cache);
+  net::Router router(registry, config);
 
   datasets::SyntheticDataset dataset = TinyDataset();
   Tensor embeddings = eval::BuildEmbeddings(dataset, TinyConfig());
@@ -571,8 +609,8 @@ TEST(ServeCacheConcurrencyTest, EightClientsTwoModelsConcurrentReload) {
     }
   }
 
-  registry.Register(names[0], make_session(gen1_seeds[0]));
-  registry.Register(names[1], make_session(gen1_seeds[1]));
+  router.ServeModel(names[0], make_session(gen1_seeds[0]));
+  router.ServeModel(names[1], make_session(gen1_seeds[1]));
 
   std::atomic<int> mismatches{0};
   std::atomic<bool> start{false};
@@ -602,8 +640,8 @@ TEST(ServeCacheConcurrencyTest, EightClientsTwoModelsConcurrentReload) {
   }
   start.store(true);
   // Concurrent checkpoint reload of both models while clients hammer.
-  registry.Register(names[0], make_session(gen2_seeds[0]));
-  registry.Register(names[1], make_session(gen2_seeds[1]));
+  router.ServeModel(names[0], make_session(gen2_seeds[0]));
+  router.ServeModel(names[1], make_session(gen2_seeds[1]));
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(mismatches.load(), 0);
 
@@ -626,18 +664,16 @@ TEST(ServeCacheConcurrencyTest, EightClientsTwoModelsConcurrentReload) {
 // ---- Metrics & stats surfaces ------------------------------------------------
 
 TEST(ServeCacheMetricsTest, PrometheusExposesPerModelPerTierSeries) {
-  obs::MetricsRegistry metrics;
-  ServeCache cache(CacheConfig{}, &metrics);
-
   ModelRegistry registry;
-  registry.PublishMetrics(&metrics);
-  registry.AttachCache(&cache);
+  net::Router router(registry, CachedRouterConfig());
+  obs::MetricsRegistry& metrics = router.metrics();
+  ServeCache& cache = *router.cache();
 
   datasets::SyntheticDataset dataset = TinyDataset();
   Tensor embeddings = eval::BuildEmbeddings(dataset, TinyConfig());
   auto session = std::make_shared<InferenceSession>(
       MakeModel(Method::kRnp, embeddings, TinyConfig()), dataset.vocab);
-  registry.Register("beer", session);
+  router.ServeModel("beer", session);
 
   std::string text = DistinctText(dataset.vocab, 0, 5);
   registry.Predict("beer", text);

@@ -551,94 +551,10 @@ TEST(ModelRegistryTest, RoutesByName) {
   EXPECT_FALSE(registry.Contains("hotel"));
 }
 
-TEST(ModelRegistryTest, PublishMetricsLabelsSeriesPerModel) {
-  obs::MetricsRegistry metrics;
-  ModelRegistry registry;
-  registry.PublishMetrics(&metrics);
-  registry.Register("beer", MakeSession(3));
-  registry.Register("hotel", MakeSession(7));
-
-  ASSERT_TRUE(registry.Predict("beer", "pours a hazy amber").has_value());
-  ASSERT_TRUE(registry.Predict("beer", "thin head but clear").has_value());
-  ASSERT_TRUE(registry.Predict("hotel", "spotless lobby").has_value());
-
-  // One shared exposition carries a distinct series per model.
-  std::string exposition = metrics.ExportPrometheus();
-  EXPECT_NE(exposition.find("serve_requests_total{model=\"beer\"} 2"),
-            std::string::npos)
-      << exposition;
-  EXPECT_NE(exposition.find("serve_requests_total{model=\"hotel\"} 1"),
-            std::string::npos)
-      << exposition;
-  // Latency histograms carry the model label merged with the bucket label.
-  EXPECT_NE(exposition.find("serve_latency_us_bucket{model=\"beer\",le="),
-            std::string::npos)
-      << exposition;
-}
-
-TEST(ModelRegistryTest, DestructionRestoresSessionStatsBinding) {
-  std::shared_ptr<InferenceSession> session = MakeSession(3);
-  {
-    obs::MetricsRegistry metrics;
-    ModelRegistry registry;
-    registry.PublishMetrics(&metrics);
-    registry.Register("beer", session);
-    ASSERT_TRUE(registry.Predict("beer", "pours a hazy amber").has_value());
-    // The session's stats now publish into `metrics`, which dies with this
-    // scope. The registry's destructor must rebind them to a private
-    // registry — before it did, the lines below wrote freed memory
-    // (caught by ASan).
-  }
-  session->stats().registry().ResetAll();
-  ASSERT_FALSE(
-      session->Predict("still serving after the registry died").mask.empty());
-  EXPECT_EQ(session->stats().Snapshot().requests, 1);
-}
-
-// Unregister and a hot-swapping Register forget the outgoing session, but
-// its stats stay bound into the shared metrics registry. The registry's
-// destructor must restore those sessions too: before it did, their next
-// Predict wrote the dead metrics registry (caught by ASan).
-TEST(ModelRegistryTest, DestructionRestoresUnregisteredSessionStats) {
-  std::shared_ptr<InferenceSession> session = MakeSession(3);
-  uintptr_t dead_metrics = 0;
-  {
-    obs::MetricsRegistry metrics;
-    dead_metrics = reinterpret_cast<uintptr_t>(&metrics);
-    ModelRegistry registry;
-    registry.PublishMetrics(&metrics);
-    registry.Register("beer", session);
-    ASSERT_TRUE(registry.Unregister("beer"));
-  }
-  ASSERT_NE(reinterpret_cast<uintptr_t>(&session->stats().registry()),
-            dead_metrics);
-  ASSERT_FALSE(
-      session->Predict("still serving after the registry died").mask.empty());
-  EXPECT_EQ(session->stats().Snapshot().requests, 1);
-}
-
-TEST(ModelRegistryTest, DestructionRestoresReplacedSessionStats) {
-  std::shared_ptr<InferenceSession> replaced = MakeSession(3);
-  uintptr_t dead_metrics = 0;
-  {
-    obs::MetricsRegistry metrics;
-    dead_metrics = reinterpret_cast<uintptr_t>(&metrics);
-    ModelRegistry registry;
-    registry.PublishMetrics(&metrics);
-    registry.Register("beer", replaced);
-    registry.Register("beer", MakeSession(7));  // hot swap
-  }
-  ASSERT_NE(reinterpret_cast<uintptr_t>(&replaced->stats().registry()),
-            dead_metrics);
-  ASSERT_FALSE(
-      replaced->Predict("still serving after the registry died").mask.empty());
-  EXPECT_EQ(replaced->stats().Snapshot().requests, 1);
-}
-
 TEST(ModelRegistryTest, HotSwapAndUnregisterKeepPrivateStatsPrivate) {
-  // Sessions never rebound (no PublishMetrics) must keep their private
-  // stats across hot swap, unregister, and registry destruction — the
-  // destructor only undoes bindings it made, so recorded counts survive.
+  // The registry binds nothing: sessions keep their private stats across
+  // hot swap, unregister and registry destruction, and keep serving once
+  // the registry is gone.
   std::shared_ptr<InferenceSession> first = MakeSession(3);
   std::shared_ptr<InferenceSession> second = MakeSession(7);
   {
@@ -651,6 +567,10 @@ TEST(ModelRegistryTest, HotSwapAndUnregisterKeepPrivateStatsPrivate) {
   }
   EXPECT_EQ(first->stats().Snapshot().requests, 1);
   EXPECT_EQ(second->stats().Snapshot().requests, 1);
+  ASSERT_FALSE(
+      second->Predict("still serving after the registry died").mask.empty());
+  EXPECT_EQ(second->stats().Snapshot().requests, 2);
+  EXPECT_EQ(first->stats().Snapshot().requests, 1);
 }
 
 TEST(ThreadPoolTest, RunsAllTasks) {
