@@ -32,8 +32,6 @@ Variable Neg(const Variable& a);
 Variable AddScalar(const Variable& a, float s);
 /// Elementwise a * s.
 Variable MulScalar(const Variable& a, float s);
-/// Adds a length-n bias row to each row of an [m, n] matrix.
-Variable AddBias(const Variable& matrix, const Variable& bias);
 /// Scales each [*, *, e] fiber of x [B, T, E] by s[b, t]. This is the
 /// rationale-masking primitive: Z = M ⊙ X at the embedding level (eq. 1).
 Variable ScaleLastDim(const Variable& x, const Variable& s);
@@ -42,6 +40,11 @@ Variable ScaleLastDim(const Variable& x, const Variable& s);
 
 /// [m, k] x [k, n] -> [m, n].
 Variable MatMul(const Variable& a, const Variable& b);
+/// x·w + b for x [..., k] read as rows (tensor_ops.h), w [k, n] and b [n]
+/// -> [..., n], as one node: the bias is added in place on the product, and
+/// the backward hands the node's gradient g straight to dx = g·wᵀ,
+/// dw = xᵀ·g and db = SumRows(g).
+Variable Affine(const Variable& x, const Variable& w, const Variable& b);
 /// a [m, k] x b^T for b [n, k] -> [m, n]. Attention-score helper.
 Variable MatMulNT(const Variable& a, const Variable& b);
 
@@ -79,7 +82,8 @@ Variable RowSum(const Variable& x);
 
 /// Same data, new shape (element counts must match).
 Variable Reshape(const Variable& a, Shape shape);
-/// Concatenates [m, na] and [m, nb] into [m, na + nb].
+/// Concatenates [..., na] and [..., nb] (equal leading dims, read as rows)
+/// into [..., na + nb].
 Variable ConcatCols(const Variable& a, const Variable& b);
 /// Columns [start, start + len) of an [m, n] matrix.
 Variable SliceCols(const Variable& a, int64_t start, int64_t len);

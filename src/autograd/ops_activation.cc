@@ -25,7 +25,7 @@ Variable UnaryFromOutput(const char* op, const Variable& a, Tensor out,
                         for (int64_t i = 0; i < n.grad.numel(); ++i) {
                           pgo[i] = pg[i] * grad_of_output(po[i]);
                         }
-                        pa->AccumulateGrad(g);
+                        pa->AccumulateGrad(std::move(g));
                       });
 }
 
@@ -41,7 +41,7 @@ Variable UnaryFromInput(const char* op, const Variable& a, Tensor out,
     for (int64_t i = 0; i < n.grad.numel(); ++i) {
       pgo[i] = pg[i] * grad_of_input(pi[i]);
     }
-    pa->AccumulateGrad(g);
+    pa->AccumulateGrad(std::move(g));
   });
 }
 

@@ -75,16 +75,6 @@ Variable MulScalar(const Variable& a, float s) {
   });
 }
 
-Variable AddBias(const Variable& matrix, const Variable& bias) {
-  Tensor out = dar::AddRowBroadcast(matrix.value(), bias.value());
-  auto pm = matrix.node();
-  auto pb = bias.node();
-  return MakeOpResult("add_bias", std::move(out), {pm, pb}, [pm, pb](Node& n) {
-    if (pm->requires_grad) pm->AccumulateGrad(n.grad);
-    if (pb->requires_grad) pb->AccumulateGrad(dar::SumRows(n.grad));
-  });
-}
-
 Variable ScaleLastDim(const Variable& x, const Variable& s) {
   const Tensor& xv = x.value();
   const Tensor& sv = s.value();
@@ -116,7 +106,7 @@ Variable ScaleLastDim(const Variable& x, const Variable& s) {
             float sc = ps[i];
             for (int64_t j = 0; j < e; ++j) pgx[i * e + j] = sc * pg[i * e + j];
           }
-          px_node->AccumulateGrad(gx);
+          px_node->AccumulateGrad(std::move(gx));
         }
         if (ps_node->requires_grad) {
           Tensor gs(ps_node->value.shape());
@@ -127,7 +117,7 @@ Variable ScaleLastDim(const Variable& x, const Variable& s) {
             for (int64_t j = 0; j < e; ++j) acc += pg[i * e + j] * px[i * e + j];
             pgs[i] = acc;
           }
-          ps_node->AccumulateGrad(gs);
+          ps_node->AccumulateGrad(std::move(gs));
         }
       });
 }

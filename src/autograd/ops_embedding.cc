@@ -45,7 +45,7 @@ Variable EmbeddingLookup(const Variable& table,
         for (int64_t j = 0; j < e; ++j) dst[j] += src[j];
       }
     }
-    pn->AccumulateGrad(g);
+    pn->AccumulateGrad(std::move(g));
   });
 }
 

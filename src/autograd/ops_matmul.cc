@@ -22,6 +22,20 @@ Variable MatMul(const Variable& a, const Variable& b) {
   });
 }
 
+Variable Affine(const Variable& x, const Variable& w, const Variable& b) {
+  Tensor out = dar::MatMul(x.value(), w.value());
+  dar::AddRowBroadcastInPlace(out, b.value());
+  auto px = x.node();
+  auto pw = w.node();
+  auto pb = b.node();
+  return MakeOpResult("affine", std::move(out), {px, pw, pb},
+                      [px, pw, pb](Node& n) {
+    if (px->requires_grad) px->AccumulateGrad(dar::MatMulTB(n.grad, pw->value));
+    if (pw->requires_grad) pw->AccumulateGrad(dar::MatMulTA(px->value, n.grad));
+    if (pb->requires_grad) pb->AccumulateGrad(dar::SumRows(n.grad));
+  });
+}
+
 Variable MatMulNT(const Variable& a, const Variable& b) {
   Tensor out = dar::MatMulTB(a.value(), b.value());
   auto pa = a.node();

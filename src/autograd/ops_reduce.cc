@@ -55,7 +55,7 @@ Variable SumTime(const Variable& x) {
         for (int64_t j = 0; j < e; ++j) dst[j] = src[j];
       }
     }
-    pn->AccumulateGrad(g);
+    pn->AccumulateGrad(std::move(g));
   });
 }
 
@@ -81,7 +81,7 @@ Variable RowSum(const Variable& x) {
     for (int64_t i = 0; i < m; ++i) {
       for (int64_t j = 0; j < c; ++j) pgo[i * c + j] = pg[i];
     }
-    pn->AccumulateGrad(g);
+    pn->AccumulateGrad(std::move(g));
   });
 }
 

@@ -18,30 +18,32 @@ Variable Reshape(const Variable& a, Shape shape) {
 
 Variable ConcatCols(const Variable& a, const Variable& b) {
   Tensor out = dar::ConcatCols(a.value(), b.value());
+  int64_t m = 1;  // rows over the leading dims
+  for (int64_t i = 0; i + 1 < out.dim(); ++i) m *= out.size(i);
+  const int64_t na = a.value().size(-1);
+  const int64_t nb = b.value().size(-1);
   auto pa = a.node();
   auto pb = b.node();
-  int64_t na = a.value().size(1);
-  int64_t nb = b.value().size(1);
-  return MakeOpResult("concat_cols", std::move(out), {pa, pb}, [pa, pb, na, nb](Node& n) {
-    int64_t m = n.grad.size(0);
+  return MakeOpResult("concat_cols", std::move(out), {pa, pb},
+                      [pa, pb, m, na, nb](Node& n) {
     const float* pg = n.grad.data();
     if (pa->requires_grad) {
-      Tensor ga(Shape{m, na});
+      Tensor ga(pa->value.shape());
       float* p = ga.data();
       for (int64_t i = 0; i < m; ++i) {
         const float* src = pg + i * (na + nb);
         for (int64_t j = 0; j < na; ++j) p[i * na + j] = src[j];
       }
-      pa->AccumulateGrad(ga);
+      pa->AccumulateGrad(std::move(ga));
     }
     if (pb->requires_grad) {
-      Tensor gb(Shape{m, nb});
+      Tensor gb(pb->value.shape());
       float* p = gb.data();
       for (int64_t i = 0; i < m; ++i) {
         const float* src = pg + i * (na + nb) + na;
         for (int64_t j = 0; j < nb; ++j) p[i * nb + j] = src[j];
       }
-      pb->AccumulateGrad(gb);
+      pb->AccumulateGrad(std::move(gb));
     }
   });
 }
@@ -67,7 +69,7 @@ Variable SliceCols(const Variable& a, int64_t start, int64_t len) {
     for (int64_t i = 0; i < m; ++i) {
       for (int64_t j = 0; j < len; ++j) pgo[i * n_cols + start + j] = pg[i * len + j];
     }
-    pn->AccumulateGrad(g);
+    pn->AccumulateGrad(std::move(g));
   });
 }
 
@@ -98,7 +100,7 @@ Variable TimeDiff(const Variable& x) {
         pgo[i * t + j] -= gv;
       }
     }
-    pn->AccumulateGrad(g);
+    pn->AccumulateGrad(std::move(g));
   });
 }
 
@@ -115,7 +117,7 @@ Variable SliceRows(const Variable& a, int64_t start, int64_t len) {
     Tensor g(pn->value.shape());
     std::copy(n.grad.data(), n.grad.data() + len * n_cols,
               g.data() + start * n_cols);
-    pn->AccumulateGrad(g);
+    pn->AccumulateGrad(std::move(g));
   });
 }
 
@@ -149,7 +151,7 @@ Variable ConcatRows(const std::vector<Variable>& parts) {
                             std::copy(n.grad.data() + r * n_cols,
                                       n.grad.data() + (r + rows) * n_cols,
                                       g.data());
-                            p->AccumulateGrad(g);
+                            p->AccumulateGrad(std::move(g));
                           }
                           r += rows;
                         }

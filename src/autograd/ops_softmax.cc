@@ -28,7 +28,7 @@ Variable SoftmaxRowsOp(const Variable& logits) {
       float* orow = pgo + i * c;
       for (int64_t j = 0; j < c; ++j) orow[j] = yrow[j] * (grow[j] - dot);
     }
-    pn->AccumulateGrad(g);
+    pn->AccumulateGrad(std::move(g));
   });
 }
 
@@ -51,7 +51,7 @@ Variable LogSoftmaxRowsOp(const Variable& logits) {
       float* orow = pgo + i * c;
       for (int64_t j = 0; j < c; ++j) orow[j] = grow[j] - std::exp(lrow[j]) * gsum;
     }
-    pn->AccumulateGrad(g);
+    pn->AccumulateGrad(std::move(g));
   });
 }
 
@@ -75,7 +75,7 @@ Variable PickColumns(const Variable& x, const std::vector<int64_t>& index) {
     for (int64_t i = 0; i < m; ++i) {
       pgo[i * c + (*idx)[static_cast<size_t>(i)]] = pg[i];
     }
-    pn->AccumulateGrad(g);
+    pn->AccumulateGrad(std::move(g));
   });
 }
 

@@ -36,6 +36,19 @@ void Node::AccumulateGrad(const Tensor& g) {
   AddInPlace(grad, g);
 }
 
+void Node::AccumulateGrad(Tensor&& g) {
+  if (grad.numel() == value.numel() && grad.shape() == value.shape()) {
+    AccumulateGrad(static_cast<const Tensor&>(g));
+    return;
+  }
+  DAR_CHECK_MSG(g.shape() == value.shape(), "gradient shape mismatch");
+  ++grad_visits;
+  grad = std::move(g);
+  // The copying path's zero buffer plus g, element for element.
+  float* pg = grad.data();
+  for (int64_t i = 0; i < grad.numel(); ++i) pg[i] = 0.0f + pg[i];
+}
+
 Variable::Variable(Tensor value, bool requires_grad)
     : node_(std::make_shared<Node>()) {
   node_->value = std::move(value);

@@ -74,6 +74,12 @@ struct Node {
 
   /// Accumulates `g` into this node's gradient (allocates on first use).
   void AccumulateGrad(const Tensor& g);
+
+  /// As above, but a node with no gradient yet takes over `g`'s buffer and
+  /// adds it to zero in place (v = 0 + v, so a -0 still becomes +0): the
+  /// same bits as the copying path without its allocation. Backward
+  /// closures hand their temporaries over through this.
+  void AccumulateGrad(Tensor&& g);
 };
 
 /// A differentiable value: shared handle to a graph Node.

@@ -29,11 +29,8 @@ ag::Variable Generator::EncodeStates(const data::Batch& batch,
 ag::Variable Generator::SelectionLogitsFromStates(
     const ag::Variable& states) const {
   const Tensor& sv = states.value();
-  int64_t b = sv.size(0), t = sv.size(1);
-  ag::Variable flat =
-      ag::Reshape(states, Shape{b * t, encoder_->output_dim()});
-  ag::Variable logits = head_.Forward(flat);  // [B*T, 1]
-  return ag::Reshape(logits, Shape{b, t});
+  ag::Variable logits = head_.Forward(states);  // [B, T, 1]
+  return ag::Reshape(logits, Shape{sv.size(0), sv.size(1)});
 }
 
 ag::Variable Generator::SelectionLogits(const data::Batch& batch) const {

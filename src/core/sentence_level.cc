@@ -114,7 +114,7 @@ ag::Variable SoftSentenceMask(
             }
           }
         }
-        pn->AccumulateGrad(g);
+        pn->AccumulateGrad(std::move(g));
       });
 }
 

@@ -255,9 +255,10 @@ HttpResponse Router::HandleHealthz() {
 HttpResponse Router::HandleMetrics() {
   HttpResponse response;
   response.content_type = "text/plain; version=0.0.4";
-  // Bring the sync layer's contention counts up to date first, so the
-  // scrape that follows a contended burst sees it.
+  // Bring the sync layer's contention counts and the process's faults and
+  // CPU time up to date first, so the scrape that follows a burst sees it.
   obs::PublishSyncContentionMetrics(metrics_);
+  obs::PublishProcessMetrics(metrics_);
   response.body = metrics_.ExportPrometheus();
   return response;
 }

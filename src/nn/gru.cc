@@ -207,9 +207,9 @@ ag::Variable GruSequence(const ag::Variable& proj, const ag::Variable& w_h,
         for (int64_t k = 0; k < b * hd; ++k) pg[k] = (pg[k] + pdh[k]) + pda[k];
       }
       if (nw->requires_grad) {
-        const Tensor dw = dar::MatMulTA(h_prev, dq);
+        Tensor dw = dar::MatMulTA(h_prev, dq);
         if (s == t_len - 1) {
-          nw->AccumulateGrad(dw);
+          nw->AccumulateGrad(std::move(dw));
         } else {
           AddInPlace(nw->grad, dw);
         }
@@ -218,7 +218,7 @@ ag::Variable GruSequence(const ag::Variable& proj, const ag::Variable& w_h,
     if (scan) {
       check::ScanForNonFinite("gru_sequence", "grad", pdp, dproj.numel());
     }
-    if (np->requires_grad) np->AccumulateGrad(dproj);
+    if (np->requires_grad) np->AccumulateGrad(std::move(dproj));
   };
   return ag::MakeOpResult("gru_sequence", std::move(out), {np, nw},
                           std::move(backward));
@@ -241,16 +241,11 @@ ag::Variable Gru::Forward(const ag::Variable& x, const Tensor* valid) const {
   obs::Span span("gru.forward", obs::TraceLevel::kDetailed);
   const Tensor& xv = x.value();
   DAR_CHECK_EQ(xv.dim(), 3);
-  int64_t b = xv.size(0), t_len = xv.size(1);
   DAR_CHECK_EQ(xv.size(2), input_dim_);
-
-  // Project all timesteps at once: [B*T, E] x [E, 3H] — one large GEMM
-  // instead of T small ones; the packed kernel's best case.
-  ag::Variable x_flat = ag::Reshape(x, Shape{b * t_len, input_dim_});
-  ag::Variable proj_flat = ag::AddBias(ag::MatMul(x_flat, w_x_), b_);
-  ag::Variable proj = ag::Reshape(proj_flat, Shape{b, t_len, 3 * hidden_dim_});
-
-  return GruSequence(proj, w_h_, valid, reverse_);
+  // Project all timesteps at once: x [B, T, E] read as B·T rows times
+  // [E, 3H], one large GEMM instead of T small ones (the packed kernel's
+  // best case), with the bias added in place.
+  return GruSequence(ag::Affine(x, w_x_, b_), w_h_, valid, reverse_);
 }
 
 BiGru::BiGru(int64_t input_dim, int64_t hidden_dim, Pcg32& rng)
@@ -263,13 +258,8 @@ BiGru::BiGru(int64_t input_dim, int64_t hidden_dim, Pcg32& rng)
 ag::Variable BiGru::Forward(const ag::Variable& x, const Tensor* valid) const {
   ag::Variable fw = forward_.Forward(x, valid);
   ag::Variable bw = backward_.Forward(x, valid);
-  const Tensor& xv = x.value();
-  int64_t b = xv.size(0), t_len = xv.size(1);
-  int64_t hd = forward_.hidden_dim();
-  // Concatenate along the feature dim: reshape both to [B*T, H] and concat.
-  ag::Variable fw2 = ag::Reshape(fw, Shape{b * t_len, hd});
-  ag::Variable bw2 = ag::Reshape(bw, Shape{b * t_len, hd});
-  return ag::Reshape(ag::ConcatCols(fw2, bw2), Shape{b, t_len, 2 * hd});
+  // [B, T, H] each, concatenated along the feature dim.
+  return ag::ConcatCols(fw, bw);
 }
 
 }  // namespace nn

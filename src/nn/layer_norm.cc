@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "tensor/check.h"
 
@@ -67,7 +68,7 @@ ag::Variable LayerNorm::Forward(const ag::Variable& x) const {
           for (int64_t i = 0; i < m; ++i) {
             for (int64_t j = 0; j < n; ++j) p[j] += pdy[i * n + j] * ph[i * n + j];
           }
-          pg_node->AccumulateGrad(ggain);
+          pg_node->AccumulateGrad(std::move(ggain));
         }
         if (pb_node->requires_grad) {
           Tensor gbias(Shape{n});
@@ -75,7 +76,7 @@ ag::Variable LayerNorm::Forward(const ag::Variable& x) const {
           for (int64_t i = 0; i < m; ++i) {
             for (int64_t j = 0; j < n; ++j) p[j] += pdy[i * n + j];
           }
-          pb_node->AccumulateGrad(gbias);
+          pb_node->AccumulateGrad(std::move(gbias));
         }
         if (px_node->requires_grad) {
           // dx = inv_sigma * (dxhat - mean(dxhat) - xhat * mean(dxhat*xhat)),
@@ -97,7 +98,7 @@ ag::Variable LayerNorm::Forward(const ag::Variable& x) const {
               p[i * n + j] = is * (d - mean_d - ph[i * n + j] * mean_dh);
             }
           }
-          px_node->AccumulateGrad(gx);
+          px_node->AccumulateGrad(std::move(gx));
         }
       });
 }

@@ -18,9 +18,9 @@ Linear::Linear(int64_t in_features, int64_t out_features, Pcg32& rng)
 }
 
 ag::Variable Linear::Forward(const ag::Variable& x) const {
-  DAR_CHECK_EQ(x.value().dim(), 2);
-  DAR_CHECK_EQ(x.value().size(1), in_features_);
-  return ag::AddBias(ag::MatMul(x, weight_), bias_);
+  DAR_CHECK_GE(x.value().dim(), 2);
+  DAR_CHECK_EQ(x.value().size(-1), in_features_);
+  return ag::Affine(x, weight_, bias_);
 }
 
 }  // namespace nn

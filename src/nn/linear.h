@@ -16,7 +16,8 @@ class Linear : public Module {
  public:
   Linear(int64_t in_features, int64_t out_features, Pcg32& rng);
 
-  /// x: [m, in_features] -> [m, out_features].
+  /// x: [..., in_features] -> [..., out_features]; a rank >= 2 input is
+  /// read as rows (tensor/tensor_ops.h), so [B, T, in] needs no reshape.
   ag::Variable Forward(const ag::Variable& x) const;
 
   int64_t in_features() const { return in_features_; }

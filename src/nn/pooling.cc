@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "tensor/check.h"
 
@@ -51,7 +52,7 @@ ag::Variable MaskedMaxPool(const ag::Variable& h, const Tensor& valid) {
         if (tt >= 0) pgo[(i * t + tt) * d + j] += pg[i * d + j];
       }
     }
-    pn->AccumulateGrad(g);
+    pn->AccumulateGrad(std::move(g));
   });
 }
 

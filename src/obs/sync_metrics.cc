@@ -1,5 +1,7 @@
 #include "obs/sync_metrics.h"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -14,8 +16,8 @@ namespace obs {
 namespace {
 
 /// Serializes each read-and-merge, so two scrapes of one registry never
-/// both merge the same contention. Leaked: /metrics scrapes may race
-/// static destruction at shutdown.
+/// both merge the same counts. Leaked: /metrics scrapes may race static
+/// destruction at shutdown.
 sync::Mutex& PublishMutex() {
   static sync::Mutex& mu =
       *new sync::Mutex(sync::Rank::kObsDetail, "obs.sync_publish");
@@ -70,6 +72,27 @@ void PublishSyncContentionMetrics(MetricsRegistry& registry) {
         std::max(0.0, static_cast<double>(stats.wait_us_sum) - s.wait->sum()),
         static_cast<double>(stats.wait_us_max));
   }
+}
+
+void PublishProcessMetrics(MetricsRegistry& registry) {
+  // Lookups first: the registry's map lock ranks below the publish lock.
+  Counter& faults = registry.GetCounter("process.minor_faults_total");
+  Gauge& user = registry.GetGauge(
+      LabeledName("process.cpu_seconds_total", {{"mode", "user"}}));
+  Gauge& system = registry.GetGauge(
+      LabeledName("process.cpu_seconds_total", {{"mode", "system"}}));
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  sync::MutexLock lock(PublishMutex());
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return;
+  const int64_t new_faults =
+      static_cast<int64_t>(usage.ru_minflt) - faults.value();
+  if (new_faults > 0) faults.Increment(new_faults);
+  user.Set(seconds(usage.ru_utime));
+  system.Set(seconds(usage.ru_stime));
 }
 
 }  // namespace obs

@@ -1,5 +1,6 @@
-// Bridge from the sync layer's per-name contention counters to the
-// metrics registry: the /metrics exposition of lock contention.
+// Bridges from process-wide cumulative counts to a metrics registry: the
+// /metrics exposition of lock contention and of the process's own page
+// faults and CPU time. Router::HandleMetrics calls both before exporting.
 //
 // sync/ sits below obs/ and therefore cannot publish into a
 // MetricsRegistry itself; it only accumulates cumulative per-name atomics
@@ -30,6 +31,17 @@ namespace obs {
 /// set. Thread-safe; a scrape with no new contention reads a handful of
 /// relaxed atomics per registered name and changes nothing.
 void PublishSyncContentionMetrics(MetricsRegistry& registry);
+
+/// Brings `registry` up to getrusage(RUSAGE_SELF) since process start:
+///
+///   process_minor_faults_total               counter
+///   process_cpu_seconds_total{mode="user"}   gauge (seconds; it only grows)
+///   process_cpu_seconds_total{mode="system"} gauge
+///
+/// A minor fault is the first touch of a page the kernel maps in without
+/// I/O, such as a fresh large tensor buffer's: memory churn that no stage
+/// timing shows. Thread-safe, and monotone across scrapes.
+void PublishProcessMetrics(MetricsRegistry& registry);
 
 }  // namespace obs
 }  // namespace dar

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "obs/trace.h"
 #include "tensor/check.h"
@@ -28,6 +29,28 @@ Tensor Binary(const Tensor& a, const Tensor& b, Fn fn) {
   int64_t n = a.numel();
   for (int64_t i = 0; i < n; ++i) po[i] = fn(pa[i], pb[i]);
   return out;
+}
+
+// The rows rule (tensor_ops.h): the product of every dim but the last.
+int64_t RowCount(const Tensor& t) {
+  DAR_CHECK_GE(t.dim(), 2);
+  const Shape& s = t.shape();
+  int64_t rows = 1;
+  for (size_t i = 0; i + 1 < s.size(); ++i) rows *= s[i];
+  return rows;
+}
+
+// `t`'s shape with its last dim replaced by `n`.
+Shape WithLastDim(const Tensor& t, int64_t n) {
+  Shape s = t.shape();
+  s.back() = n;
+  return s;
+}
+
+// Call after RowCount(a), which checks a's rank.
+bool SameLeadingDims(const Tensor& a, const Tensor& b) {
+  return a.dim() == b.dim() &&
+         std::equal(a.shape().begin(), a.shape().end() - 1, b.shape().begin());
 }
 
 template <typename Fn>
@@ -149,13 +172,14 @@ namespace {
 // two clock reads per op under kDetailed. Only ops of >= 1 MFLOP emit the
 // detailed span; the matmul_flops_total counter keeps every op visible on
 // /metrics regardless of size.
-Tensor MatMulDispatch(gemm::Trans trans, int64_t m, int64_t n, int64_t k,
-                      const float* a, const float* b) {
+Tensor MatMulDispatch(gemm::Trans trans, Shape out_shape, int64_t m,
+                      int64_t n, int64_t k, const float* a, const float* b) {
   static obs::Counter* flops_total =
       &obs::MetricsRegistry::Global().GetCounter("matmul_flops_total");
   const int64_t flops = 2 * m * n * k;
   flops_total->Increment(flops);
-  Tensor c(Shape{m, n});  // zero-initialized: Gemm accumulates into it
+  // Zero-initialized: Gemm accumulates into it.
+  Tensor c(std::move(out_shape));
   if (flops >= gemm::kSpanFlopThreshold) {
     obs::Span span("matmul", obs::TraceLevel::kDetailed);
     gemm::Gemm(trans, m, n, k, a, b, c.data());
@@ -168,49 +192,44 @@ Tensor MatMulDispatch(gemm::Trans trans, int64_t m, int64_t n, int64_t k,
 }  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
-  DAR_CHECK_EQ(a.dim(), 2);
   DAR_CHECK_EQ(b.dim(), 2);
-  int64_t m = a.size(0), k = a.size(1), n = b.size(1);
+  const int64_t m = RowCount(a), k = a.size(-1), n = b.size(1);
   DAR_CHECK_EQ(b.size(0), k);
-  return MatMulDispatch(gemm::Trans::kNN, m, n, k, a.data(), b.data());
+  return MatMulDispatch(gemm::Trans::kNN, WithLastDim(a, n), m, n, k,
+                        a.data(), b.data());
 }
 
 Tensor MatMulTA(const Tensor& a, const Tensor& b) {
-  DAR_CHECK_EQ(a.dim(), 2);
-  DAR_CHECK_EQ(b.dim(), 2);
-  int64_t k = a.size(0), m = a.size(1), n = b.size(1);
-  DAR_CHECK_EQ(b.size(0), k);
-  return MatMulDispatch(gemm::Trans::kTA, m, n, k, a.data(), b.data());
+  const int64_t k = RowCount(a), m = a.size(-1), n = b.size(-1);
+  DAR_CHECK_MSG(SameLeadingDims(a, b), "MatMulTA requires equal leading dims");
+  return MatMulDispatch(gemm::Trans::kTA, Shape{m, n}, m, n, k, a.data(),
+                        b.data());
 }
 
 Tensor MatMulTB(const Tensor& a, const Tensor& b) {
-  DAR_CHECK_EQ(a.dim(), 2);
   DAR_CHECK_EQ(b.dim(), 2);
-  int64_t m = a.size(0), k = a.size(1), n = b.size(0);
+  const int64_t m = RowCount(a), k = a.size(-1), n = b.size(0);
   DAR_CHECK_EQ(b.size(1), k);
-  return MatMulDispatch(gemm::Trans::kTB, m, n, k, a.data(), b.data());
+  return MatMulDispatch(gemm::Trans::kTB, WithLastDim(a, n), m, n, k,
+                        a.data(), b.data());
 }
 
-Tensor AddRowBroadcast(const Tensor& matrix, const Tensor& row) {
-  DAR_CHECK_EQ(matrix.dim(), 2);
+void AddRowBroadcastInPlace(Tensor& rows, const Tensor& row) {
   DAR_CHECK_EQ(row.dim(), 1);
-  int64_t m = matrix.size(0), n = matrix.size(1);
+  const int64_t m = RowCount(rows), n = rows.size(-1);
   DAR_CHECK_EQ(row.size(0), n);
-  Tensor out = matrix;
-  float* po = out.data();
+  float* po = rows.data();
   const float* pr = row.data();
   for (int64_t i = 0; i < m; ++i) {
     float* orow = po + i * n;
     for (int64_t j = 0; j < n; ++j) orow[j] += pr[j];
   }
-  return out;
 }
 
-Tensor SumRows(const Tensor& matrix) {
-  DAR_CHECK_EQ(matrix.dim(), 2);
-  int64_t m = matrix.size(0), n = matrix.size(1);
+Tensor SumRows(const Tensor& rows) {
+  const int64_t m = RowCount(rows), n = rows.size(-1);
   Tensor out(Shape{n});
-  const float* pm = matrix.data();
+  const float* pm = rows.data();
   float* po = out.data();
   for (int64_t i = 0; i < m; ++i) {
     const float* row = pm + i * n;
@@ -317,11 +336,9 @@ Tensor Transpose(const Tensor& a) {
 }
 
 Tensor ConcatCols(const Tensor& a, const Tensor& b) {
-  DAR_CHECK_EQ(a.dim(), 2);
-  DAR_CHECK_EQ(b.dim(), 2);
-  DAR_CHECK_EQ(a.size(0), b.size(0));
-  int64_t m = a.size(0), na = a.size(1), nb = b.size(1);
-  Tensor out = Tensor::Scratch(Shape{m, na + nb});
+  const int64_t m = RowCount(a), na = a.size(-1), nb = b.size(-1);
+  DAR_CHECK_MSG(SameLeadingDims(a, b), "ConcatCols requires equal leading dims");
+  Tensor out = Tensor::Scratch(WithLastDim(a, na + nb));
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();

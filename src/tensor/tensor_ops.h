@@ -3,7 +3,15 @@
 // These are the non-differentiable building blocks; the autograd layer
 // composes them into differentiable ops. All functions are shape-checked
 // and allocate their outputs (value semantics); the few in-place variants
-// are suffixed InPlace and exist for the optimizer hot path.
+// are suffixed InPlace and exist for the optimizer and autograd hot paths.
+//
+// The rows rule: where an op below says it reads a rank >= 2 operand "as
+// rows", a tensor [d0, ..., dr-1, n] is the d0·…·dr-1 contiguous rows of n
+// floats it already is in memory, and a result keeps the operand's leading
+// dims. A [B, T, F] operand therefore runs the same kernel over the same
+// bytes as a rank-2 call on [B·T, F], with no reshape copy, and gives the
+// same bits. Two operands read as rows together must have equal leading
+// dims; the feature dims are checked as for rank 2.
 #ifndef DAR_TENSOR_TENSOR_OPS_H_
 #define DAR_TENSOR_TENSOR_OPS_H_
 
@@ -59,22 +67,24 @@ Tensor Abs(const Tensor& a);
 // chain. Ops >= 1 MFLOP emit the kDetailed "matmul" span; every op adds
 // its 2*m*n*k to the matmul_flops_total counter.
 
-/// C = A * B for 2-D A [m, k] and B [k, n].
+/// C = A * B for A [..., k] read as rows and 2-D B [k, n] -> [..., n].
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
-/// C = A^T * B for A [k, m], B [k, n] -> [m, n]. (Backward helper.)
+/// C = A^T * B for A [..., m] and B [..., n], both read as rows over equal
+/// leading dims -> [m, n]. (Backward helper: the weight gradient.)
 Tensor MatMulTA(const Tensor& a, const Tensor& b);
 
-/// C = A * B^T for A [m, k], B [n, k] -> [m, n]. (Backward helper.)
+/// C = A * B^T for A [..., k] read as rows and 2-D B [n, k] -> [..., n].
+/// (Backward helper.)
 Tensor MatMulTB(const Tensor& a, const Tensor& b);
 
 // ---- Broadcast helpers ----------------------------------------------------
 
-/// Adds a length-n row vector to every row of an [m, n] matrix.
-Tensor AddRowBroadcast(const Tensor& matrix, const Tensor& row);
+/// Adds a length-n row vector to every row of `rows` [..., n], in place.
+void AddRowBroadcastInPlace(Tensor& rows, const Tensor& row);
 
-/// Sums an [m, n] matrix over rows into a length-n vector.
-Tensor SumRows(const Tensor& matrix);
+/// Sums `rows` [..., n] over its rows into a length-n vector.
+Tensor SumRows(const Tensor& rows);
 
 // ---- Reductions ----------------------------------------------------------
 
@@ -99,7 +109,8 @@ Tensor LogSoftmaxRows(const Tensor& logits);
 /// Transposes a 2-D matrix.
 Tensor Transpose(const Tensor& a);
 
-/// Concatenates 2-D matrices with equal row counts along columns.
+/// Concatenates a [..., na] and b [..., nb], read as rows over equal
+/// leading dims, along the last dim -> [..., na + nb].
 Tensor ConcatCols(const Tensor& a, const Tensor& b);
 
 /// Extracts time-step t of a [batch, time, dim] tensor as [batch, dim].

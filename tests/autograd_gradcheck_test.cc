@@ -74,8 +74,14 @@ std::vector<OpCase> AllOpCases() {
       [](const std::vector<Variable>& v) { return Sum(AddScalar(v[0], 2.5f)); });
   add("mul_scalar", {{4}},
       [](const std::vector<Variable>& v) { return Sum(MulScalar(v[0], -1.5f)); });
-  add("add_bias", {{3, 4}, {4}},
-      [](const std::vector<Variable>& v) { return Sum(AddBias(v[0], v[1])); });
+  // x·w + b as one node, at rank 2 and with x [B, T, k] read as rows.
+  for (const Shape& x : {Shape{3, 4}, Shape{2, 3, 4}}) {
+    add(x.size() == 2 ? "affine" : "affine_rank3", {x, {4, 2}, {2}},
+        [](const std::vector<Variable>& v) {
+          Variable y = Affine(v[0], v[1], v[2]);
+          return Sum(Mul(y, y));
+        });
+  }
   add("scale_last_dim", {{2, 3, 4}, {2, 3}}, [](const std::vector<Variable>& v) {
     return Sum(Mul(ScaleLastDim(v[0], v[1]), ScaleLastDim(v[0], v[1])));
   });
@@ -118,6 +124,11 @@ std::vector<OpCase> AllOpCases() {
     Variable y = ConcatCols(v[0], v[1]);
     return Sum(Mul(y, y));
   });
+  add("concat_cols_rank3", {{2, 3, 2}, {2, 3, 1}},
+      [](const std::vector<Variable>& v) {
+        Variable y = ConcatCols(v[0], v[1]);
+        return Sum(Mul(y, y));
+      });
   add("slice_cols", {{2, 5}}, [](const std::vector<Variable>& v) {
     Variable y = SliceCols(v[0], 1, 3);
     return Sum(Mul(y, y));

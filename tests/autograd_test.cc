@@ -1,7 +1,12 @@
 // Tests for the autograd engine (variable.h + ops.h): graph mechanics,
 // known analytic gradients, gradient-flow control.
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +26,39 @@ TEST(VariableTest, LeafBasics) {
   EXPECT_TRUE(v.requires_grad());
   EXPECT_FALSE(v.has_grad());
   EXPECT_EQ(v.numel(), 2);
+}
+
+TEST(VariableTest, MovedFirstGradientMatchesTheCopyingPath) {
+  // A node's first gradient taken over by move must hold the bits the
+  // copying path gives (0 + g over a fresh zero buffer: -0 becomes +0, a
+  // NaN and denormals pass through), count one visit, and reuse g's buffer.
+  const float kDenorm = std::numeric_limits<float>::denorm_min();
+  const Tensor g = Tensor::FromVector(
+      {-0.0f, 0.0f, std::numeric_limits<float>::quiet_NaN(), kDenorm,
+       -kDenorm, -2.5f});
+  Node copied;
+  Node moved;
+  copied.value = moved.value = Tensor(g.shape());
+  copied.AccumulateGrad(g);
+  Tensor handed = g;
+  const float* buffer = handed.data();
+  moved.AccumulateGrad(std::move(handed));
+  EXPECT_EQ(moved.grad.data(), buffer);
+  EXPECT_EQ(moved.grad_visits, 1);
+  EXPECT_EQ(copied.grad_visits, 1);
+  EXPECT_FALSE(std::signbit(moved.grad.flat(0)));
+  auto same_bits = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+  };
+  EXPECT_TRUE(same_bits(moved.grad, copied.grad));
+  // A later gradient is added into the held buffer on both paths.
+  copied.AccumulateGrad(g);
+  moved.AccumulateGrad(Tensor(g));
+  EXPECT_EQ(moved.grad.data(), buffer);
+  EXPECT_EQ(moved.grad_visits, 2);
+  EXPECT_TRUE(same_bits(moved.grad, copied.grad));
 }
 
 TEST(VariableTest, ConstantDoesNotRequireGrad) {
@@ -210,33 +248,44 @@ TEST(OpsTest, ScaleLastDimForward) {
   EXPECT_EQ(x.grad().at(0, 1, 0), 0.0f);
 }
 
-/// Number of distinct nodes reachable from `root` through parent edges.
-size_t CountTapeNodes(const Variable& root) {
+/// Op names of the distinct nodes reachable from `root` through parent
+/// edges, each with its node count.
+std::map<std::string, int> TapeOps(const Variable& root) {
   std::unordered_set<const Node*> seen{root.node().get()};
   std::vector<const Node*> stack{root.node().get()};
+  std::map<std::string, int> ops;
   while (!stack.empty()) {
     const Node* n = stack.back();
     stack.pop_back();
+    ++ops[n->op];
     for (const auto& p : n->parents) {
       if (seen.insert(p.get()).second) stack.push_back(p.get());
     }
   }
-  return seen.size();
+  return ops;
 }
 
 TEST(OpsTest, BiGruTapeSizeIsIndependentOfSequenceLength) {
   // Each GRU direction is one node however long the sequence: the
-  // recurrence lives inside nn::GruSequence, not on the tape.
+  // recurrence lives inside nn::GruSequence, not on the tape. The ops read
+  // [B, T, F] as rows, so the tape holds no reshape copy either: per
+  // direction one affine input projection and one gru_sequence, and one
+  // concat_cols joining the directions.
   Pcg32 rng(3);
   nn::BiGru bigru(4, 3, rng);
-  auto tape_nodes = [&bigru](int64_t t_len) {
+  auto tape_ops = [&bigru](int64_t t_len) {
     Pcg32 data_rng(4);
     Variable x = Variable::Param(Tensor::Randn({2, t_len, 4}, data_rng));
     Tensor valid(Shape{2, t_len}, 1.0f);
     valid.at(1, t_len - 1) = 0.0f;
-    return CountTapeNodes(bigru.Forward(x, &valid));
+    return TapeOps(bigru.Forward(x, &valid));
   };
-  EXPECT_EQ(tape_nodes(1), tape_nodes(40));
+  std::map<std::string, int> ops = tape_ops(40);
+  EXPECT_EQ(tape_ops(1), ops);
+  EXPECT_EQ(ops.count("reshape"), 0u);
+  EXPECT_EQ(ops["affine"], 2);
+  EXPECT_EQ(ops["gru_sequence"], 2);
+  EXPECT_EQ(ops["concat_cols"], 1);
 }
 
 TEST(OpsTest, TimeDiffForwardAndGrad) {

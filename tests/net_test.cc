@@ -6,12 +6,15 @@
 // binary to vet the server's threading).
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -593,6 +596,52 @@ TEST(RouterTest, SessionRegisteredBesideARouterStaysUnbound) {
   EXPECT_EQ(beside->cache_model_id(), 0u);
   ASSERT_TRUE(registry.Predict("stout", "thin head but clear").has_value());
   EXPECT_EQ(beside->stats().Snapshot().requests, 2);
+}
+
+/// The value of `series` (name plus label block) in a Prometheus text
+/// exposition; NaN when the series is absent.
+double SeriesValue(const std::string& exposition, const std::string& series) {
+  const std::string key = "\n" + series + " ";
+  const size_t at = exposition.find(key);
+  if (at == std::string::npos) return std::nan("");
+  return std::strtod(exposition.c_str() + at + key.size(), nullptr);
+}
+
+// Every scrape publishes the process's minor page faults and CPU time from
+// getrusage; both are cumulative, so a later scrape never reads less.
+TEST(RouterTest, MetricsPublishProcessFaultsAndCpuTime) {
+  serve::ModelRegistry registry;
+  Router router(registry);
+  const char* kSeries[] = {"process_minor_faults_total",
+                           "process_cpu_seconds_total{mode=\"user\"}",
+                           "process_cpu_seconds_total{mode=\"system\"}"};
+  const std::string first = Call(router, "GET", "/metrics").body;
+  // Between the scrapes, the first touch of each page of a fresh anonymous
+  // mapping is one minor fault.
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  constexpr size_t kPages = 64;
+  void* region = mmap(nullptr, kPages * page, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(region, MAP_FAILED);
+  for (size_t i = 0; i < kPages; ++i) {
+    static_cast<volatile char*>(region)[i * page] = 1;
+  }
+  munmap(region, kPages * page);
+  const std::string second = Call(router, "GET", "/metrics").body;
+  EXPECT_NE(first.find("# TYPE process_minor_faults_total counter"),
+            std::string::npos)
+      << first;
+  EXPECT_GT(SeriesValue(first, kSeries[0]), 0.0) << first;
+  EXPECT_GE(SeriesValue(second, kSeries[0]),
+            SeriesValue(first, kSeries[0]) + static_cast<double>(kPages))
+      << second;
+  for (const char* series : kSeries) {
+    const double before = SeriesValue(first, series);
+    const double after = SeriesValue(second, series);
+    ASSERT_FALSE(std::isnan(before)) << series << " missing from " << first;
+    ASSERT_FALSE(std::isnan(after)) << series << " missing from " << second;
+    EXPECT_GE(after, before) << series;
+  }
 }
 
 // Each Router publishes the models it serves into its own /metrics, so

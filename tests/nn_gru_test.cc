@@ -172,7 +172,7 @@ void RefBackward(const Gru& gru, const RefRun& run, const Floats& out_grad,
       AddInto(grads.w_h, RefGemm(gemm::Trans::kTA, hd, 3 * hd, b, h_prev, dq));
     }
   }
-  // The input projection's Reshape / AddBias / MatMul backward.
+  // The input projection's backward: the affine node's db, dW_x and dx.
   if (weight_grad) {
     Floats db(static_cast<size_t>(3 * hd), 0.0f);
     for (int64_t row = 0; row < rows; ++row) {

@@ -7,11 +7,13 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "tensor/fastmath.h"
+#include "tensor/gemm.h"
 #include "tensor/random.h"
 
 namespace dar {
@@ -127,15 +129,106 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{5, 1, 5}, std::tuple{8, 8, 8},
                       std::tuple{3, 17, 5}, std::tuple{16, 2, 9}));
 
-TEST(BroadcastTest, AddRowBroadcast) {
+TEST(BroadcastTest, AddRowBroadcastInPlace) {
   Tensor m = T2({1, 2, 3, 4}, 2, 2);
-  Tensor row = Tensor::FromVector({10.0f, 20.0f});
-  EXPECT_TRUE(AddRowBroadcast(m, row).AllClose(T2({11, 22, 13, 24}, 2, 2)));
+  AddRowBroadcastInPlace(m, Tensor::FromVector({10.0f, 20.0f}));
+  EXPECT_TRUE(m.AllClose(T2({11, 22, 13, 24}, 2, 2)));
 }
 
 TEST(BroadcastTest, SumRows) {
   Tensor m = T2({1, 2, 3, 4}, 2, 2);
   EXPECT_TRUE(SumRows(m).AllClose(Tensor::FromVector({4.0f, 6.0f})));
+}
+
+// ---- The rows rule (tensor_ops.h) -------------------------------------------
+//
+// An op reading a [B, T, F] operand as rows must give the bytes of the
+// rank-2 call on the same buffer as [B·T, F], whichever GEMM path the shape
+// takes and at any kernel thread count.
+
+struct RowsShape {
+  int64_t b, t, f, n;  // operand [b, t, f], product width n
+};
+
+bool SameBytes(const Tensor& got, const Tensor& want) {
+  return got.numel() == want.numel() &&
+         std::memcmp(got.data(), want.data(),
+                     static_cast<size_t>(want.numel()) * sizeof(float)) == 0;
+}
+
+class RowsViewTest
+    : public ::testing::TestWithParam<std::tuple<RowsShape, int>> {
+ protected:
+  void SetUp() override { gemm::SetKernelThreads(std::get<1>(GetParam())); }
+  void TearDown() override { gemm::SetKernelThreads(1); }
+};
+
+TEST_P(RowsViewTest, Rank3MatchesRank2OverTheSameRows) {
+  const RowsShape s = std::get<0>(GetParam());
+  Pcg32 rng(static_cast<uint64_t>(s.b * 1000 + s.t * 10 + s.f));
+  const Tensor x = Tensor::Randn({s.b, s.t, s.f}, rng);
+  const Tensor g = Tensor::Randn({s.b, s.t, s.n}, rng);
+  const Tensor w = Tensor::Randn({s.f, s.n}, rng);
+  const Tensor wt = Tensor::Randn({s.n, s.f}, rng);
+  const Tensor bias = Tensor::Randn({s.n}, rng);
+  const Tensor x2 = x.Reshape({s.b * s.t, s.f});
+  const Tensor g2 = g.Reshape({s.b * s.t, s.n});
+
+  Tensor mm = MatMul(x, w);
+  Tensor mm2 = MatMul(x2, w);
+  EXPECT_EQ(mm.shape(), (Shape{s.b, s.t, s.n}));
+  EXPECT_TRUE(SameBytes(mm, mm2));
+
+  AddRowBroadcastInPlace(mm, bias);
+  AddRowBroadcastInPlace(mm2, bias);
+  EXPECT_EQ(mm.shape(), (Shape{s.b, s.t, s.n}));
+  EXPECT_TRUE(SameBytes(mm, mm2));
+
+  const Tensor tb = MatMulTB(x, wt);
+  EXPECT_EQ(tb.shape(), (Shape{s.b, s.t, s.n}));
+  EXPECT_TRUE(SameBytes(tb, MatMulTB(x2, wt)));
+
+  const Tensor ta = MatMulTA(x, g);
+  EXPECT_EQ(ta.shape(), (Shape{s.f, s.n}));
+  EXPECT_TRUE(SameBytes(ta, MatMulTA(x2, g2)));
+
+  const Tensor sum = SumRows(g);
+  EXPECT_EQ(sum.shape(), (Shape{s.n}));
+  EXPECT_TRUE(SameBytes(sum, SumRows(g2)));
+
+  const Tensor cat = ConcatCols(x, g);
+  EXPECT_EQ(cat.shape(), (Shape{s.b, s.t, s.f + s.n}));
+  EXPECT_TRUE(SameBytes(cat, ConcatCols(x2, g2)));
+}
+
+// The second shape is a GRU input projection at batch 64 ([64, 44, 32] x
+// [32, 72]), large enough for the packed GEMM path.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, RowsViewTest,
+    ::testing::Combine(::testing::Values(RowsShape{2, 3, 4, 5},
+                                         RowsShape{64, 44, 32, 72}),
+                       ::testing::Values(1, 4)));
+
+TEST(RowsViewDeathTest, MismatchedLeadingDimsAbort) {
+  const Tensor a(Shape{2, 3, 4});
+  const Tensor same_rows(Shape{3, 2, 5});  // 6 rows too, other leading dims
+  const Tensor other_rows(Shape{2, 4, 5});
+  const Tensor flat_rows(Shape{6, 5});     // 6 rows at rank 2
+  EXPECT_DEATH(ConcatCols(a, same_rows), "DAR_CHECK");
+  EXPECT_DEATH(ConcatCols(a, other_rows), "DAR_CHECK");
+  EXPECT_DEATH(ConcatCols(a, flat_rows), "DAR_CHECK");
+  EXPECT_DEATH(MatMulTA(a, same_rows), "DAR_CHECK");
+  EXPECT_DEATH(MatMulTA(a, other_rows), "DAR_CHECK");
+  EXPECT_DEATH(MatMulTA(a, flat_rows), "DAR_CHECK");
+}
+
+TEST(RowsViewDeathTest, FeatureDimsAreStillChecked) {
+  const Tensor a(Shape{2, 3, 4});
+  EXPECT_DEATH(MatMul(a, Tensor(Shape{5, 2})), "DAR_CHECK");
+  EXPECT_DEATH(MatMulTB(a, Tensor(Shape{2, 5})), "DAR_CHECK");
+  EXPECT_DEATH(MatMul(Tensor(Shape{4}), Tensor(Shape{4, 2})), "DAR_CHECK");
+  Tensor rows(Shape{2, 3, 4});
+  EXPECT_DEATH(AddRowBroadcastInPlace(rows, Tensor(Shape{3})), "DAR_CHECK");
 }
 
 TEST(ReduceTest, Aggregates) {
