@@ -1,9 +1,13 @@
 // GEMM kernel-layer bench: blocked/packed kernel vs the seed naive matmul.
 //
 // Measures, per encoder-relevant shape class and per transpose variant:
-//   * GFLOP/s of the blocked kernel (tensor/gemm.h),
+//   * GFLOP/s of the blocked kernel (tensor/gemm.h), through Gemm or, for
+//     the `_prepacked` rows, against a gemm::PackedB packed once,
 //   * speedup over the seed repo's naive kernel (reproduced below verbatim,
-//     zero-skip branch included), and
+//     zero-skip branch included),
+//   * the small loop against the packed kernel on the same operands at
+//     each orientation's dispatch crossover (`crossover`, the measurement
+//     behind gemm::UsesPackedPath), and
 //   * thread scaling at 256x256x256 (single-core containers will honestly
 //     record ~1x, like train_scaling does).
 // A sample runs one arm's products back to back, as many as make it last
@@ -17,6 +21,8 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,30 +61,51 @@ struct Product {
     for (float& x : b) x = rng.NextFloat() * 2.0f - 1.0f;
   }
 
-  /// Runs the seed kernel (`naive`) or the blocked one `count` times back
-  /// to back, accumulating into an output zeroed before the clock starts,
-  /// and returns the wall time per product in ms. The seed kernel only
-  /// ever implemented the NN orientation; the equivalent-cost NN product
-  /// stands in for TA/TB rows.
-  double PerProductMs(bool naive, int64_t count) {
+  /// Runs `product` `count` times back to back, accumulating into an
+  /// output zeroed before the clock starts, and returns the wall time per
+  /// product in ms.
+  template <typename F>
+  double PerProductMs(int64_t count, F product) {
     std::fill(c.begin(), c.end(), 0.0f);
     const auto start = std::chrono::steady_clock::now();
-    for (int64_t i = 0; i < count; ++i) {
-      if (naive) {
-        SeedNaiveMatMul(m, n, k, a.data(), b.data(), c.data());
-      } else {
-        gemm::Gemm(trans, m, n, k, a.data(), b.data(), c.data());
-      }
-    }
+    for (int64_t i = 0; i < count; ++i) product();
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - start)
                .count() /
            static_cast<double>(count);
   }
 
+  /// The seed kernel. It only ever implemented the NN orientation; the
+  /// equivalent-cost NN product stands in for TA/TB rows.
+  double NaiveMs(int64_t count) {
+    return PerProductMs(count, [this] {
+      SeedNaiveMatMul(m, n, k, a.data(), b.data(), c.data());
+    });
+  }
+
+  /// The blocked kernel through Gemm, or against `packed` when set.
+  double BlockedMs(int64_t count) {
+    if (packed != nullptr) {
+      return PerProductMs(count,
+                          [this] { packed->Multiply(a.data(), c.data()); });
+    }
+    return PerProductMs(count, [this] {
+      gemm::Gemm(trans, m, n, k, a.data(), b.data(), c.data());
+    });
+  }
+
+  /// One path of Gemm, whatever its dispatch rule says.
+  double PathMs(bool on_packed, int64_t count) {
+    return PerProductMs(count, [this, on_packed] {
+      gemm::GemmOnPath(on_packed, trans, m, n, k, a.data(), b.data(),
+                       c.data());
+    });
+  }
+
   gemm::Trans trans;
   int64_t m, n, k;
   std::vector<float> a, b, c;
+  std::unique_ptr<gemm::PackedB> packed;  // op(B) packed once, or none
 };
 
 /// Products per sample: the count, doubling from 1, at which one sample
@@ -103,16 +130,19 @@ struct ShapeResult {
 };
 
 /// Times one shape: the naive and blocked kernels as two interleaved arms
-/// on identical inputs, `reps` rounds of calibrated samples.
+/// on identical inputs, `reps` rounds of calibrated samples. With
+/// `prepacked`, the blocked arm multiplies against op(B) packed once
+/// before the clock starts, as the GRU does across a sequence.
 ShapeResult TimeShape(const std::string& label, gemm::Trans trans, int64_t m,
-                      int64_t n, int64_t k, int reps, double min_sample_ms) {
+                      int64_t n, int64_t k, bool prepacked, int reps,
+                      double min_sample_ms) {
   Product product(trans, m, n, k);
-  auto naive = [&](int64_t count) {
-    return product.PerProductMs(/*naive=*/true, count);
-  };
-  auto blocked = [&](int64_t count) {
-    return product.PerProductMs(/*naive=*/false, count);
-  };
+  if (prepacked) {
+    product.packed =
+        std::make_unique<gemm::PackedB>(trans, m, n, k, product.b.data());
+  }
+  auto naive = [&](int64_t count) { return product.NaiveMs(count); };
+  auto blocked = [&](int64_t count) { return product.BlockedMs(count); };
   const int64_t naive_products = CalibrateProducts(naive, min_sample_ms);
   const int64_t blocked_products = CalibrateProducts(blocked, min_sample_ms);
   const std::vector<ArmStats> arms =
@@ -146,6 +176,43 @@ std::string ResultJson(const ShapeResult& r) {
   return buf;
 }
 
+const char* TransName(gemm::Trans trans) {
+  switch (trans) {
+    case gemm::Trans::kNN: return "nn";
+    case gemm::Trans::kTA: return "ta";
+    case gemm::Trans::kTB: return "tb";
+  }
+  return "?";
+}
+
+/// Times the small loop against the packed kernel on one shape (two
+/// interleaved arms on identical inputs) and records which one
+/// gemm::UsesPackedPath picks there.
+std::string CrossoverJson(gemm::Trans trans, int64_t m, int64_t n, int64_t k,
+                          int reps, double min_sample_ms) {
+  Product product(trans, m, n, k);
+  auto small = [&](int64_t count) { return product.PathMs(false, count); };
+  auto packed = [&](int64_t count) { return product.PathMs(true, count); };
+  const int64_t small_products = CalibrateProducts(small, min_sample_ms);
+  const int64_t packed_products = CalibrateProducts(packed, min_sample_ms);
+  const std::vector<ArmStats> arms =
+      MeasureInterleaved({[&] { return small(small_products); },
+                          [&] { return packed(packed_products); }},
+                         reps);
+  char buf[384];
+  std::snprintf(buf, sizeof(buf),
+                "{\"trans\": \"%s\", \"m\": %lld, \"n\": %lld, "
+                "\"k\": %lld, \"small_ms\": %.6f, \"small_spread_pct\": "
+                "%.1f, \"packed_ms\": %.6f, \"packed_spread_pct\": %.1f, "
+                "\"rule\": \"%s\"}",
+                TransName(trans), static_cast<long long>(m),
+                static_cast<long long>(n), static_cast<long long>(k),
+                arms[0].median, arms[0].spread_pct, arms[1].median,
+                arms[1].spread_pct,
+                gemm::UsesPackedPath(trans, m, n, k) ? "packed" : "small");
+  return buf;
+}
+
 }  // namespace
 
 int Main(int argc, char** argv) {
@@ -160,27 +227,31 @@ int Main(int argc, char** argv) {
   gemm::SetKernelThreads(1);
 
   // Shape classes: the acceptance square, the encoder's flat input
-  // projection, the tiny recurrent step (small-path regression guard), the
-  // backward's transposed products at the acceptance size, the GRU
-  // input projection at training batch size (its gate width 3H = 72 leaves
-  // an 8-wide column tail that the 80-wide row does not), and BPTT's
-  // per-step dh = dq · W_h^T (n = H = 24: one full panel and an 8-wide
-  // tail).
+  // projection, the recurrent step, the backward's transposed products at
+  // the acceptance size, the GRU input projection at training batch size
+  // (its gate width 3H = 72 leaves an 8-wide column tail that the 80-wide
+  // row does not), BPTT's per-step dh = dq · W_h^T (n = H = 24: one full
+  // panel and an 8-wide tail) at batch 64 and at the served model's 32,
+  // and the two recurrent products against W_h packed once per sequence.
   struct Case {
     const char* label;
     gemm::Trans trans;
     int64_t m, n, k;
+    bool prepacked;
   };
   const Case cases[] = {
-      {"square_256_nn", gemm::Trans::kNN, 256, 256, 256},
-      {"square_128_nn", gemm::Trans::kNN, 128, 128, 128},
-      {"flat_proj_nn", gemm::Trans::kNN, 512, 96, 32},
-      {"recurrent_step_nn", gemm::Trans::kNN, 64, 72, 24},
-      {"backward_ta_256", gemm::Trans::kTA, 256, 256, 256},
-      {"backward_tb_256", gemm::Trans::kTB, 256, 256, 256},
-      {"gru_input_proj_nn", gemm::Trans::kNN, 3840, 72, 32},
-      {"gru_input_proj_n80_nn", gemm::Trans::kNN, 3840, 80, 32},
-      {"gru_dh_tb", gemm::Trans::kTB, 64, 24, 72},
+      {"square_256_nn", gemm::Trans::kNN, 256, 256, 256, false},
+      {"square_128_nn", gemm::Trans::kNN, 128, 128, 128, false},
+      {"flat_proj_nn", gemm::Trans::kNN, 512, 96, 32, false},
+      {"recurrent_step_nn", gemm::Trans::kNN, 64, 72, 24, false},
+      {"backward_ta_256", gemm::Trans::kTA, 256, 256, 256, false},
+      {"backward_tb_256", gemm::Trans::kTB, 256, 256, 256, false},
+      {"gru_input_proj_nn", gemm::Trans::kNN, 3840, 72, 32, false},
+      {"gru_input_proj_n80_nn", gemm::Trans::kNN, 3840, 80, 32, false},
+      {"gru_dh_tb", gemm::Trans::kTB, 64, 24, 72, false},
+      {"gru_dh_tb_b32", gemm::Trans::kTB, 32, 24, 72, false},
+      {"recurrent_step_nn_prepacked", gemm::Trans::kNN, 64, 72, 24, true},
+      {"gru_dh_tb_prepacked", gemm::Trans::kTB, 64, 24, 72, true},
   };
 
   std::string results = "[\n    ";
@@ -188,8 +259,8 @@ int Main(int argc, char** argv) {
   double gflops_256 = 0.0;
   bool first = true;
   for (const Case& cs : cases) {
-    ShapeResult r = TimeShape(cs.label, cs.trans, cs.m, cs.n, cs.k, reps,
-                              min_sample_ms);
+    ShapeResult r = TimeShape(cs.label, cs.trans, cs.m, cs.n, cs.k,
+                              cs.prepacked, reps, min_sample_ms);
     std::printf("%s\n", ResultJson(r).c_str());
     std::fflush(stdout);
     if (!first) results += ",\n    ";
@@ -202,6 +273,37 @@ int Main(int argc, char** argv) {
   }
   results += "\n  ]";
 
+  // The NN and TA crossovers at the GRU widths (H = 24, 3H = 72, E = 32):
+  // NN's recurrent step h · W_h and input projection x · W_x by batch rows,
+  // TA's dW_h = h^T · dq by batch (its reduction length). TB has no small
+  // loop left to time.
+  std::printf("\nsmall loop vs packed kernel at the dispatch crossovers:\n");
+  struct Crossover {
+    gemm::Trans trans;
+    int64_t m, n, k;
+  };
+  const Crossover crossovers[] = {
+      {gemm::Trans::kNN, 1, 72, 24},  {gemm::Trans::kNN, 4, 72, 24},
+      {gemm::Trans::kNN, 5, 72, 24},  {gemm::Trans::kNN, 6, 72, 24},
+      {gemm::Trans::kNN, 8, 72, 24},  {gemm::Trans::kNN, 32, 72, 24},
+      {gemm::Trans::kNN, 4, 72, 32},  {gemm::Trans::kNN, 6, 72, 32},
+      {gemm::Trans::kNN, 16, 72, 32}, {gemm::Trans::kTA, 24, 72, 2},
+      {gemm::Trans::kTA, 24, 72, 4},  {gemm::Trans::kTA, 24, 72, 5},
+      {gemm::Trans::kTA, 24, 72, 6},  {gemm::Trans::kTA, 24, 72, 8},
+      {gemm::Trans::kTA, 24, 72, 32},
+  };
+  std::string crossover = "[\n    ";
+  for (size_t i = 0; i < std::size(crossovers); ++i) {
+    const Crossover& x = crossovers[i];
+    const std::string row =
+        CrossoverJson(x.trans, x.m, x.n, x.k, reps, min_sample_ms);
+    std::printf("  %s\n", row.c_str());
+    std::fflush(stdout);
+    if (i > 0) crossover += ",\n    ";
+    crossover += row;
+  }
+  crossover += "\n  ]";
+
   // Thread scaling of the blocked kernel at the acceptance shape: each arm
   // sets its thread count before its rep, a quiesced point. Results are
   // bit-identical across worker counts (gemm.h); only latency can move.
@@ -213,7 +315,7 @@ int Main(int argc, char** argv) {
   for (int threads : thread_counts) {
     auto arm = [&square, threads](int64_t count) {
       gemm::SetKernelThreads(threads);
-      return square.PerProductMs(/*naive=*/false, count);
+      return square.BlockedMs(count);
     };
     const int64_t products = CalibrateProducts(arm, min_sample_ms);
     scaling_products.push_back(products);
@@ -246,6 +348,7 @@ int Main(int argc, char** argv) {
   json.Field("speedup_256cubed", speedup_256, 2);
   json.Field("gflops_256cubed", gflops_256, 2);
   json.RawField("results", results);
+  json.RawField("crossover", crossover);
   json.RawField("thread_scaling", scaling);
   if (!json.Write("BENCH_gemm.json")) {
     std::fprintf(stderr, "failed to write BENCH_gemm.json\n");

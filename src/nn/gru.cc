@@ -8,6 +8,7 @@
 #include "obs/trace.h"
 #include "tensor/check.h"
 #include "tensor/fastmath.h"
+#include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 
 namespace dar {
@@ -40,6 +41,26 @@ void ForwardRow(const float* __restrict prow, const float* __restrict qrow,
       q2row[j] = qrow[2 * hd + j];
     }
     orow[j] = kMasked ? mi * hprime + inv_mi * hrow[j] : hprime;
+  }
+}
+
+/// One forward step over all b rows. Row i reads its projection and
+/// writes its output at (i, t) of the [B, T, *] buffers (`proj`, `out` and
+/// `mask` point at time t), keeps its state in row i of step t's [B, H]
+/// block of the time-major buffers (`z` .. `q2`), and leaves its new state
+/// in row i of `h` for the next step's product.
+template <bool kKeep, bool kMasked>
+void ForwardStep(const float* proj, const float* q, const float* mask,
+                 int64_t b, int64_t t_len, int64_t hd, float* h, float* out,
+                 float* z, float* r, float* n, float* q2) {
+  for (int64_t i = 0; i < b; ++i) {
+    const int64_t kept = kKeep ? i * hd : 0;  // z, r, n, q2 are empty
+    float* orow = out + i * t_len * hd;
+    ForwardRow<kKeep, kMasked>(proj + i * t_len * 3 * hd, q + i * 3 * hd,
+                               h + i * hd, kMasked ? mask[i * t_len] : 1.0f,
+                               hd, orow, z + kept, r + kept, n + kept,
+                               q2 + kept);
+    std::copy(orow, orow + hd, h + i * hd);
   }
 }
 
@@ -107,40 +128,33 @@ ag::Variable GruSequence(const ag::Variable& proj, const ag::Variable& w_h,
   }
 
   // BPTT state, kept only when the node will be recorded: serving
-  // allocates none of it.
+  // allocates none of it. It is private to the node, so it is stored
+  // time-major, [T, B, H]: a step's rows are contiguous in both passes.
   const bool keep = proj.requires_grad() || w_h.requires_grad();
-  const Shape kept = keep ? Shape{b, t_len, hd} : Shape{0};
+  const Shape kept = keep ? Shape{t_len, b, hd} : Shape{0};
   Tensor z(kept), r(kept), n(kept), q2(kept);
   Tensor out = Tensor::Scratch(Shape{b, t_len, hd});
-  Tensor h(Shape{b, hd});  // the state entering the current step
+  Tensor h(Shape{b, hd});       // the state entering the current step
+  Tensor q(Shape{b, 3 * hd});   // h · W_h of the current step
+  // W_h packed once for the whole sequence (or kept for the small loop).
+  const gemm::PackedB w_packed(gemm::Trans::kNN, b, 3 * hd, hd, wv.data());
+  CountMatMulFlops(2 * b * 3 * hd * hd * t_len);
   const float* pp = pv.data();
   const float* pm = valid != nullptr ? valid->data() : nullptr;
-  float* pz = z.data();
-  float* pr = r.data();
-  float* pn = n.data();
-  float* pq2 = q2.data();
-  float* po = out.data();
-  const auto forward_row =
-      keep ? (pm != nullptr ? ForwardRow<true, true> : ForwardRow<true, false>)
-           : (pm != nullptr ? ForwardRow<false, true>
-                            : ForwardRow<false, false>);
+  const auto forward_step =
+      keep ? (pm != nullptr ? ForwardStep<true, true>
+                            : ForwardStep<true, false>)
+           : (pm != nullptr ? ForwardStep<false, true>
+                            : ForwardStep<false, false>);
   for (int64_t s = 0; s < t_len; ++s) {
     const int64_t t = reverse ? t_len - 1 - s : s;
-    const Tensor q = dar::MatMul(h, wv);
-    const float* pq = q.data();
-    const float* ph = h.data();
-    for (int64_t i = 0; i < b; ++i) {
-      const int64_t row = i * t_len + t;  // (i, t) in the [B, T, *] buffers
-      const int64_t kept_row = keep ? row * hd : 0;  // z, r, n, q2 are empty
-      forward_row(pp + row * 3 * hd, pq + i * 3 * hd, ph + i * hd,
-                  pm != nullptr ? pm[row] : 1.0f, hd, po + row * hd,
-                  pz + kept_row, pr + kept_row, pn + kept_row,
-                  pq2 + kept_row);
-    }
-    for (int64_t i = 0; i < b; ++i) {
-      const float* orow = po + (i * t_len + t) * hd;
-      std::copy(orow, orow + hd, h.data() + i * hd);
-    }
+    q.Zero();
+    w_packed.Multiply(h.data(), q.data());
+    const int64_t kept_step = keep ? t * b * hd : 0;
+    forward_step(pp + t * 3 * hd, q.data(), pm != nullptr ? pm + t : nullptr,
+                 b, t_len, hd, h.data(), out.data() + t * hd,
+                 z.data() + kept_step, r.data() + kept_step,
+                 n.data() + kept_step, q2.data() + kept_step);
   }
 
   auto np = proj.node();
@@ -152,6 +166,7 @@ ag::Variable GruSequence(const ag::Variable& proj, const ag::Variable& w_h,
                    mask = std::move(mask), masked, reverse, b, t_len,
                    hd](ag::Node& node) {
     const bool scan = check::SentinelEnabled();
+    const bool weight_grad = nw->requires_grad;
     const float* pog = node.grad.data();
     const float* pout = node.value.data();
     const float* pz = z.data();
@@ -159,16 +174,25 @@ ag::Variable GruSequence(const ag::Variable& proj, const ag::Variable& w_h,
     const float* pn = n.data();
     const float* pq2 = q2.data();
     const float* pm = masked ? mask.data() : nullptr;
+    // Every buffer once per call: no step allocates.
     Tensor dproj(Shape{b, t_len, 3 * hd});
     Tensor g(Shape{b, hd});       // state gradient of the current step
     Tensor dh(Shape{b, hd});      // its cell term for the previous step
     Tensor dq(Shape{b, 3 * hd});  // d (h · W_h) of the current step
     Tensor h_prev(Shape{b, hd});  // the state entering the current step
+    Tensor da(Shape{b, hd});      // dq · W_h^T, into the previous state
+    Tensor dw = weight_grad ? Tensor(Shape{hd, 3 * hd}) : Tensor();
+    // W_h^T packed once for the whole BPTT.
+    const gemm::PackedB w_t(gemm::Trans::kTB, b, hd, 3 * hd,
+                            nw->value.data());
+    CountMatMulFlops(2 * b * hd * 3 * hd * (t_len - 1) +
+                     (weight_grad ? 2 * hd * 3 * hd * b * t_len : 0));
     float* pdp = dproj.data();
     float* pg = g.data();
     float* pdh = dh.data();
     float* pdq = dq.data();
     float* ph = h_prev.data();
+    float* pda = da.data();
     const auto time_of = [&](int64_t s) { return reverse ? t_len - 1 - s : s; };
     // g = 0 + d out[:, t]: the tape's first accumulation into a state.
     const auto load_out_grad = [&](int64_t t) {
@@ -190,26 +214,30 @@ ag::Variable GruSequence(const ag::Variable& proj, const ag::Variable& w_h,
         h_prev.Zero();
       }
       if (scan) check::ScanForNonFinite("gru_sequence", "grad", pg, b * hd);
+      const int64_t step = t * b * hd;  // step t's block of z, r, n, q2
       for (int64_t i = 0; i < b; ++i) {
         const int64_t row = i * t_len + t;
-        BackwardRow(pg + i * hd, pz + row * hd, pr + row * hd, pn + row * hd,
-                    pq2 + row * hd, ph + i * hd,
-                    pm != nullptr ? pm[row] : 1.0f, hd, pdp + row * 3 * hd,
-                    pdq + i * 3 * hd, pdh + i * hd);
+        const int64_t kept = step + i * hd;
+        BackwardRow(pg + i * hd, pz + kept, pr + kept, pn + kept, pq2 + kept,
+                    ph + i * hd, pm != nullptr ? pm[row] : 1.0f, hd,
+                    pdp + row * 3 * hd, pdq + i * 3 * hd, pdh + i * hd);
       }
       if (scan) check::ScanForNonFinite("gru_sequence", "grad", pdq, b * 3 * hd);
       if (s > 0) {
         // The previous step's state gradient, in the tape's order:
-        // ((0 + d out) + cell term) + MatMulTB term.
-        const Tensor da = dar::MatMulTB(dq, nw->value);
-        const float* pda = da.data();
+        // ((0 + d out) + cell term) + dq · W_h^T.
+        da.Zero();
+        w_t.Multiply(pdq, pda);
         load_out_grad(time_of(s - 1));
         for (int64_t k = 0; k < b * hd; ++k) pg[k] = (pg[k] + pdh[k]) + pda[k];
       }
-      if (nw->requires_grad) {
-        Tensor dw = dar::MatMulTA(h_prev, dq);
+      if (weight_grad) {
+        // W_h's gradient gains h_prev^T · dq: the first step's product
+        // through AccumulateGrad (one visit), the rest in place.
+        dw.Zero();
+        gemm::Gemm(gemm::Trans::kTA, hd, 3 * hd, b, ph, pdq, dw.data());
         if (s == t_len - 1) {
-          nw->AccumulateGrad(std::move(dw));
+          nw->AccumulateGrad(dw);
         } else {
           AddInPlace(nw->grad, dw);
         }

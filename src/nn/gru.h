@@ -19,17 +19,21 @@ namespace nn {
 /// valid); `reverse` runs t = T-1 down to 0. Returns the hidden states
 /// [B, T, H] in original time order.
 ///
-/// Each step runs one MatMul(h, w_h) and the fused cell (gates, candidate,
-/// state blend, padding freeze). When a parent requires grad the node
+/// Each step runs one product h · w_h, against w_h packed once for the
+/// sequence (gemm::PackedB), and the fused cell (gates, candidate, state
+/// blend, padding freeze) over all B rows. No step allocates: the
+/// products write into buffers allocated once per call, and every product
+/// is counted in matmul_flops_total. When a parent requires grad the node
 /// keeps the gates, the candidate third of each step's hidden projection
-/// and the mask, and its backward runs BPTT from the last step to the
-/// first. Gradient-order contract — the per-step recurrence's summation
-/// order, which trained parameters depend on bit for bit
-/// (tests/nn_gru_test.cc holds the op to a per-step reference):
+/// (time-major, [T, B, H]) and the mask, and its backward runs BPTT from
+/// the last step to the first, against w_h^T packed once. Gradient-order
+/// contract — the per-step recurrence's summation order, which trained
+/// parameters depend on bit for bit (tests/nn_gru_test.cc holds the op to
+/// a per-step reference):
 ///   * step s's state gradient is
-///     ((0 + d out[s]) + cell term of step s+1) + MatMulTB(dq[s+1], w_h);
-///   * w_h's gradient adds MatMulTA(h[s-1], dq[s]) for s = T-1 .. 0, the
-///     first through AccumulateGrad (one visit) and the rest in place;
+///     ((0 + d out[s]) + cell term of step s+1) + dq[s+1] · w_h^T;
+///   * w_h's gradient adds h[s-1]^T · dq[s] for s = T-1 .. 0, the first
+///     through AccumulateGrad (one visit) and the rest in place;
 ///   * proj's gradient is assembled step by step and accumulated once.
 ag::Variable GruSequence(const ag::Variable& proj, const ag::Variable& w_h,
                          const Tensor* valid, bool reverse);

@@ -31,10 +31,11 @@ constexpr int64_t kKc = 256;
 // of kMr so chunk boundaries never split a micro-panel; independent of the
 // worker count by construction (the determinism argument, gemm.h).
 constexpr int64_t kRowChunk = 96;
-// Below this m*n*k the packing latency beats the multiply savings and the
-// small-shape loops win (measured in bench/gemm.cc; the GRU recurrent step
-// at the default test sizes sits below, the flat input projection above).
-constexpr int64_t kPackedMnkThreshold = 96 * 1024;
+// The small loops' crossovers (UsesPackedPath, gemm.h), measured by
+// bench/gemm.cc's `crossover` rows: NN packs from this many rows of A, TA
+// from this reduction length.
+constexpr int64_t kNnPackedMinRows = 6;
+constexpr int64_t kTaPackedMinDepth = 6;
 // Fan out to the kernel pool only when there is enough arithmetic to
 // amortize the submit/latch round trip and at least two row chunks exist.
 constexpr int64_t kThreadFlopThreshold = kSpanFlopThreshold;
@@ -97,27 +98,21 @@ void PackB(const OpView& opb, int64_t k, int64_t n, std::vector<float>& out) {
   }
 }
 
-/// Packs rows [i0, i0+mc) of op(A), k panel [pc, pc+kc), into MR row
-/// panels: panel ir holds kc columns of MR values (zero padded past m).
+/// Packs rows [i0, i0+mc) of a column-major op(A) (the TA orientation,
+/// row_stride == 1), k panel [pc, pc+kc), into MR row panels: panel ir
+/// holds kc columns of MR contiguous values (zero padded past m). A
+/// row-major op(A) is not packed: the micro-kernel reads its rows in place.
 void PackA(const OpView& opa, int64_t i0, int64_t mc, int64_t pc, int64_t kc,
            std::vector<float>& out) {
   int64_t num_ip = CeilDiv(mc, kMr);
   out.resize(static_cast<size_t>(num_ip * kc * kMr));
   float* dst = out.data();
-  // row_stride == 1 (the TA orientation): the mr values of one k column
-  // are contiguous; otherwise they sit one A-row apart (strided gather).
-  const bool contiguous = opa.row_stride == 1;
   for (int64_t ip = 0; ip < num_ip; ++ip) {
     int64_t r0 = i0 + ip * kMr;
     int64_t mr = std::min(kMr, i0 + mc - r0);
     for (int64_t kk = 0; kk < kc; ++kk) {
-      const int64_t kg = pc + kk;
-      if (contiguous) {
-        const float* src = opa.p + r0 + kg * opa.col_stride;
-        for (int64_t rr = 0; rr < mr; ++rr) dst[rr] = src[rr];
-      } else {
-        for (int64_t rr = 0; rr < mr; ++rr) dst[rr] = opa.at(r0 + rr, kg);
-      }
+      const float* src = opa.p + r0 + (pc + kk) * opa.col_stride;
+      for (int64_t rr = 0; rr < mr; ++rr) dst[rr] = src[rr];
       for (int64_t rr = mr; rr < kMr; ++rr) dst[rr] = 0.0f;
       dst += kMr;
     }
@@ -126,7 +121,12 @@ void PackA(const OpView& opa, int64_t i0, int64_t mc, int64_t pc, int64_t kc,
 
 // ---- Micro-kernels ---------------------------------------------------------
 // Each accumulates kc fma steps (ascending k) into the current C values —
-// resuming the per-element fma chain across kc panels losslessly.
+// resuming the per-element fma chain across kc panels losslessly. A tile's
+// A value (r, kk) is read from a packed micro-panel at pa[kk * kMr + r]
+// (kInPlaceA false), or in place from a row-major op(A) at
+// pa[r * lda + kk] (kInPlaceA true: the NN and TB orientations, which
+// therefore skip packing A). Either way it is the same value in the same
+// fma, so the two instantiations give the same bits.
 
 #ifdef DAR_GEMM_AVX2
 
@@ -141,10 +141,12 @@ void PackA(const OpView& opa, int64_t i0, int64_t mc, int64_t pc, int64_t kc,
 /// port vs two FMA ports). Named ymm values stay register-resident: at
 /// MR = 6 that is 12 accumulators + two B vectors + one A broadcast = 15
 /// of the 16 ymm registers.
-template <int MR>
-void MicroKernelTile(const float* pa, const float* pb, float* c, int64_t ldc,
-                     int64_t kc) {
+template <int MR, bool kInPlaceA>
+void MicroKernelTile(const float* pa, int64_t lda, const float* pb, float* c,
+                     int64_t ldc, int64_t kc) {
   static_assert(MR >= 1 && MR <= kMr);
+  const int64_t a_row = kInPlaceA ? lda : 1;
+  constexpr int64_t kAStep = kInPlaceA ? 1 : kMr;
   __m256 c00, c01, c10, c11, c20, c21, c30, c31, c40, c41, c50, c51;
   c00 = _mm256_loadu_ps(c + 0 * ldc);
   c01 = _mm256_loadu_ps(c + 0 * ldc + 8);
@@ -173,35 +175,35 @@ void MicroKernelTile(const float* pa, const float* pb, float* c, int64_t ldc,
     const __m256 b1 = _mm256_loadu_ps(pb + 8);
     pb += kNr;
     __m256 av;
-    av = _mm256_broadcast_ss(pa + 0);
+    av = _mm256_broadcast_ss(pa);
     c00 = _mm256_fmadd_ps(av, b0, c00);
     c01 = _mm256_fmadd_ps(av, b1, c01);
     if constexpr (MR > 1) {
-      av = _mm256_broadcast_ss(pa + 1);
+      av = _mm256_broadcast_ss(pa + 1 * a_row);
       c10 = _mm256_fmadd_ps(av, b0, c10);
       c11 = _mm256_fmadd_ps(av, b1, c11);
     }
     if constexpr (MR > 2) {
-      av = _mm256_broadcast_ss(pa + 2);
+      av = _mm256_broadcast_ss(pa + 2 * a_row);
       c20 = _mm256_fmadd_ps(av, b0, c20);
       c21 = _mm256_fmadd_ps(av, b1, c21);
     }
     if constexpr (MR > 3) {
-      av = _mm256_broadcast_ss(pa + 3);
+      av = _mm256_broadcast_ss(pa + 3 * a_row);
       c30 = _mm256_fmadd_ps(av, b0, c30);
       c31 = _mm256_fmadd_ps(av, b1, c31);
     }
     if constexpr (MR > 4) {
-      av = _mm256_broadcast_ss(pa + 4);
+      av = _mm256_broadcast_ss(pa + 4 * a_row);
       c40 = _mm256_fmadd_ps(av, b0, c40);
       c41 = _mm256_fmadd_ps(av, b1, c41);
     }
     if constexpr (MR > 5) {
-      av = _mm256_broadcast_ss(pa + 5);
+      av = _mm256_broadcast_ss(pa + 5 * a_row);
       c50 = _mm256_fmadd_ps(av, b0, c50);
       c51 = _mm256_fmadd_ps(av, b1, c51);
     }
-    pa += kMr;  // A panels are always padded to kMr rows
+    pa += kAStep;
   }
   _mm256_storeu_ps(c + 0 * ldc, c00);
   _mm256_storeu_ps(c + 0 * ldc + 8, c01);
@@ -229,10 +231,12 @@ void MicroKernelTile(const float* pa, const float* pb, float* c, int64_t ldc,
 
 #else  // scalar fallback (sanitizer lanes build without -mavx2 -mfma)
 
-template <int MR>
-void MicroKernelTile(const float* pa, const float* pb, float* c, int64_t ldc,
-                     int64_t kc) {
+template <int MR, bool kInPlaceA>
+void MicroKernelTile(const float* pa, int64_t lda, const float* pb, float* c,
+                     int64_t ldc, int64_t kc) {
   static_assert(MR >= 1 && MR <= kMr);
+  const int64_t a_row = kInPlaceA ? lda : 1;
+  constexpr int64_t kAStep = kInPlaceA ? 1 : kMr;
   // j-inner layout so the accumulator block stays in registers; std::fma
   // keeps the chain exactly rounded, matching the AVX2 build bit-for-bit.
   float acc[MR][kNr];
@@ -240,10 +244,9 @@ void MicroKernelTile(const float* pa, const float* pb, float* c, int64_t ldc,
     for (int64_t j = 0; j < kNr; ++j) acc[r][j] = c[r * ldc + j];
   }
   for (int64_t kk = 0; kk < kc; ++kk) {
-    const float* arow = pa + kk * kMr;
     const float* brow = pb + kk * kNr;
     for (int64_t r = 0; r < MR; ++r) {
-      const float av = arow[r];
+      const float av = pa[kk * kAStep + r * a_row];
       for (int64_t j = 0; j < kNr; ++j) {
         acc[r][j] = std::fma(av, brow[j], acc[r][j]);
       }
@@ -258,15 +261,16 @@ void MicroKernelTile(const float* pa, const float* pb, float* c, int64_t ldc,
 
 /// Full-width (nr == kNr) tile with a runtime row count: dispatches to the
 /// register-blocked kernel so chunk row tails (mr < 6) stay vectorized.
-void MicroKernelFullWidth(const float* pa, const float* pb, float* c,
-                          int64_t ldc, int64_t kc, int64_t mr) {
+template <bool kInPlaceA>
+void MicroKernelFullWidth(const float* pa, int64_t lda, const float* pb,
+                          float* c, int64_t ldc, int64_t kc, int64_t mr) {
   switch (mr) {
-    case 6: MicroKernelTile<6>(pa, pb, c, ldc, kc); break;
-    case 5: MicroKernelTile<5>(pa, pb, c, ldc, kc); break;
-    case 4: MicroKernelTile<4>(pa, pb, c, ldc, kc); break;
-    case 3: MicroKernelTile<3>(pa, pb, c, ldc, kc); break;
-    case 2: MicroKernelTile<2>(pa, pb, c, ldc, kc); break;
-    default: MicroKernelTile<1>(pa, pb, c, ldc, kc); break;
+    case 6: MicroKernelTile<6, kInPlaceA>(pa, lda, pb, c, ldc, kc); break;
+    case 5: MicroKernelTile<5, kInPlaceA>(pa, lda, pb, c, ldc, kc); break;
+    case 4: MicroKernelTile<4, kInPlaceA>(pa, lda, pb, c, ldc, kc); break;
+    case 3: MicroKernelTile<3, kInPlaceA>(pa, lda, pb, c, ldc, kc); break;
+    case 2: MicroKernelTile<2, kInPlaceA>(pa, lda, pb, c, ldc, kc); break;
+    default: MicroKernelTile<1, kInPlaceA>(pa, lda, pb, c, ldc, kc); break;
   }
 }
 
@@ -276,13 +280,14 @@ void MicroKernelFullWidth(const float* pa, const float* pb, float* c,
 /// never reach C, and each real element resumes its ascending-k fma chain
 /// from its stored C value — the same bits as a scalar loop, at vector
 /// speed (the GRU's 3H = 72 and H = 24 widths land here).
-void MicroKernelEdge(const float* pa, const float* pb, float* c, int64_t ldc,
-                     int64_t kc, int64_t mr, int64_t nr) {
+template <bool kInPlaceA>
+void MicroKernelEdge(const float* pa, int64_t lda, const float* pb, float* c,
+                     int64_t ldc, int64_t kc, int64_t mr, int64_t nr) {
   alignas(32) float tile[kMr * kNr] = {};
   for (int64_t r = 0; r < mr; ++r) {
     std::copy(c + r * ldc, c + r * ldc + nr, tile + r * kNr);
   }
-  MicroKernelFullWidth(pa, pb, tile, kNr, kc, mr);
+  MicroKernelFullWidth<kInPlaceA>(pa, lda, pb, tile, kNr, kc, mr);
   for (int64_t r = 0; r < mr; ++r) {
     std::copy(tile + r * kNr, tile + r * kNr + nr, c + r * ldc);
   }
@@ -290,37 +295,53 @@ void MicroKernelEdge(const float* pa, const float* pb, float* c, int64_t ldc,
 
 // ---- Blocked kernel --------------------------------------------------------
 
-/// Per-thread packing buffer for A blocks (and, on the calling thread, the
-/// shared B packing). Reused across calls; workers are pool threads, so
-/// the buffers amortize to one allocation per thread per high-water mark.
+/// Per-thread packing buffer for TA's A blocks. Reused across calls;
+/// workers are pool threads, so the buffers amortize to one allocation per
+/// thread per high-water mark.
 thread_local std::vector<float> t_pack_a;
+
+/// C rows [i0, i0+mc) gain one kc-deep k panel of op(A) times the matching
+/// panel of packed B. `a` is that panel of op(A): packed micro-panels
+/// (row panel ip at a + ip * kc * kMr), or, with kInPlaceA, the row-major
+/// rows themselves (row i0 + r at a + r * lda).
+template <bool kInPlaceA>
+void ComputePanel(const float* a, int64_t lda, const float* pb_panel,
+                  float* c, int64_t i0, int64_t mc, int64_t n, int64_t kc) {
+  const int64_t num_jp = CeilDiv(n, kNr);
+  const int64_t num_ip = CeilDiv(mc, kMr);
+  for (int64_t jp = 0; jp < num_jp; ++jp) {
+    const int64_t j0 = jp * kNr;
+    const int64_t nr = std::min(kNr, n - j0);
+    const float* pb = pb_panel + jp * kc * kNr;
+    for (int64_t ip = 0; ip < num_ip; ++ip) {
+      const int64_t r0 = i0 + ip * kMr;
+      const int64_t mr = std::min(kMr, i0 + mc - r0);
+      const float* pa = kInPlaceA ? a + ip * kMr * lda : a + ip * kc * kMr;
+      float* ctile = c + r0 * n + j0;
+      if (nr == kNr) {
+        MicroKernelFullWidth<kInPlaceA>(pa, lda, pb, ctile, n, kc, mr);
+      } else {
+        MicroKernelEdge<kInPlaceA>(pa, lda, pb, ctile, n, kc, mr, nr);
+      }
+    }
+  }
+}
 
 /// Computes C rows [i0, i0+mc) from packed B. Runs identically on the
 /// calling thread and on pool workers; all writes land in the caller-owned
 /// C rows of this chunk only.
 void ComputeRowChunk(const OpView& opa, const float* packed_b, float* c,
                      int64_t i0, int64_t mc, int64_t n, int64_t k) {
-  int64_t num_jp = CeilDiv(n, kNr);
+  const int64_t num_jp = CeilDiv(n, kNr);
   for (int64_t pc = 0; pc < k; pc += kKc) {
     const int64_t kc = std::min(kKc, k - pc);
-    PackA(opa, i0, mc, pc, kc, t_pack_a);
     const float* pb_panel = packed_b + pc * num_jp * kNr;
-    const int64_t num_ip = CeilDiv(mc, kMr);
-    for (int64_t jp = 0; jp < num_jp; ++jp) {
-      const int64_t j0 = jp * kNr;
-      const int64_t nr = std::min(kNr, n - j0);
-      const float* pb = pb_panel + jp * kc * kNr;
-      for (int64_t ip = 0; ip < num_ip; ++ip) {
-        const int64_t r0 = i0 + ip * kMr;
-        const int64_t mr = std::min(kMr, i0 + mc - r0);
-        const float* pa = t_pack_a.data() + ip * kc * kMr;
-        float* ctile = c + r0 * n + j0;
-        if (nr == kNr) {
-          MicroKernelFullWidth(pa, pb, ctile, n, kc, mr);
-        } else {
-          MicroKernelEdge(pa, pb, ctile, n, kc, mr, nr);
-        }
-      }
+    if (opa.col_stride == 1) {  // row-major op(A): NN, TB
+      ComputePanel<true>(opa.p + i0 * opa.row_stride + pc, opa.row_stride,
+                         pb_panel, c, i0, mc, n, kc);
+    } else {  // TA
+      PackA(opa, i0, mc, pc, kc, t_pack_a);
+      ComputePanel<false>(t_pack_a.data(), 0, pb_panel, c, i0, mc, n, kc);
     }
   }
 }
@@ -356,17 +377,10 @@ struct Latch {
   }
 };
 
-void GemmPacked(Trans trans, int64_t m, int64_t n, int64_t k, const float* a,
-                const float* b, float* c) {
-  const OpView opa = ViewOpA(trans, a, m, k);
-  const OpView opb = ViewOpB(trans, b, n, k);
-
-  // B is packed once on the calling thread and shared read-only; packing
-  // order is shape-only, so the bytes are independent of threading.
-  thread_local std::vector<float> t_pack_b;
-  PackB(opb, k, n, t_pack_b);
-  const float* packed_b = t_pack_b.data();
-
+/// Computes C (m x n) from op(A) and op(B) packed by PackB: inline row
+/// chunks, or fanned out to the kernel pool when the product is large.
+void RunPacked(const OpView& opa, const float* packed_b, float* c, int64_t m,
+               int64_t n, int64_t k) {
   const int64_t num_chunks = CeilDiv(m, kRowChunk);
   const int threads = State().threads.load(std::memory_order_relaxed);
   serve::ThreadPool* pool = State().pool_ptr.load(std::memory_order_acquire);
@@ -409,6 +423,15 @@ void GemmPacked(Trans trans, int64_t m, int64_t n, int64_t k, const float* a,
   latch.Wait();   // helpers read packed_b and write C; block until done
 }
 
+void GemmPacked(Trans trans, int64_t m, int64_t n, int64_t k, const float* a,
+                const float* b, float* c) {
+  // B is packed once on the calling thread and shared read-only; packing
+  // order is shape-only, so the bytes are independent of threading.
+  thread_local std::vector<float> t_pack_b;
+  PackB(ViewOpB(trans, b, n, k), k, n, t_pack_b);
+  RunPacked(ViewOpA(trans, a, m, k), t_pack_b.data(), c, m, n, k);
+}
+
 // ---- Small-shape kernels ---------------------------------------------------
 // Same fma chain as the packed path, minus packing. No zero-skip branch:
 // dense activations make the branch a pure pessimization (it was the seed
@@ -444,28 +467,27 @@ void GemmSmallTA(int64_t m, int64_t n, int64_t k, const float* a,
   }
 }
 
-void GemmSmallTB(int64_t m, int64_t n, int64_t k, const float* a,
-                 const float* b, float* c) {
-  // Row-dot-row; the k loop is a serial fma dependence the compiler cannot
-  // re-associate, preserving the chain.
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      const float* brow = b + j * k;
-      float acc = crow[j];
-      for (int64_t kk = 0; kk < k; ++kk) {
-        acc = std::fma(arow[kk], brow[kk], acc);
-      }
-      crow[j] = acc;
-    }
+/// The orientation's small loop. kTB has none: its row-dot-row loop ran
+/// one serial fma chain per element, and the packed kernel is as fast at
+/// m = 1 and over 10x faster at m = 32, so TB always packs.
+void GemmSmall(Trans trans, int64_t m, int64_t n, int64_t k, const float* a,
+               const float* b, float* c) {
+  if (trans == Trans::kTA) {
+    GemmSmallTA(m, n, k, a, b, c);
+  } else {
+    GemmSmallNN(m, n, k, a, b, c);
   }
 }
 
 }  // namespace
 
-bool UsesPackedPath(int64_t m, int64_t n, int64_t k) {
-  return m * n * k >= kPackedMnkThreshold;
+bool UsesPackedPath(Trans trans, int64_t m, int64_t /*n*/, int64_t k) {
+  switch (trans) {
+    case Trans::kNN: return m >= kNnPackedMinRows;
+    case Trans::kTA: return k >= kTaPackedMinDepth;
+    case Trans::kTB: return true;
+  }
+  return true;
 }
 
 void SetKernelThreads(int n) {
@@ -487,17 +509,34 @@ void SetKernelThreads(int n) {
 
 int KernelThreads() { return State().threads.load(std::memory_order_relaxed); }
 
+void GemmOnPath(bool packed, Trans trans, int64_t m, int64_t n, int64_t k,
+                const float* a, const float* b, float* c) {
+  if (m <= 0 || n <= 0 || k <= 0) return;  // C stays zero (empty sum)
+  if (packed || trans == Trans::kTB) {
+    GemmPacked(trans, m, n, k, a, b, c);
+  } else {
+    GemmSmall(trans, m, n, k, a, b, c);
+  }
+}
+
 void Gemm(Trans trans, int64_t m, int64_t n, int64_t k, const float* a,
           const float* b, float* c) {
-  if (m <= 0 || n <= 0 || k <= 0) return;  // C stays zero (empty sum)
-  if (UsesPackedPath(m, n, k)) {
-    GemmPacked(trans, m, n, k, a, b, c);
-    return;
+  GemmOnPath(UsesPackedPath(trans, m, n, k), trans, m, n, k, a, b, c);
+}
+
+PackedB::PackedB(Trans trans, int64_t m, int64_t n, int64_t k, const float* b)
+    : trans_(trans), m_(m), n_(n), k_(k), b_(b) {
+  if (m > 0 && n > 0 && k > 0 && UsesPackedPath(trans, m, n, k)) {
+    PackB(ViewOpB(trans, b, n, k), k, n, packed_);
   }
-  switch (trans) {
-    case Trans::kNN: GemmSmallNN(m, n, k, a, b, c); break;
-    case Trans::kTA: GemmSmallTA(m, n, k, a, b, c); break;
-    case Trans::kTB: GemmSmallTB(m, n, k, a, b, c); break;
+}
+
+void PackedB::Multiply(const float* a, float* c) const {
+  if (m_ <= 0 || n_ <= 0 || k_ <= 0) return;  // C stays zero (empty sum)
+  if (packed_.empty()) {
+    GemmSmall(trans_, m_, n_, k_, a, b_, c);
+  } else {
+    RunPacked(ViewOpA(trans_, a, m_, k_), packed_.data(), c, m_, n_, k_);
   }
 }
 

@@ -7,10 +7,11 @@
 //
 // ## Bit-exactness contract
 //
-// Every path through Gemm() — the small-shape loops, the packed
-// single-threaded path, the packed multi-threaded path, the AVX2+FMA
-// micro-kernel and its scalar fallback — computes each output element as
-// the SAME fused-multiply-add chain:
+// Every path through Gemm() and PackedB::Multiply() — the small-shape
+// loops, the packed single-threaded path, the packed multi-threaded path,
+// a B packed once for many products, the AVX2+FMA micro-kernel and its
+// scalar fallback — computes each output element as the SAME
+// fused-multiply-add chain:
 //
 //   c = 0;  for k ascending:  c = fma(opA[i,k], opB[k,j], c)
 //
@@ -20,7 +21,10 @@
 //   * Tiling/packing only reorders which (i, j) is computed when; the
 //     per-element k chain is untouched (kc panels are visited ascending
 //     and the partial C value stored between panels is exactly the
-//     float32 accumulator, so resuming the chain is lossless).
+//     float32 accumulator, so resuming the chain is lossless). Whether
+//     the micro-kernel reads A from a packed panel or from its own rows,
+//     and whether B was packed by this call or by a PackedB, each fma
+//     gets the same two operands.
 //   * The multi-threaded path partitions M into FIXED blocks of kRowChunk
 //     rows (independent of the worker count) and every output row is
 //     computed by exactly one task running the identical single-threaded
@@ -51,6 +55,7 @@
 #define DAR_TENSOR_GEMM_H_
 
 #include <cstdint>
+#include <vector>
 
 namespace dar {
 namespace gemm {
@@ -65,9 +70,9 @@ enum class Trans {
 
 /// C = op(A) * op(B). `c` must point at m*n floats, ZERO-INITIALIZED by the
 /// caller (Tensor's constructor does); the kernel accumulates into it.
-/// Dispatches between a low-overhead loop for small shapes and the packed
-/// blocked kernel (optionally threaded) past UsesPackedPath — every path
-/// is bit-identical per the contract above.
+/// Runs the orientation's small-shape loop or the packed blocked kernel
+/// (optionally threaded), as UsesPackedPath says — every path is
+/// bit-identical per the contract above.
 void Gemm(Trans trans, int64_t m, int64_t n, int64_t k, const float* a,
           const float* b, float* c);
 
@@ -77,10 +82,46 @@ void Gemm(Trans trans, int64_t m, int64_t n, int64_t k, const float* a,
 void GemmReference(Trans trans, int64_t m, int64_t n, int64_t k,
                    const float* a, const float* b, float* c);
 
-/// True when (m, n, k) routes to the packed blocked kernel; below this the
-/// packing latency exceeds the multiply cost and the small-shape loops
-/// win. Exposed so tests can sweep both sides of the boundary.
-bool UsesPackedPath(int64_t m, int64_t n, int64_t k);
+/// True when Gemm sends (trans, m, n, k) to the packed blocked kernel, one
+/// rule per orientation at the crossovers bench/gemm.cc measures (its
+/// `crossover` rows time both paths on the same operands):
+///   * kNN packs from m >= 6 rows of A: below that, packing B costs more
+///     than the i-k-j loop saves (serving's recurrence at B ≈ 1);
+///   * kTA packs from k >= 6, its reduction length: below that the k-outer
+///     loop's few passes over C win (dW_h at a tiny batch);
+///   * kTB always packs: its loop ran one serial fma chain per element,
+///     over 10x slower than the kernel at m = 32 (BPTT's dq · W_h^T),
+///     and no faster at m = 1.
+/// Exposed so tests can sweep both sides of each boundary.
+bool UsesPackedPath(Trans trans, int64_t m, int64_t n, int64_t k);
+
+/// op(B) prepared once for many products C = op(A) * op(B) of one shape
+/// (the GRU's W_h across a sequence's steps). When UsesPackedPath(trans,
+/// m, n, k) holds it packs op(B) now, as Gemm would on every call;
+/// otherwise it keeps `b` for the small loop. `b` is not owned: it must
+/// outlive this object, unchanged.
+class PackedB {
+ public:
+  PackedB(Trans trans, int64_t m, int64_t n, int64_t k, const float* b);
+
+  /// C = op(A) * op(B) with A of this object's shape: the same contract
+  /// (zero-initialized `c`) and the same bits as Gemm(trans, m, n, k, a,
+  /// b, c). Read-only, like Gemm's shared packed B.
+  void Multiply(const float* a, float* c) const;
+
+ private:
+  Trans trans_;
+  int64_t m_, n_, k_;
+  const float* b_;
+  std::vector<float> packed_;  // empty on the small path
+};
+
+/// Gemm on the path named, whatever UsesPackedPath says: the packed kernel
+/// (`packed`) or the orientation's small loop. kTB has no small loop and
+/// always packs. Same contract and bits as Gemm; bench/gemm.cc times both
+/// paths with it to measure the crossovers above.
+void GemmOnPath(bool packed, Trans trans, int64_t m, int64_t n, int64_t k,
+                const float* a, const float* b, float* c);
 
 /// Sets the kernel-thread budget (the pool serves every subsequent large
 /// Gemm). `n` is the TOTAL number of threads computing a GEMM, including

@@ -174,10 +174,8 @@ namespace {
 // /metrics regardless of size.
 Tensor MatMulDispatch(gemm::Trans trans, Shape out_shape, int64_t m,
                       int64_t n, int64_t k, const float* a, const float* b) {
-  static obs::Counter* flops_total =
-      &obs::MetricsRegistry::Global().GetCounter("matmul_flops_total");
   const int64_t flops = 2 * m * n * k;
-  flops_total->Increment(flops);
+  CountMatMulFlops(flops);
   // Zero-initialized: Gemm accumulates into it.
   Tensor c(std::move(out_shape));
   if (flops >= gemm::kSpanFlopThreshold) {
@@ -190,6 +188,12 @@ Tensor MatMulDispatch(gemm::Trans trans, Shape out_shape, int64_t m,
 }
 
 }  // namespace
+
+void CountMatMulFlops(int64_t flops) {
+  static obs::Counter* flops_total =
+      &obs::MetricsRegistry::Global().GetCounter("matmul_flops_total");
+  flops_total->Increment(flops);
+}
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   DAR_CHECK_EQ(b.dim(), 2);

@@ -78,6 +78,11 @@ Tensor MatMulTA(const Tensor& a, const Tensor& b);
 /// (Backward helper.)
 Tensor MatMulTB(const Tensor& a, const Tensor& b);
 
+/// Adds `flops` to matmul_flops_total, for products run straight on the
+/// kernel layer (nn::GruSequence's recurrent products against a
+/// gemm::PackedB), so the counter still covers every product.
+void CountMatMulFlops(int64_t flops);
+
 // ---- Broadcast helpers ----------------------------------------------------
 
 /// Adds a length-n row vector to every row of `rows` [..., n], in place.

@@ -58,6 +58,25 @@ void ExpectBitExact(Trans trans, int64_t m, int64_t n, int64_t k) {
       << " k=" << k;
 }
 
+/// Two products against one PackedB (a sequence's steps), each bit-compared
+/// to GemmReference on its own A.
+void ExpectPackedBBitExact(Trans trans, int64_t m, int64_t n, int64_t k) {
+  const std::vector<float> b = Fill(k * n, 3000 + k * 7 + n);
+  const PackedB packed(trans, m, n, k, b.data());
+  for (uint64_t step = 0; step < 2; ++step) {
+    const std::vector<float> a = Fill(m * k, 4000 + 100 * step + m * 7 + k);
+    std::vector<float> c_fast(static_cast<size_t>(m * n), 0.0f);
+    std::vector<float> c_ref(static_cast<size_t>(m * n), 0.0f);
+    packed.Multiply(a.data(), c_fast.data());
+    GemmReference(trans, m, n, k, a.data(), b.data(), c_ref.data());
+    ASSERT_EQ(std::memcmp(c_fast.data(), c_ref.data(),
+                          static_cast<size_t>(m * n) * sizeof(float)),
+              0)
+        << "trans=" << static_cast<int>(trans) << " m=" << m << " n=" << n
+        << " k=" << k << " step=" << step;
+  }
+}
+
 const Trans kAllTrans[] = {Trans::kNN, Trans::kTA, Trans::kTB};
 
 // ---- Shape sweep -----------------------------------------------------------
@@ -109,22 +128,47 @@ TEST(GemmTest, TallSkinnyAndWideShapes) {
 }
 
 TEST(GemmTest, PackedThresholdBoundary) {
-  // Certify both sides of the small/packed dispatch boundary with the same
-  // harness, so a future threshold retune cannot silently change results.
-  int64_t m = 64, n = 64;
-  int64_t k_below = 20, k_above = 32;  // 64*64*24 = 98304 is the boundary
-  ASSERT_FALSE(UsesPackedPath(m, n, k_below));
-  ASSERT_TRUE(UsesPackedPath(m, n, k_above));
-  for (Trans t : kAllTrans) {
-    ExpectBitExact(t, m, n, k_below);
-    ExpectBitExact(t, m, n, k_above);
+  // Certify both sides of each orientation's small/packed boundary
+  // (gemm.h), through Gemm and a PackedB, at the GRU widths, so a retune
+  // cannot silently change results: NN switches at 6 rows of A, TA at a
+  // reduction length of 6, and TB has no small loop.
+  struct Side {
+    Trans trans;
+    Dims d;
+    bool packed;
+  };
+  for (int64_t n : {24, 72}) {
+    for (int64_t k : {24, 72}) {
+      const Side sides[] = {
+          {Trans::kNN, {5, n, k}, false}, {Trans::kNN, {6, n, k}, true},
+          {Trans::kTA, {n, k, 5}, false}, {Trans::kTA, {n, k, 6}, true},
+          {Trans::kTB, {1, n, k}, true},  {Trans::kTB, {2, n, k}, true},
+      };
+      for (const Side& side : sides) {
+        const Dims& d = side.d;
+        SCOPED_TRACE(::testing::Message()
+                     << "trans=" << static_cast<int>(side.trans) << " m="
+                     << d.m << " n=" << d.n << " k=" << d.k);
+        ASSERT_EQ(UsesPackedPath(side.trans, d.m, d.n, d.k), side.packed);
+        ExpectBitExact(side.trans, d.m, d.n, d.k);
+        ExpectPackedBBitExact(side.trans, d.m, d.n, d.k);
+      }
+    }
   }
+}
+
+TEST(GemmTest, BpttProductAtBatch32TakesThePackedKernel) {
+  // BPTT's dq · W_h^T at the served model's batch: one serial fma chain
+  // per element on the deleted TB loop, over 10x slower than the kernel.
+  EXPECT_TRUE(UsesPackedPath(Trans::kTB, 32, 24, 72));
 }
 
 TEST(GemmTest, DegenerateDimsLeaveCZero) {
   std::vector<float> a(8, 1.0f), b(8, 1.0f), c(4, 0.0f);
   Gemm(Trans::kNN, 2, 2, 0, a.data(), b.data(), c.data());
   Gemm(Trans::kNN, 0, 2, 2, a.data(), b.data(), c.data());
+  PackedB(Trans::kTB, 2, 2, 0, b.data()).Multiply(a.data(), c.data());
+  PackedB(Trans::kNN, 0, 2, 2, b.data()).Multiply(a.data(), c.data());
   for (float x : c) EXPECT_EQ(x, 0.0f);
 }
 
@@ -202,6 +246,9 @@ TEST(GemmTest, GruTrainingShapesAtOneAndFourThreads) {
       {Trans::kNN, {64, 72, 24}},    // recurrent step h · W_h
       {Trans::kTB, {64, 24, 72}},    // BPTT dh = dq · W_h^T
       {Trans::kTA, {24, 72, 64}},    // dW_h = h^T · dq
+      {Trans::kNN, {32, 72, 24}},    // the same three at batch 32
+      {Trans::kTB, {32, 24, 72}},
+      {Trans::kTA, {24, 72, 32}},
       {Trans::kNN, {2816, 72, 32}},  // input projection x · W_x
       {Trans::kTA, {32, 72, 2816}},  // dW_x = x^T · dproj
   };
@@ -209,7 +256,7 @@ TEST(GemmTest, GruTrainingShapesAtOneAndFourThreads) {
     SetKernelThreads(threads);
     for (const Case& cs : cases) {
       SCOPED_TRACE(threads);
-      ASSERT_TRUE(UsesPackedPath(cs.d.m, cs.d.n, cs.d.k));
+      ASSERT_TRUE(UsesPackedPath(cs.trans, cs.d.m, cs.d.n, cs.d.k));
       ExpectBitExact(cs.trans, cs.d.m, cs.d.n, cs.d.k);
     }
   }
@@ -217,14 +264,41 @@ TEST(GemmTest, GruTrainingShapesAtOneAndFourThreads) {
 
 TEST(GemmTest, EveryColumnTailWidth) {
   // n = 17 .. 31 leaves a column tail of every width 1 .. 15 after one full
-  // 16-wide panel.
+  // 16-wide panel. Against a PackedB, 200 rows and k = 160 put every width
+  // past the fan-out floor in two row chunks.
   KernelThreadsGuard guard;
   for (int threads : {1, 4}) {
     SetKernelThreads(threads);
     for (int64_t n = 17; n <= 31; ++n) {
       SCOPED_TRACE(threads);
-      ASSERT_TRUE(UsesPackedPath(64, n, 96));
-      for (Trans t : kAllTrans) ExpectBitExact(t, 64, n, 96);
+      for (Trans t : kAllTrans) {
+        ASSERT_TRUE(UsesPackedPath(t, 64, n, 96));
+        ExpectBitExact(t, 64, n, 96);
+        ExpectPackedBBitExact(t, 200, n, 160);
+      }
+    }
+  }
+}
+
+// ---- B packed once ---------------------------------------------------------
+
+TEST(GemmTest, PackedBMatchesReferenceAtGruShapes) {
+  // Every batch the recurrence runs at, both sides of NN's boundary, at
+  // the GRU widths. 97 x 72 x 72 is two row chunks past the fan-out floor,
+  // so 4 threads run the threaded path on a prepacked B.
+  KernelThreadsGuard guard;
+  const int64_t rows[] = {1, 2, 5, 6, 7, 8, 16, 31, 32, 33, 57, 64, 97};
+  for (int threads : {1, 4}) {
+    SetKernelThreads(threads);
+    for (Trans t : kAllTrans) {
+      for (int64_t m : rows) {
+        for (int64_t n : {24, 72}) {
+          for (int64_t k : {24, 72}) {
+            SCOPED_TRACE(threads);
+            ExpectPackedBBitExact(t, m, n, k);
+          }
+        }
+      }
     }
   }
 }
@@ -316,9 +390,9 @@ TEST(GemmTest, MatMulGradCheckSmallPath) {
 }
 
 TEST(GemmTest, MatMulGradCheckPackedPath) {
-  // 48^3 routes to the packed kernel (48*48*48 > 96*1024): the backward's
+  // 48^3 routes to the packed kernel in every orientation: the backward's
   // TA/TB products then exercise the packed path too.
-  ASSERT_TRUE(UsesPackedPath(48, 48, 48));
+  for (Trans t : kAllTrans) ASSERT_TRUE(UsesPackedPath(t, 48, 48, 48));
   Pcg32 rng(6);
   ag::GradCheckResult r = ag::CheckGradients(
       [](const std::vector<ag::Variable>& v) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "autograd/gradcheck.h"
+#include "obs/metrics.h"
 #include "tensor/fastmath.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
@@ -206,8 +207,11 @@ enum class Frozen { kNothing, kInput, kWeights };
 
 TEST(GruSequenceTest, MatchesPerStepReferenceBitForBit) {
   constexpr int64_t kE = 32, kH = 24;
+  // B = 5 and 6 straddle the NN and TA small loops' crossovers, 8 and 16
+  // are tail batches, and 32 is the served model's batch, where BPTT's
+  // dq · W_h^T used to take the deleted TB loop.
   const std::vector<std::pair<int64_t, int64_t>> shapes = {
-      {1, 1}, {3, 7}, {5, 38}, {64, 40}};
+      {1, 1}, {3, 7}, {5, 38}, {6, 5}, {8, 11}, {16, 9}, {32, 13}, {64, 40}};
   for (const auto& [b, t_len] : shapes) {
     for (bool reverse : {false, true}) {
       for (bool masked : {false, true}) {
@@ -302,6 +306,27 @@ TEST(GruSequenceTest, SameGruTwiceInOneLossMatchesReference) {
       }
     }
   }
+}
+
+TEST(GruSequenceTest, CountsEveryRecurrentProduct) {
+  // matmul_flops_total, which tensor.matmul_mflop_per_step reads, sees
+  // every recurrent product: T forward h · W_h, T - 1 BPTT dq · W_h^T and
+  // T dW_h = h^T · dq. A leaf projection runs no other product.
+  constexpr int64_t kB = 32, kT = 9, kH = 24;
+  Pcg32 rng(31);
+  ag::Variable proj =
+      ag::Variable::Param(Tensor::Randn({kB, kT, 3 * kH}, rng, 0.5f));
+  ag::Variable w_h = ag::Variable::Param(Tensor::Randn({kH, 3 * kH}, rng, 0.3f));
+  const obs::Counter& flops =
+      obs::MetricsRegistry::Global().GetCounter("matmul_flops_total");
+  const int64_t before = flops.value();
+  ag::Variable y = GruSequence(proj, w_h, nullptr, /*reverse=*/false);
+  const int64_t forward = 2 * kB * 3 * kH * kH * kT;
+  EXPECT_EQ(flops.value() - before, forward);
+  y.Backward(Tensor::Randn({kB, kT, kH}, rng));
+  const int64_t tb = 2 * kB * kH * 3 * kH * (kT - 1);
+  const int64_t ta = 2 * kH * 3 * kH * kB * kT;
+  EXPECT_EQ(flops.value() - before, forward + tb + ta);
 }
 
 TEST(GruTest, OutputShape) {
