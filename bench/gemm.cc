@@ -9,7 +9,9 @@
 //     each orientation's dispatch crossover (`crossover`, the measurement
 //     behind gemm::UsesPackedPath), and
 //   * thread scaling at 256x256x256 (single-core containers will honestly
-//     record ~1x, like train_scaling does).
+//     record ~1x, like train_scaling does), with the process CPU time per
+//     product beside the wall time: CPU well above wall means the pool's
+//     threads ran at once, CPU equal to wall means they took turns.
 // A sample runs one arm's products back to back, as many as make it last
 // at least 2 ms (0.5 ms quick; the count is calibrated once per arm and
 // recorded in its row), and reads the time per product. Timings are
@@ -17,6 +19,8 @@
 //
 // Emits BENCH_gemm.json. The headline field `speedup_256cubed` (blocked vs
 // seed-naive at 256x256x256, single-threaded) is the one CI smoke-greps.
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -107,6 +111,23 @@ struct Product {
   std::vector<float> a, b, c;
   std::unique_ptr<gemm::PackedB> packed;  // op(B) packed once, or none
 };
+
+/// User plus system CPU time of every thread of this process, in ms.
+double ProcessCpuMs() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  auto ms = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) * 1e3 +
+           static_cast<double>(t.tv_usec) * 1e-3;
+  };
+  return ms(usage.ru_utime) + ms(usage.ru_stime);
+}
+
+/// Median of `samples` (sorted in place).
+double Median(std::vector<double>& samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
 
 /// Products per sample: the count, doubling from 1, at which one sample
 /// of `per_product_ms` lasts at least `min_sample_ms`.
@@ -307,33 +328,42 @@ int Main(int argc, char** argv) {
   // Thread scaling of the blocked kernel at the acceptance shape: each arm
   // sets its thread count before its rep, a quiesced point. Results are
   // bit-identical across worker counts (gemm.h); only latency can move.
+  // Each sample also reads the process CPU time around it (cpu_ms, per
+  // product, the median over the arm's samples).
   std::printf("\nthread scaling at 256x256x256 (total threads incl. caller):\n");
   const int thread_counts[] = {1, 2, 4};
   Product square(gemm::Trans::kNN, 256, 256, 256);
   std::vector<int64_t> scaling_products;
+  std::vector<std::vector<double>> cpu_samples(std::size(thread_counts));
   std::vector<std::function<double()>> scaling_arms;
-  for (int threads : thread_counts) {
-    auto arm = [&square, threads](int64_t count) {
+  for (size_t i = 0; i < std::size(thread_counts); ++i) {
+    auto arm = [&square, threads = thread_counts[i]](int64_t count) {
       gemm::SetKernelThreads(threads);
       return square.BlockedMs(count);
     };
     const int64_t products = CalibrateProducts(arm, min_sample_ms);
     scaling_products.push_back(products);
-    scaling_arms.push_back([arm, products] { return arm(products); });
+    scaling_arms.push_back([arm, products, cpu = &cpu_samples[i]] {
+      const double cpu_start = ProcessCpuMs();
+      const double wall_ms = arm(products);
+      cpu->push_back((ProcessCpuMs() - cpu_start) /
+                     static_cast<double>(products));
+      return wall_ms;
+    });
   }
   const std::vector<ArmStats> scaled = MeasureInterleaved(scaling_arms, reps);
   gemm::SetKernelThreads(1);
   std::string scaling = "[\n    ";
   for (size_t i = 0; i < scaled.size(); ++i) {
-    char buf[192];
+    char buf[224];
     std::snprintf(buf, sizeof(buf),
                   "{\"threads\": %d, \"products\": %lld, "
                   "\"blocked_ms\": %.6f, \"blocked_spread_pct\": %.1f, "
-                  "\"scale\": %.2f}",
+                  "\"cpu_ms\": %.6f, \"scale\": %.2f}",
                   thread_counts[i],
                   static_cast<long long>(scaling_products[i]),
                   scaled[i].median, scaled[i].spread_pct,
-                  scaled[0].median / scaled[i].median);
+                  Median(cpu_samples[i]), scaled[0].median / scaled[i].median);
     std::printf("  %s\n", buf);
     if (i > 0) scaling += ",\n    ";
     scaling += buf;

@@ -2,8 +2,8 @@
 // one-request-at-a-time loop, on the same model and the same request
 // stream, plus the in-process costs the end-to-end benchmark (e2e_bench/,
 // which drives the deployed HTTP stack) cannot resolve: trace levels and
-// sentinel modes on the naive path, the serving cache's embedding tier,
-// and paired probes of request tracing and the mutex wrapper.
+// sentinel modes on the naive path, the serving cache's miss cost, and
+// paired probes of request tracing and the mutex wrapper.
 //
 // For each (workers, max_batch) configuration, P producer threads submit
 // the full request set through the MicroBatcher and we measure wall-clock
@@ -128,13 +128,6 @@ int main(int argc, char** argv) {
   size_t num_requests = options.quick ? 1500 : 4000;
   std::vector<std::string> requests =
       BuildRequests(dataset, num_requests, options.seed);
-  // One word appended: every sequence misses the encoder tier, but its
-  // embedding rows are the ones the cold pass just published.
-  std::vector<std::string> prefix_requests;
-  prefix_requests.reserve(requests.size());
-  for (const std::string& text : requests) {
-    prefix_requests.push_back(text + " " + dataset.vocab.Token(2));
-  }
   const int rounds = options.quick ? 3 : 5;
   MeasureNaive(*session, {requests.begin(), requests.begin() + 50});  // warm
 
@@ -213,30 +206,15 @@ int main(int argc, char** argv) {
       add_arm("trap", naive(*session, obs::TraceLevel::kOff,
                             check::SentinelMode::kTrap));
 
-  // Serving cache, naive path. cold: every sequence distinct, so all
-  // misses, the insert-side cost of filling both tiers. prefix: runs right
-  // after cold in each round; encoder misses but embedding-row reuse, the
-  // only measurement of what the embedding tier buys.
+  // Serving cache, naive path. cold: every sequence distinct, so every
+  // request misses, looks up, runs both encoders and inserts: the miss
+  // cost of the cache against the naive arm.
   serve::ServeCache cache(serve::CacheConfig{});
-  double cache_embedding_hit_rate = 0.0;
   const size_t cold_arm = add_arm("cold", [&] {
     // Re-enabling issues a fresh cache model id, so every round starts cold.
     cached_session->EnableCache(&cache, "bench");
-    return MeasureNaive(*cached_session, requests);
-  });
-  const size_t prefix_arm = add_arm("prefix", [&] {
-    const serve::ServeCache::ModelId id = cached_session->cache_model_id();
-    const serve::CacheTierStats before =
-        cache.Stats(id, serve::ServeCache::kEmbeddingTierName);
-    const double rate = MeasureNaive(*cached_session, prefix_requests);
-    const serve::CacheTierStats after =
-        cache.Stats(id, serve::ServeCache::kEmbeddingTierName);
-    const int64_t hits = after.hits - before.hits;
-    const int64_t misses = after.misses - before.misses;
-    cache_embedding_hit_rate =
-        static_cast<double>(hits) /
-        static_cast<double>(std::max<int64_t>(1, hits + misses));
-    cache.InvalidateModel(id);
+    const double rate = MeasureNaive(*cached_session, requests);
+    cache.InvalidateModel(cached_session->cache_model_id());
     return rate;
   });
 
@@ -275,13 +253,11 @@ int main(int argc, char** argv) {
               "serving cache\n(interleaved with the table, median of %d "
               "rounds):\n",
               rounds);
-  for (size_t a : {coarse_arm, detailed_arm, record_arm, trap_arm, cold_arm,
-                   prefix_arm}) {
+  for (size_t a : {coarse_arm, detailed_arm, record_arm, trap_arm, cold_arm}) {
     std::printf("  %-9s %8.0f req/s (spread %.1f%%, %.2fx naive)\n",
                 labels[a].c_str(), rates[a].median, rates[a].spread_pct,
                 rates[a].median / naive_rps);
   }
-  std::printf("  prefix embedding hit rate %.3f\n", cache_embedding_hit_rate);
 
   // Paired per-request cost of request tracing on /healthz, a route cheap
   // enough (~1 us) that a long Handle loop resolves tens of ns on the
@@ -402,12 +378,10 @@ int main(int argc, char** argv) {
                         std::pair{"span_overhead_detailed", detailed_arm},
                         std::pair{"sentinel_overhead_record", record_arm},
                         std::pair{"sentinel_overhead_trap", trap_arm},
-                        std::pair{"cache_cold", cold_arm},
-                        std::pair{"cache_prefix", prefix_arm}}) {
+                        std::pair{"cache_cold", cold_arm}}) {
     json.Field(std::string(key) + "_rps", rates[a].median, 2);
     json.Field(std::string(key) + "_spread_pct", rates[a].spread_pct, 2);
   }
-  json.Field("cache_embedding_hit_rate", cache_embedding_hit_rate);
   json.Field("trace_cost_us", trace_costs[0].median);
   json.Field("trace_cost_spread_pct", trace_costs[0].spread_pct, 2);
   json.Field("trace_idle_overhead_pct", trace_idle_overhead_pct, 2);

@@ -19,11 +19,8 @@ Generator::Generator(Tensor pretrained_embeddings, const TrainConfig& config,
   RegisterChild("head", &head_);
 }
 
-ag::Variable Generator::EncodeStates(const data::Batch& batch,
-                                     const Tensor* embedded) const {
-  ag::Variable x = embedded != nullptr ? ag::Variable::Constant(*embedded)
-                                       : embedding_.Forward(batch.tokens);
-  return encoder_->Encode(x, batch.valid);
+ag::Variable Generator::EncodeStates(const data::Batch& batch) const {
+  return encoder_->Encode(embedding_.Forward(batch.tokens), batch.valid);
 }
 
 ag::Variable Generator::SelectionLogitsFromStates(

@@ -29,12 +29,8 @@ class Generator : public nn::Module {
   ag::Variable SelectionLogits(const data::Batch& batch) const;
 
   /// Post-encoder hidden states [B, T, output_dim] of the selection
-  /// encoder — the first half of SelectionLogits. When `embedded` is
-  /// non-null it is used as the [B, T, E] embedded input instead of an
-  /// embedding-table lookup; its values must equal the table rows for
-  /// batch.tokens (the serving cache assembles it from cached rows).
-  ag::Variable EncodeStates(const data::Batch& batch,
-                            const Tensor* embedded = nullptr) const;
+  /// encoder — the first half of SelectionLogits.
+  ag::Variable EncodeStates(const data::Batch& batch) const;
 
   /// The selection head over precomputed encoder states [B, T, H] — the
   /// second half of SelectionLogits. SelectionLogits(batch) ==
@@ -58,8 +54,6 @@ class Generator : public nn::Module {
   /// DeterministicMask's thresholding applied to precomputed selection
   /// logits: sigmoid(l / tau) > 0.5 <=> l > 0, gated by validity.
   static Tensor ThresholdMask(const Tensor& logits, const Tensor& valid);
-
-  const nn::Embedding& embedding() const { return embedding_; }
 
   /// The contextual encoder (mutable: pretraining warm-starts copy into it).
   SequenceEncoder& encoder() { return *encoder_; }

@@ -34,11 +34,9 @@ ag::Variable Predictor::ForwardWithConstMask(const data::Batch& batch,
 }
 
 ag::Variable Predictor::EncodeWithConstMask(const data::Batch& batch,
-                                            const Tensor& mask,
-                                            const Tensor* embedded) const {
-  ag::Variable x = embedded != nullptr ? ag::Variable::Constant(*embedded)
-                                       : embedding_.Forward(batch.tokens);
-  ag::Variable masked = ag::ScaleLastDim(x, ag::Variable::Constant(mask));
+                                            const Tensor& mask) const {
+  ag::Variable masked = ag::ScaleLastDim(embedding_.Forward(batch.tokens),
+                                         ag::Variable::Constant(mask));
   return encoder_->Encode(masked, batch.valid);
 }
 

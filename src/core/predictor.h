@@ -34,13 +34,9 @@ class Predictor : public nn::Module {
                                     const Tensor& mask) const;
 
   /// Post-encoder hidden states [B, T, output_dim] over the masked input
-  /// Z = M ⊙ X — the first half of ForwardWithConstMask. When `embedded`
-  /// is non-null it replaces the embedding-table lookup for batch.tokens
-  /// (values must equal the table rows; the serving cache assembles it
-  /// from cached rows).
+  /// Z = M ⊙ X — the first half of ForwardWithConstMask.
   ag::Variable EncodeWithConstMask(const data::Batch& batch,
-                                   const Tensor& mask,
-                                   const Tensor* embedded = nullptr) const;
+                                   const Tensor& mask) const;
 
   /// Pool + classification head over precomputed encoder states — the
   /// second half of ForwardWithConstMask, as a const tensor stage:
@@ -65,8 +61,6 @@ class Predictor : public nn::Module {
 
   /// The contextual encoder (mutable: pretraining warm-starts copy into it).
   SequenceEncoder& encoder() { return *encoder_; }
-
-  const nn::Embedding& embedding() const { return embedding_; }
 
  private:
   TrainConfig config_;

@@ -67,9 +67,9 @@ Tensor RationalizerBase::EvalMask(const data::Batch& batch) {
   return mask;
 }
 
-Tensor RationalizerBase::GenEncoderStatesConst(const data::Batch& batch,
-                                               const Tensor* embedded) const {
-  return generator_.EncodeStates(batch, embedded).value();
+Tensor RationalizerBase::GenEncoderStatesConst(
+    const data::Batch& batch) const {
+  return generator_.EncodeStates(batch).value();
 }
 
 Tensor RationalizerBase::EvalMaskFromStatesConst(const data::Batch& batch,
@@ -82,9 +82,8 @@ Tensor RationalizerBase::EvalMaskFromStatesConst(const data::Batch& batch,
 }
 
 Tensor RationalizerBase::PredEncoderStatesConst(const data::Batch& batch,
-                                                const Tensor& mask,
-                                                const Tensor* embedded) const {
-  return predictor_.EncodeWithConstMask(batch, mask, embedded).value();
+                                                const Tensor& mask) const {
+  return predictor_.EncodeWithConstMask(batch, mask).value();
 }
 
 Tensor RationalizerBase::PredictLogitsFromStatesConst(

@@ -93,12 +93,8 @@ class RationalizerBase {
   // EvalMaskFromStatesConst (VIB/SPECTRA: budgeted top-k; RNP*: best
   // sentence).
 
-  /// Generator's post-encoder hidden states [B, T, H_g]. `embedded`
-  /// optionally substitutes the [B, T, E] embedded input (values must
-  /// equal the embedding-table rows for batch.tokens — the serving cache
-  /// assembles it from cached rows).
-  Tensor GenEncoderStatesConst(const data::Batch& batch,
-                               const Tensor* embedded = nullptr) const;
+  /// Generator's post-encoder hidden states [B, T, H_g].
+  Tensor GenEncoderStatesConst(const data::Batch& batch) const;
 
   /// The eval mask derived from precomputed generator states: selection
   /// head plus the method's selection rule. Base: per-token sigmoid
@@ -107,10 +103,9 @@ class RationalizerBase {
                                          const Tensor& gen_states) const;
 
   /// Predictor's post-encoder hidden states [B, T, H_p] over the masked
-  /// input Z = M ⊙ X. `embedded` as in GenEncoderStatesConst (note the
-  /// predictor's own table — see serve/cache.h on table sharing).
-  Tensor PredEncoderStatesConst(const data::Batch& batch, const Tensor& mask,
-                                const Tensor* embedded = nullptr) const;
+  /// input Z = M ⊙ X.
+  Tensor PredEncoderStatesConst(const data::Batch& batch,
+                                const Tensor& mask) const;
 
   /// Class logits [B, num_classes] from precomputed predictor states
   /// (masked max-pool + classification head).

@@ -58,7 +58,7 @@ struct RouterConfig {
   /// Serving-stack configuration. When serve.cache.enabled the Router
   /// owns a ServeCache publishing into its metrics registry, every model
   /// ServeModel serves joins it, and each predict response is stamped with
-  /// an X-DAR-Cache: hit|partial|miss header. Off by default: responses
+  /// an X-DAR-Cache: hit|miss header. Off by default: responses
   /// are bit-identical either way, the header and the serve_cache_* series
   /// are the only observable difference.
   serve::ServeConfig serve;

@@ -24,11 +24,5 @@ ag::Variable Embedding::Forward(
   return ag::EmbeddingLookup(table_, ids);
 }
 
-const float* Embedding::RowConst(int64_t id) const {
-  DAR_CHECK_GE(id, 0);
-  DAR_CHECK_LT(id, vocab_size());
-  return table_.value().data() + id * dim();
-}
-
 }  // namespace nn
 }  // namespace dar

@@ -31,13 +31,6 @@ class Embedding : public Module {
   int64_t dim() const { return table_.value().size(1); }
   const ag::Variable& table() const { return table_; }
 
-  /// Borrowed pointer to row `id` of the table ([dim] floats, valid for
-  /// the module's lifetime). The serving cache's embedding tier reads and
-  /// restores rows through this without building an autograd graph;
-  /// Forward() copies the same bytes, so cache-assembled inputs are
-  /// bit-identical to a table lookup.
-  const float* RowConst(int64_t id) const;
-
  private:
   ag::Variable table_;  // [vocab, dim]
 };

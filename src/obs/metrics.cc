@@ -25,8 +25,8 @@ void AtomicMax(std::atomic<double>& target, double v) {
   }
 }
 
-/// %g-style compact number rendering that is always valid JSON (never
-/// "inf"/"nan" bare — those become null).
+}  // namespace
+
 std::string JsonNumber(double v) {
   if (!std::isfinite(v)) return "null";
   char buf[64];
@@ -51,6 +51,8 @@ std::string JsonEscape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 std::string PrometheusName(const std::string& name) {
   std::string out = name;

@@ -155,6 +155,15 @@ const std::vector<double>& DurationBucketsUs();
 /// Exact: the reference the tests hold Histogram::Percentile against.
 int64_t PercentileSorted(const std::vector<int64_t>& sorted, double p);
 
+/// obs's one JSON scalar writer: ExportJsonl and the training JSONL log
+/// (JsonlTrainObserver) both write through it. JsonNumber renders `v` with
+/// %.6g, and a non-finite value as null (never a bare inf or nan).
+/// JsonEscape escapes `s` for a JSON string body (quotes not included): a
+/// double quote or a backslash takes a backslash, and a control byte
+/// becomes a \u00XX escape.
+std::string JsonNumber(double v);
+std::string JsonEscape(const std::string& s);
+
 /// Builds an instrument name carrying a Prometheus label block:
 ///
 ///   LabeledName("serve.requests_total", {{"model", "beer"}})

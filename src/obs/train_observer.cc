@@ -18,12 +18,6 @@ const std::vector<double>& GradNormBuckets() {
   return buckets;
 }
 
-std::string Num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
 }  // namespace
 
 MetricsTrainObserver::MetricsTrainObserver(MetricsRegistry* registry,
@@ -67,30 +61,36 @@ void JsonlTrainObserver::OnBatch(const BatchTelemetry& t) {
   if (!per_batch_) return;
   std::ostream& out = *out_;
   out << "{\"event\":\"batch\",\"epoch\":" << t.epoch
-      << ",\"batch\":" << t.batch << ",\"loss\":" << Num(t.loss)
-      << ",\"grad_norm\":" << Num(t.grad_norm);
+      << ",\"batch\":" << t.batch << ",\"loss\":" << JsonNumber(t.loss)
+      << ",\"grad_norm\":" << JsonNumber(t.grad_norm);
   if (t.has_breakdown) {
-    out << ",\"task_ce\":" << Num(t.task_ce) << ",\"omega\":" << Num(t.omega)
-        << ",\"rationale_sparsity\":" << Num(t.sparsity);
+    out << ",\"task_ce\":" << JsonNumber(t.task_ce)
+        << ",\"omega\":" << JsonNumber(t.omega)
+        << ",\"rationale_sparsity\":" << JsonNumber(t.sparsity);
   }
-  if (t.has_align) out << ",\"align_ce\":" << Num(t.align_ce);
-  if (t.has_shift) out << ",\"rationale_shift\":" << Num(t.rationale_shift);
+  if (t.has_align) out << ",\"align_ce\":" << JsonNumber(t.align_ce);
+  if (t.has_shift) {
+    out << ",\"rationale_shift\":" << JsonNumber(t.rationale_shift);
+  }
   out << "}\n";
 }
 
 void JsonlTrainObserver::OnEpoch(const EpochTelemetry& t) {
   std::ostream& out = *out_;
-  out << "{\"event\":\"epoch\",\"model\":\"" << t.model
+  out << "{\"event\":\"epoch\",\"model\":\"" << JsonEscape(t.model)
       << "\",\"epoch\":" << t.epoch << ",\"batches\":" << t.batches
-      << ",\"train_loss\":" << Num(t.train_loss)
-      << ",\"dev_acc\":" << Num(t.dev_acc)
-      << ",\"grad_norm\":" << Num(t.grad_norm);
+      << ",\"train_loss\":" << JsonNumber(t.train_loss)
+      << ",\"dev_acc\":" << JsonNumber(t.dev_acc)
+      << ",\"grad_norm\":" << JsonNumber(t.grad_norm);
   if (t.has_breakdown) {
-    out << ",\"task_ce\":" << Num(t.task_ce) << ",\"omega\":" << Num(t.omega)
-        << ",\"rationale_sparsity\":" << Num(t.sparsity);
+    out << ",\"task_ce\":" << JsonNumber(t.task_ce)
+        << ",\"omega\":" << JsonNumber(t.omega)
+        << ",\"rationale_sparsity\":" << JsonNumber(t.sparsity);
   }
-  if (t.has_align) out << ",\"align_ce\":" << Num(t.align_ce);
-  if (t.has_shift) out << ",\"rationale_shift\":" << Num(t.rationale_shift);
+  if (t.has_align) out << ",\"align_ce\":" << JsonNumber(t.align_ce);
+  if (t.has_shift) {
+    out << ",\"rationale_shift\":" << JsonNumber(t.rationale_shift);
+  }
   out << "}\n";
   out.flush();
 }

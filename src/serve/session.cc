@@ -77,18 +77,6 @@ void InferenceSession::EnableCache(ServeCache* cache,
   DAR_CHECK(cache != nullptr);
   cache_ = cache;
   cache_model_ = cache->RegisterModel(label);
-  // Both players embed from their own frozen copy of the same pretrained
-  // table; when the copies are still bit-identical one key space serves
-  // both. A method that ever diverged them (fine-tuned tables) degrades
-  // to separate tags, never to wrong rows.
-  const Tensor& gen_table = model_->generator().embedding().table().value();
-  const Tensor& pred_table = model_->predictor().embedding().table().value();
-  bool identical =
-      gen_table.shape() == pred_table.shape() &&
-      std::memcmp(gen_table.data(), pred_table.data(),
-                  static_cast<size_t>(gen_table.numel()) * sizeof(float)) == 0;
-  gen_table_tag_ = 0;
-  pred_table_tag_ = identical ? 0 : 1;
 }
 
 InferenceResult InferenceSession::AssembleResult(
@@ -117,34 +105,6 @@ InferenceResult InferenceSession::AssembleResult(
     }
   }
   return r;
-}
-
-Tensor InferenceSession::AssembleEmbedded(
-    const nn::Embedding& table, uint32_t table_tag,
-    const std::vector<std::vector<int64_t>>& sequences, int64_t max_len,
-    std::vector<uint8_t>* reused) const {
-  const int64_t dim = table.dim();
-  const size_t row_bytes = static_cast<size_t>(dim) * sizeof(float);
-  Tensor out(Shape{static_cast<int64_t>(sequences.size()), max_len, dim});
-  float* dst = out.data();
-  for (size_t i = 0; i < sequences.size(); ++i) {
-    const std::vector<int64_t>& ids = sequences[i];
-    for (int64_t t = 0; t < max_len; ++t, dst += dim) {
-      const bool pad = t >= static_cast<int64_t>(ids.size());
-      const int64_t token =
-          pad ? data::Vocabulary::kPadId : ids[static_cast<size_t>(t)];
-      if (!pad && cache_->LookupEmbeddingRow(cache_model_, table_tag, token,
-                                             dst, dim)) {
-        if (reused != nullptr) (*reused)[i] = 1;
-        continue;
-      }
-      std::memcpy(dst, table.RowConst(token), row_bytes);
-      if (!pad) {
-        cache_->InsertEmbeddingRow(cache_model_, table_tag, token, dst, dim);
-      }
-    }
-  }
-  return out;
 }
 
 namespace {
@@ -219,27 +179,9 @@ std::vector<InferenceResult> InferenceSession::PredictTokenBatch(
   if (!misses.empty()) {
     data::Batch batch =
         data::Batch::FromTokenSequences(misses, data::Vocabulary::kPadId);
-    // reused[j]: miss j took at least one embedding row from the tier.
-    std::vector<uint8_t> reused(misses.size(), 0);
-    Tensor gen_emb;
-    Tensor pred_emb;
-    if (cached) {
-      gen_emb = AssembleEmbedded(model_->generator().embedding(),
-                                 gen_table_tag_, misses, batch.max_len(),
-                                 &reused);
-      // With a shared key space the predictor pass trivially hits every
-      // row the generator pass just inserted; only reuse across requests
-      // should count toward the "partial" outcome.
-      pred_emb = AssembleEmbedded(
-          model_->predictor().embedding(), pred_table_tag_, misses,
-          batch.max_len(),
-          pred_table_tag_ != gen_table_tag_ ? &reused : nullptr);
-    }
-    Tensor gen_states =
-        model_->GenEncoderStatesConst(batch, cached ? &gen_emb : nullptr);
+    Tensor gen_states = model_->GenEncoderStatesConst(batch);
     Tensor mask = model_->EvalMaskFromStatesConst(batch, gen_states);
-    Tensor pred_states = model_->PredEncoderStatesConst(
-        batch, mask, cached ? &pred_emb : nullptr);
+    Tensor pred_states = model_->PredEncoderStatesConst(batch, mask);
     Tensor probs = ScannedProbs(
         model_->PredictLogitsFromStatesConst(batch, pred_states));
     for (size_t j = 0; j < misses.size(); ++j) {
@@ -247,7 +189,7 @@ std::vector<InferenceResult> InferenceSession::PredictTokenBatch(
       InferenceResult& r = results[miss_rows[j]];
       r = AssembleResult(misses[j], row, mask, probs);
       if (cached) {
-        r.cache = reused[j] ? CacheOutcome::kPartial : CacheOutcome::kMiss;
+        r.cache = CacheOutcome::kMiss;
         const int64_t len = static_cast<int64_t>(misses[j].size());
         cache_->InsertEncoderStates(cache_model_, misses[j],
                                     ValidSteps(gen_states, row, len),

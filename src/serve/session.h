@@ -5,9 +5,10 @@
 // mode, and serves through one forward, PredictTokenBatch, built on the
 // model's four const stages (core/rationalizer.h): any number of threads
 // may call Predict / PredictTokenBatch on the same session concurrently.
-// An attached cache (serve/cache.h) filters that forward: encoder-tier
-// hits re-run only the head stages, and all misses run as one padded
-// batch. This is the building block the micro-batcher (serve/batcher.h)
+// An attached cache (serve/cache.h) filters that forward: hits re-run only
+// the head stages on their stored states, and all misses run as one padded
+// batch through the same four stage calls an uncached session makes. This
+// is the building block the micro-batcher (serve/batcher.h)
 // and the model registry (serve/registry.h) compose into a serving stack.
 #ifndef DAR_SERVE_SESSION_H_
 #define DAR_SERVE_SESSION_H_
@@ -118,25 +119,13 @@ class InferenceSession {
   /// Registers this session as a fresh cache model under `label` — a
   /// session always starts cold, so a checkpoint reload (a new session)
   /// can never serve the old session's entries. Like BindStats this must
-  /// run before the session serves traffic. When the generator's and
-  /// predictor's frozen embedding tables are bit-identical (they are for
-  /// every stock method — both copy the same pretrained vectors) the two
-  /// players share one embedding-tier key space, halving row storage.
+  /// run before the session serves traffic.
   void EnableCache(ServeCache* cache, const std::string& label);
 
   /// The cache model id this session writes under (0 = no cache).
   ServeCache::ModelId cache_model_id() const { return cache_model_; }
 
  private:
-  /// Builds the padded [B, max_len, E] embedded input for `sequences`
-  /// through the embedding tier: each valid position's row is copied from
-  /// the cache, or read from `table` and published. Pad positions copy
-  /// the table's pad row without touching the tier. Sets (*reused)[i]
-  /// when row i took a row from the cache (`reused` may be null).
-  Tensor AssembleEmbedded(const nn::Embedding& table, uint32_t table_tag,
-                          const std::vector<std::vector<int64_t>>& sequences,
-                          int64_t max_len, std::vector<uint8_t>* reused) const;
-
   /// Result assembly for hits and misses alike: row `i` of `mask` /
   /// `probs` rendered against `ids`.
   InferenceResult AssembleResult(const std::vector<int64_t>& ids, int64_t i,
@@ -148,10 +137,6 @@ class InferenceSession {
   mutable std::unique_ptr<ServingStats> stats_;
   ServeCache* cache_ = nullptr;
   ServeCache::ModelId cache_model_ = 0;
-  /// Embedding-tier key spaces for the two players' tables (equal when
-  /// the tables are bit-identical — see EnableCache).
-  uint32_t gen_table_tag_ = 0;
-  uint32_t pred_table_tag_ = 1;
 };
 
 }  // namespace serve

@@ -17,11 +17,11 @@
 //      abort; check/sentinel.h installs one that records a finding in
 //      kRecord mode and dumps the flight recorder before aborting
 //      otherwise). Equal ranks abort too — that is what catches
-//      self-deadlock and shard↔shard cycles. The documented global order:
+//      self-deadlock and same-rank cycles. The documented global order:
 //
 //        rank  10 kRegistry     serve.registry, net.router
 //              20 kCacheTable   serve.cache_models (ServeCache model map)
-//              25 kCacheShard   serve.cache_shard (per-shard LRU stripes)
+//              25 kCacheTier    serve.cache_tier (ServeCache entries + LRU)
 //              30 kBatcher      serve.batcher, serve.thread_pool
 //              40 kStats        (self-test and bench probe locks only)
 //              50 kObsRegistry  obs.metrics_registry
@@ -41,7 +41,8 @@
 //      layout). obs/sync_metrics.h publishes the counts to a
 //      MetricsRegistry as `sync_contention_total{mutex=...}` /
 //      `sync_wait_us{mutex=...}`, which /metrics exposes. Same-named
-//      mutexes (e.g. all cache shards) share one counter set by design.
+//      mutexes (e.g. every model endpoint's batcher queue) share one counter
+//      set by design.
 //
 // Cost model: with the rank gate off, an uncontended Lock() is one relaxed
 // atomic load, a predictable branch and the std::mutex try_lock, and
@@ -74,7 +75,7 @@ namespace sync {
 enum class Rank : int {
   kRegistry = 10,     // serve::ModelRegistry, net::Router endpoint map
   kCacheTable = 20,   // serve::ServeCache model table
-  kCacheShard = 25,   // serve::ServeCache per-shard stripes
+  kCacheTier = 25,    // serve::ServeCache entries, LRU list and budget
   kBatcher = 30,      // serve::MicroBatcher, serve::ThreadPool
   kStats = 40,        // self-test and bench probe locks only
   kObsRegistry = 50,  // obs::MetricsRegistry instrument map

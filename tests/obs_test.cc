@@ -11,7 +11,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "datasets/beer.h"
 #include "datasets/hotel.h"
 #include "eval/experiment.h"
+#include "net/http.h"
 #include "obs/trace.h"
 #include "obs/train_observer.h"
 #include "serve/stats.h"
@@ -615,6 +619,42 @@ TEST(TrainObserverTest, JsonlEpochLineCarriesAllComponents) {
   }
   // One line per epoch.
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
+}
+
+// A diverged run (NaN loss, infinite gradient norm) and a model tag that
+// needs escaping still write one valid JSON object per line: non-finite
+// numbers become null and the tag round-trips.
+TEST(TrainObserverTest, JsonlLinesParseWhenTheRunDiverges) {
+  std::ostringstream out;
+  obs::JsonlTrainObserver jsonl(out, /*per_batch=*/true);
+  obs::BatchTelemetry batch;
+  batch.loss = std::nan("");
+  batch.grad_norm = std::numeric_limits<double>::infinity();
+  batch.has_breakdown = true;
+  batch.task_ce = -std::numeric_limits<double>::infinity();
+  jsonl.OnBatch(batch);
+  obs::EpochTelemetry epoch;
+  epoch.model = "DAR \"x2\" C:\\runs";
+  epoch.train_loss = std::nan("");
+  jsonl.OnEpoch(epoch);
+
+  std::istringstream lines(out.str());
+  std::vector<net::JsonValue> parsed;
+  for (std::string line; std::getline(lines, line);) {
+    std::string error;
+    std::optional<net::JsonValue> value = net::JsonValue::Parse(line, &error);
+    ASSERT_TRUE(value.has_value()) << error << " in " << line;
+    parsed.push_back(*value);
+  }
+  ASSERT_EQ(parsed.size(), 2u);
+  for (const char* key : {"loss", "grad_norm", "task_ce"}) {
+    ASSERT_NE(parsed[0].Find(key), nullptr) << key;
+    EXPECT_EQ(parsed[0].Find(key)->type, net::JsonValue::Type::kNull) << key;
+  }
+  ASSERT_NE(parsed[1].Find("model"), nullptr);
+  EXPECT_EQ(parsed[1].Find("model")->string_value, epoch.model);
+  ASSERT_NE(parsed[1].Find("train_loss"), nullptr);
+  EXPECT_EQ(parsed[1].Find("train_loss")->type, net::JsonValue::Type::kNull);
 }
 
 TEST(TrainObserverTest, MetricsObserverPopulatesRegistry) {

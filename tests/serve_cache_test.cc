@@ -161,7 +161,7 @@ std::string DistinctText(const data::Vocabulary& vocab, int64_t first,
 }
 
 /// A randomized request stream over `base` texts: repeats (hot keys) and
-/// shared-prefix variants (exercising the embedding tier).
+/// shared-prefix variants (new sequences over words already served).
 std::vector<std::string> RandomStream(const std::vector<std::string>& base,
                                       size_t length, uint64_t seed) {
   Pcg32 rng(seed);
@@ -173,7 +173,7 @@ std::vector<std::string> RandomStream(const std::vector<std::string>& base,
     switch (rng.Below(4)) {
       case 0: {
         // Shared-prefix variant: the same words plus a one-word suffix —
-        // a different sequence (encoder miss) reusing cached rows.
+        // a different sequence, so a miss.
         const std::string& other =
             base[rng.Below(static_cast<uint32_t>(base.size()))];
         size_t space = other.find(' ');
@@ -211,9 +211,6 @@ TEST(ServeCacheDifferentialTest, RandomizedStreamsBitIdenticalAcrossMethods) {
     CacheTierStats enc =
         pair.cache->Stats(pair.model_id, ServeCache::kEncoderTierName);
     EXPECT_GT(enc.hits, 0) << "stream never hit the encoder tier";
-    CacheTierStats emb =
-        pair.cache->Stats(pair.model_id, ServeCache::kEmbeddingTierName);
-    EXPECT_GT(emb.hits, 0) << "stream never hit the embedding tier";
   }
 }
 
@@ -256,9 +253,8 @@ TEST(ServeCacheDifferentialTest, BatchedRequestsMatchUncachedBatches) {
     // One call mixing hits with new sequences of other lengths (words no
     // earlier request used; the first has two sentences for RNP*), one of
     // them twice. The hits replay their stored states; the four misses run
-    // as one padded batch. The duplicate misses the encoder tier too,
-    // because every lookup runs before any insert; its embedding rows were
-    // published by its first copy one row earlier, so it reports kPartial.
+    // as one padded batch. The duplicate misses too, because every lookup
+    // runs before any insert.
     const std::vector<std::string> fresh = {
         DistinctText(vocab, 60, 5) + " . " + DistinctText(vocab, 65, 5),
         DistinctText(vocab, 75, 4), DistinctText(vocab, 90, 9)};
@@ -272,7 +268,7 @@ TEST(ServeCacheDifferentialTest, BatchedRequestsMatchUncachedBatches) {
     ASSERT_EQ(mixed[1].size(), 11u);
     const std::vector<CacheOutcome> outcomes = {
         CacheOutcome::kHit,  CacheOutcome::kMiss, CacheOutcome::kHit,
-        CacheOutcome::kMiss, CacheOutcome::kMiss, CacheOutcome::kPartial};
+        CacheOutcome::kMiss, CacheOutcome::kMiss, CacheOutcome::kMiss};
     std::vector<InferenceResult> cached = pair.cached->PredictTokenBatch(mixed);
     std::vector<InferenceResult> uncached =
         pair.uncached->PredictTokenBatch(mixed);
@@ -302,10 +298,9 @@ TEST(ServeCacheDifferentialTest, BatchedRequestsMatchUncachedBatches) {
 
 TEST(ServeCacheDifferentialTest, ForcedEvictionsStayBitIdentical) {
   CacheConfig config;
-  // A few KB across 2 shards: a working set of 40 sequences cannot fit,
-  // so the repeat pass recomputes through evicted keys constantly.
+  // A few KB: a working set of 40 sequences cannot fit, so the repeat pass
+  // recomputes through evicted keys constantly.
   config.capacity_bytes = 8 * 1024;
-  config.num_shards = 2;
   DifferentialPair pair = MakePair(Method::kRnp, config);
 
   std::vector<std::string> texts;
@@ -321,7 +316,7 @@ TEST(ServeCacheDifferentialTest, ForcedEvictionsStayBitIdentical) {
   CacheTierStats enc =
       pair.cache->Stats(pair.model_id, ServeCache::kEncoderTierName);
   EXPECT_GT(enc.evictions, 0) << "capacity was meant to force evictions";
-  EXPECT_LE(enc.bytes, static_cast<int64_t>(config.capacity_bytes));
+  EXPECT_LE(enc.bytes, static_cast<int64_t>(config.capacity_bytes / 2));
 }
 
 TEST(ServeCacheDifferentialTest, HashCollisionsVerifiedAndRejected) {
@@ -358,7 +353,7 @@ TEST(ServeCacheDifferentialTest, HashCollisionsVerifiedAndRejected) {
 
 // ---- Outcome classification ------------------------------------------------
 
-TEST(ServeCacheOutcomeTest, MissThenHitThenPartial) {
+TEST(ServeCacheOutcomeTest, MissThenHitThenMiss) {
   DifferentialPair pair = MakePair(Method::kRnp);
   const data::Vocabulary& vocab = pair.cached->vocab();
 
@@ -367,11 +362,10 @@ TEST(ServeCacheOutcomeTest, MissThenHitThenPartial) {
   EXPECT_EQ(pair.uncached->Predict(text).cache, CacheOutcome::kUncached);
   EXPECT_EQ(pair.cached->Predict(text).cache, CacheOutcome::kMiss);
   EXPECT_EQ(pair.cached->Predict(text).cache, CacheOutcome::kHit);
-  // Same words, different order: encoder misses (different sequence),
-  // embedding rows all hit.
+  // Same words, different order: a different sequence, so a miss.
   std::string permuted = DistinctText(vocab, 3, 3) + ' ' +
                          DistinctText(vocab, 0, 3);
-  EXPECT_EQ(pair.cached->Predict(permuted).cache, CacheOutcome::kPartial);
+  EXPECT_EQ(pair.cached->Predict(permuted).cache, CacheOutcome::kMiss);
   // Fresh words again: a clean miss.
   EXPECT_EQ(pair.cached->Predict(DistinctText(vocab, 40, 6)).cache,
             CacheOutcome::kMiss);
@@ -380,7 +374,6 @@ TEST(ServeCacheOutcomeTest, MissThenHitThenPartial) {
 TEST(ServeCacheOutcomeTest, OutcomeNames) {
   EXPECT_STREQ(CacheOutcomeName(CacheOutcome::kUncached), "uncached");
   EXPECT_STREQ(CacheOutcomeName(CacheOutcome::kMiss), "miss");
-  EXPECT_STREQ(CacheOutcomeName(CacheOutcome::kPartial), "partial");
   EXPECT_STREQ(CacheOutcomeName(CacheOutcome::kHit), "hit");
 }
 
@@ -437,50 +430,85 @@ TEST(ServeCacheSentinelDeathTest, TrapModeAbortsOnCorruptedEntry) {
   check::SetSentinelMode(check::SentinelMode::kOff);
 }
 
-// ---- LRU mechanics ----------------------------------------------------------
+// ---- LRU mechanics and the budget -----------------------------------------
+
+/// Entry for the one-token sequence {token}: two [1, 1, 4] state tensors
+/// whose first element is `token`. Each takes 2 * 4 floats + 1 id + the
+/// 96-byte overhead estimate = 136 bytes of the budget.
+constexpr size_t kSmallEntryBytes = 2 * 4 * sizeof(float) + sizeof(int64_t) + 96;
+
+void InsertSmallEntry(ServeCache& cache, ServeCache::ModelId model,
+                      int64_t token) {
+  Tensor gen(Shape{1, 1, 4});
+  gen.flat(0) = static_cast<float>(token);
+  cache.InsertEncoderStates(model, {token}, std::move(gen),
+                            Tensor(Shape{1, 1, 4}));
+}
 
 TEST(ServeCacheLruTest, MostRecentSurvivesEviction) {
   CacheConfig config;
-  config.num_shards = 1;
-  // Half the budget per tier: roughly two embedding rows (row = 16 floats
-  // + overhead).
-  config.capacity_bytes = 2 * 2 * (16 * sizeof(float) + 96);
+  // Entries fill half the capacity: two of them.
+  config.capacity_bytes = 2 * 2 * kSmallEntryBytes;
   ServeCache cache(config);
   ServeCache::ModelId model = cache.RegisterModel("lru");
 
-  std::vector<float> row(16, 1.0f);
-  std::vector<float> out(16);
   for (int64_t token = 0; token < 8; ++token) {
-    row[0] = static_cast<float>(token);
-    cache.InsertEmbeddingRow(model, 0, token, row.data(), 16);
-    // The just-inserted row must always be resident.
-    ASSERT_TRUE(cache.LookupEmbeddingRow(model, 0, token, out.data(), 16));
-    EXPECT_EQ(out[0], static_cast<float>(token));
+    InsertSmallEntry(cache, model, token);
+    // The just-inserted entry must always be resident.
+    std::shared_ptr<const EncoderStatesEntry> entry =
+        cache.LookupEncoderStates(model, {token});
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->gen_states.flat(0), static_cast<float>(token));
   }
-  CacheTierStats emb = cache.Stats(model, ServeCache::kEmbeddingTierName);
-  EXPECT_GT(emb.evictions, 0);
-  EXPECT_LE(emb.entries, 2);
-  // Oldest rows are gone; the newest survives.
-  EXPECT_FALSE(cache.LookupEmbeddingRow(model, 0, 0, out.data(), 16));
-  EXPECT_TRUE(cache.LookupEmbeddingRow(model, 0, 7, out.data(), 16));
+  CacheTierStats enc = cache.Stats(model, ServeCache::kEncoderTierName);
+  EXPECT_GT(enc.evictions, 0);
+  EXPECT_LE(enc.entries, 2);
+  // Oldest entries are gone; the newest survives.
+  EXPECT_EQ(cache.LookupEncoderStates(model, {0}), nullptr);
+  EXPECT_NE(cache.LookupEncoderStates(model, {7}), nullptr);
 }
 
 TEST(ServeCacheLruTest, LookupRefreshesRecency) {
   CacheConfig config;
-  config.num_shards = 1;
-  config.capacity_bytes = 2 * 2 * (16 * sizeof(float) + 96);
+  config.capacity_bytes = 2 * 2 * kSmallEntryBytes;
   ServeCache cache(config);
   ServeCache::ModelId model = cache.RegisterModel("lru");
 
-  std::vector<float> row(16, 1.0f);
-  std::vector<float> out(16);
-  cache.InsertEmbeddingRow(model, 0, 1, row.data(), 16);
-  cache.InsertEmbeddingRow(model, 0, 2, row.data(), 16);
+  InsertSmallEntry(cache, model, 1);
+  InsertSmallEntry(cache, model, 2);
   // Touch 1 so 2 becomes the LRU victim.
-  ASSERT_TRUE(cache.LookupEmbeddingRow(model, 0, 1, out.data(), 16));
-  cache.InsertEmbeddingRow(model, 0, 3, row.data(), 16);
-  EXPECT_TRUE(cache.LookupEmbeddingRow(model, 0, 1, out.data(), 16));
-  EXPECT_FALSE(cache.LookupEmbeddingRow(model, 0, 2, out.data(), 16));
+  ASSERT_NE(cache.LookupEncoderStates(model, {1}), nullptr);
+  InsertSmallEntry(cache, model, 3);
+  EXPECT_NE(cache.LookupEncoderStates(model, {1}), nullptr);
+  EXPECT_EQ(cache.LookupEncoderStates(model, {2}), nullptr);
+}
+
+// The budget rule (serve/cache.h): a full cache holds at most
+// capacity_bytes / 2 bytes of entries, summed over every model it serves,
+// and fills that half rather than stopping short of it.
+TEST(ServeCacheLruTest, FullCacheHoldsHalfTheCapacity) {
+  CacheConfig config;
+  config.capacity_bytes = 64 * kSmallEntryBytes;
+  ServeCache cache(config);
+  const ServeCache::ModelId a = cache.RegisterModel("a");
+  const ServeCache::ModelId b = cache.RegisterModel("b");
+
+  for (int64_t token = 0; token < 200; ++token) {
+    InsertSmallEntry(cache, token % 2 == 0 ? a : b, token);
+    const CacheTierStats sa = cache.Stats(a, ServeCache::kEncoderTierName);
+    const CacheTierStats sb = cache.Stats(b, ServeCache::kEncoderTierName);
+    ASSERT_LE(sa.bytes + sb.bytes,
+              static_cast<int64_t>(config.capacity_bytes / 2))
+        << "after insert " << token;
+  }
+  const CacheTierStats sa = cache.Stats(a, ServeCache::kEncoderTierName);
+  const CacheTierStats sb = cache.Stats(b, ServeCache::kEncoderTierName);
+  EXPECT_EQ(sa.entries + sb.entries, 32);
+  EXPECT_EQ(sa.bytes + sb.bytes,
+            static_cast<int64_t>(config.capacity_bytes / 2));
+  EXPECT_EQ(sa.evictions + sb.evictions, 200 - 32);
+  // The encoder tier is the only one: any other name reads zeroes.
+  EXPECT_EQ(cache.Stats(a, "embedding").entries, 0);
 }
 
 // ---- Invalidation and reload ------------------------------------------------

@@ -114,14 +114,14 @@ TEST(SyncMutexTest, RankInversionRoutesThroughHandler) {
 }
 
 TEST(SyncMutexTest, EqualRankAlsoViolates) {
-  // Equal ranks are the self-deadlock / shard-vs-shard class; the checker
+  // Equal ranks are the self-deadlock / same-rank-cycle class; the checker
   // demands strictly increasing ranks.
   ScopedSyncModes restore;
   SetRankViolationHandler(&RecordingHandler);
   g_violation_count.store(0);
   SetLockRankCheck(true);
-  Mutex a(Rank::kCacheShard, "test.shard");
-  Mutex b(Rank::kCacheShard, "test.shard");
+  Mutex a(Rank::kCacheTier, "test.same_rank");
+  Mutex b(Rank::kCacheTier, "test.same_rank");
   {
     MutexLock hold(a);
     MutexLock nested(b);
