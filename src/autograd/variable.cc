@@ -29,11 +29,15 @@ bool ClaimTapeNode(Node* n, uint32_t token, const char* what) {
 
 void Node::AccumulateGrad(const Tensor& g) {
   DAR_CHECK_MSG(g.shape() == value.shape(), "gradient shape mismatch");
+  AddInPlace(AccumulationBuffer(), g);
+}
+
+Tensor& Node::AccumulationBuffer() {
   if (grad.numel() != value.numel() || grad.shape() != value.shape()) {
     grad = Tensor(value.shape());
   }
   ++grad_visits;
-  AddInPlace(grad, g);
+  return grad;
 }
 
 void Node::AccumulateGrad(Tensor&& g) {
@@ -122,7 +126,7 @@ namespace {
 
 /// Iterative post-order DFS producing parents-before-children order; the
 /// returned list is consumed back-to-front by Backward. The model zoo's
-/// tapes are shallow (each GRU direction is one nn::GruSequence node), but
+/// tapes are shallow (each BiGRU layer is one nn::BiGruSequence node), but
 /// a caller looping ops over time steps builds a tape as deep as the loop,
 /// which recursion could overflow — so the walk stays iterative.
 void TopoSort(const std::shared_ptr<Node>& root,

@@ -75,6 +75,12 @@ struct Node {
   /// Accumulates `g` into this node's gradient (allocates on first use).
   void AccumulateGrad(const Tensor& g);
 
+  /// The gradient buffer for a caller that adds into it in place: zeroed
+  /// on first use, one visit counted, so AddInPlace(AccumulationBuffer(),
+  /// g) is AccumulateGrad(g). nn::BiGruSequence takes it on the thread
+  /// that runs the backward and lets its helper thread add W_h's steps.
+  Tensor& AccumulationBuffer();
+
   /// As above, but a node with no gradient yet takes over `g`'s buffer and
   /// adds it to zero in place (v = 0 + v, so a -0 still becomes +0): the
   /// same bits as the copying path without its allocation. Backward

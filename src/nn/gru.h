@@ -38,6 +38,52 @@ namespace nn {
 ag::Variable GruSequence(const ag::Variable& proj, const ag::Variable& w_h,
                          const Tensor* valid, bool reverse);
 
+/// One direction's parameters: input weights w_x [E, 3H], recurrent
+/// weights w_h [H, 3H] and bias b [3H].
+struct GruWeights {
+  ag::Variable w_x;
+  ag::Variable w_h;
+  ag::Variable b;
+};
+
+/// B·T from which BiGru::Forward pairs its directions: the reverse one
+/// runs on the helper thread while the caller runs the forward one. Set
+/// from bench/train_scaling.cc's `bigru` rows with the helper parked.
+inline constexpr int64_t kBiGruPairedRows = 608;
+
+/// How long the helper spins (yielding every 64 polls) for its next
+/// direction before it parks on a condition variable: longer than the
+/// gaps between a training step's layers, so a training run keeps it
+/// awake on its own CPU. The same rows' process CPU time prices it: a
+/// parked pairing costs about this much CPU more than running in turn
+/// (DESIGN.md §14).
+inline constexpr int64_t kBiGruSpinUs = 5000;
+
+/// A BiGRU layer as ONE autograd node, `bigru`: both directions'
+/// projections x · w_x + b and recurrences, written straight into one
+/// [B, T, 2H] output (forward states in columns [0, H), reverse in
+/// [H, 2H)). `valid` is the 0/1 [B, T] length mask (nullptr = all valid).
+///
+/// With `paired`, the reverse direction (projection GEMM, recurrence, and
+/// in the backward BPTT and the projection's gradients) runs on one
+/// process-wide helper thread while the caller runs the forward one, if
+/// no other caller holds the helper; otherwise, and without `paired`, the
+/// caller runs both in turn. Every buffer the node keeps, returns or hands
+/// to a parent is allocated on the calling thread; the helper only
+/// computes. The bits do not depend on the schedule, and equal the
+/// three-node tape the layer used to record (two `affine` + `gru_sequence`
+/// pairs and a `concat_cols`), gradient-order contract included:
+///   * each direction's BPTT runs as GruSequence's, and its projection
+///     gradient first gets the `0 + dproj` pass the moved accumulation
+///     applied;
+///   * x receives the reverse direction's dx first, then the forward
+///     one's, the order the old tape ran its two `affine` closures in;
+///   * x is listed twice among the node's parents, so GraphAudit's fan-in
+///     stays 2 for its two accumulations.
+ag::Variable BiGruSequence(const ag::Variable& x, const GruWeights& forward,
+                           const GruWeights& reverse, const Tensor* valid,
+                           bool paired);
+
 /// Single-direction GRU over a padded batch.
 ///
 /// Gate layout inside the fused [*, 3H] projections: [update z | reset r |
@@ -57,6 +103,7 @@ class Gru : public Module {
   int64_t input_dim() const { return input_dim_; }
   int64_t hidden_dim() const { return hidden_dim_; }
   bool reverse() const { return reverse_; }
+  GruWeights weights() const { return {w_x_, w_h_, b_}; }
 
  private:
   int64_t input_dim_;
@@ -67,12 +114,15 @@ class Gru : public Module {
   ag::Variable b_;    // [3H]
 };
 
-/// Bidirectional GRU: concatenation of a forward and a reverse Gru.
+/// Bidirectional GRU: a forward and a reverse Gru's states side by side.
 class BiGru : public Module {
  public:
   BiGru(int64_t input_dim, int64_t hidden_dim, Pcg32& rng);
 
-  /// x: [B, T, input_dim] -> [B, T, 2 * hidden_dim].
+  /// x: [B, T, input_dim] -> [B, T, 2 * hidden_dim], as one BiGruSequence
+  /// node, paired from B·T = kBiGruPairedRows on. Each forward adds one to
+  /// the global registry's `nn_bigru_forwards_total{threads="1"|"2"}`,
+  /// by the number of threads that ran it.
   ag::Variable Forward(const ag::Variable& x, const Tensor* valid = nullptr) const;
 
   int64_t output_dim() const { return 2 * forward_.hidden_dim(); }

@@ -76,6 +76,15 @@ void PublishSyncContentionMetrics(MetricsRegistry& registry) {
 
 void PublishProcessMetrics(MetricsRegistry& registry) {
   // Lookups first: the registry's map lock ranks below the publish lock.
+  MetricsRegistry& global = MetricsRegistry::Global();
+  std::vector<std::pair<Counter*, Counter*>> kernel;  // (global, registry's)
+  if (&registry != &global) {
+    for (const char* name : {"matmul_flops_total",
+                             "nn_bigru_forwards_total{threads=\"1\"}",
+                             "nn_bigru_forwards_total{threads=\"2\"}"}) {
+      kernel.emplace_back(&global.GetCounter(name), &registry.GetCounter(name));
+    }
+  }
   Counter& faults = registry.GetCounter("process.minor_faults_total");
   Gauge& user = registry.GetGauge(
       LabeledName("process.cpu_seconds_total", {{"mode", "user"}}));
@@ -86,6 +95,10 @@ void PublishProcessMetrics(MetricsRegistry& registry) {
            static_cast<double>(tv.tv_usec) * 1e-6;
   };
   sync::MutexLock lock(PublishMutex());
+  for (const auto& [from, to] : kernel) {
+    const int64_t delta = from->value() - to->value();
+    if (delta > 0) to->Increment(delta);
+  }
   rusage usage{};
   if (getrusage(RUSAGE_SELF, &usage) != 0) return;
   const int64_t new_faults =

@@ -40,7 +40,13 @@ void PublishSyncContentionMetrics(MetricsRegistry& registry);
 ///
 /// A minor fault is the first touch of a page the kernel maps in without
 /// I/O, such as a fresh large tensor buffer's: memory churn that no stage
-/// timing shows. Thread-safe, and monotone across scrapes.
+/// timing shows. It also brings `registry` up to the kernel layer's
+/// process-wide counters, which count into MetricsRegistry::Global():
+///
+///   matmul_flops_total                         counter
+///   nn_bigru_forwards_total{threads="1"|"2"}   counter (nn/gru.h)
+///
+/// Thread-safe, and monotone across scrapes.
 void PublishProcessMetrics(MetricsRegistry& registry);
 
 }  // namespace obs

@@ -37,6 +37,11 @@ InferenceSession::InferenceSession(
   // Pin eval mode once: dropout becomes the identity and the const
   // forward stages are deterministic, so concurrent forwards are safe.
   model_->SetTraining(false);
+  // Freeze every parameter: a served forward records no backward closure
+  // and keeps no BPTT state.
+  for (const nn::NamedModule& module : model_->CheckpointModules()) {
+    module.module->SetRequiresGrad(false);
+  }
 }
 
 std::unique_ptr<InferenceSession> InferenceSession::FromCheckpoint(

@@ -27,9 +27,10 @@
 //              50 kObsRegistry  obs.metrics_registry
 //              60 kObsDetail    obs.exemplars, obs.trace_collector,
 //                               obs.tail_sampler, obs.sync_publish
+//              80 kHelper       nn.bigru_helper (never holds another lock)
 //              90 kLeaf         check.findings (never holds another lock)
 //
-//      i.e. registry < cache < batcher < stats < obs < leaf. New code
+//      i.e. registry < cache < batcher < stats < obs < helper < leaf. New code
 //      picks the band of the subsystem it lives in; a lock that must nest
 //      inside an existing band gets a fresh intermediate rank and a row
 //      in this table (DESIGN.md §12 is the canonical copy).
@@ -80,6 +81,7 @@ enum class Rank : int {
   kStats = 40,        // self-test and bench probe locks only
   kObsRegistry = 50,  // obs::MetricsRegistry instrument map
   kObsDetail = 60,    // obs exemplars / trace collectors / tail sampler
+  kHelper = 80,       // nn::BiGruSequence's helper-thread handoff
   kLeaf = 90,         // check:: findings list — never holds another lock
 };
 

@@ -151,6 +151,19 @@ std::vector<OpCase> AllOpCases() {
           return Sum(Mul(y, y));
         });
   }
+  // The one-node BiGRU layer, differentiated with respect to x [B, T, E]
+  // and both directions' w_x [E, 3H], w_h [H, 3H] and b [3H], masked, on
+  // each schedule.
+  for (bool paired : {false, true}) {
+    add(paired ? "bigru_paired" : "bigru",
+        {{2, 4, 3}, {3, 6}, {2, 6}, {6}, {3, 6}, {2, 6}, {6}},
+        [paired](const std::vector<Variable>& v) {
+          const Tensor valid(Shape{2, 4}, {1, 1, 1, 1, 1, 1, 0, 0});
+          Variable y = nn::BiGruSequence(v[0], {v[1], v[2], v[3]},
+                                         {v[4], v[5], v[6]}, &valid, paired);
+          return Sum(Mul(y, y));
+        });
+  }
   add("time_diff", {{2, 4}}, [](const std::vector<Variable>& v) {
     Variable y = TimeDiff(v[0]);
     return Sum(Mul(y, y));

@@ -898,6 +898,32 @@ TEST(HttpEndToEndTest, MetricsExposePerModelAndPerRouteSeries) {
   EXPECT_NE(metrics->body.find("http_connections_total"), std::string::npos);
 }
 
+TEST(HttpEndToEndTest, SinglePredictRunsItsBiGrusOnOneThread) {
+  // A B = 1 predict stays below nn::kBiGruPairedRows: /metrics counts its
+  // BiGRU forwards under threads="1" and none under threads="2". The
+  // helper thread starts only inside a pairing that counts threads="2",
+  // so this predict started none.
+  Loopback loop;
+  HttpClient client = loop.Client();
+  const auto series = [&](const char* threads) {
+    auto metrics = client.Get("/metrics");
+    EXPECT_TRUE(metrics.has_value()) << client.error();
+    return SeriesValue(metrics.has_value() ? metrics->body : "",
+                       std::string("nn_bigru_forwards_total{threads=\"") +
+                           threads + "\"}");
+  };
+  const double one = series("1"), two = series("2");
+  ASSERT_FALSE(std::isnan(one));
+  ASSERT_FALSE(std::isnan(two));
+  auto response = client.Post("/v1/models/beer/predict",
+                              PredictBody("a golden pour with a thick head"));
+  ASSERT_TRUE(response.has_value()) << client.error();
+  ASSERT_EQ(response->status, 200) << response->body;
+  // The generator's and the predictor's encoders.
+  EXPECT_EQ(series("1") - one, 2.0);
+  EXPECT_EQ(series("2") - two, 0.0);
+}
+
 TEST(HttpEndToEndTest, MalformedRequestAnswers400OverTheWire) {
   Loopback loop;
   HttpClient client = loop.Client();

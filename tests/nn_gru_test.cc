@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "autograd/gradcheck.h"
@@ -327,6 +330,212 @@ TEST(GruSequenceTest, CountsEveryRecurrentProduct) {
   const int64_t tb = 2 * kB * kH * 3 * kH * (kT - 1);
   const int64_t ta = 2 * kH * 3 * kH * kB * kT;
   EXPECT_EQ(flops.value() - before, forward + tb + ta);
+}
+
+// ---- The bigru node against the three-node tape -----------------------------
+//
+// BiGru::Forward used to record per direction an affine projection and a
+// gru_sequence node, joined by concat_cols. Composed here from two Gru
+// modules with the BiGru's weights, that tape is the oracle the one-node
+// layer is held to bit for bit, on both schedules.
+
+/// The weights of `bigru`'s child "fw" or "bw", as shared handles.
+GruWeights ChildWeights(BiGru& bigru, const std::string& child) {
+  GruWeights w;
+  for (const NamedParameter& p : bigru.Parameters()) {
+    if (p.name == child + "/w_x") w.w_x = p.variable;
+    if (p.name == child + "/w_h") w.w_h = p.variable;
+    if (p.name == child + "/b") w.b = p.variable;
+  }
+  EXPECT_TRUE(w.w_x.defined() && w.w_h.defined() && w.b.defined()) << child;
+  return w;
+}
+
+/// The bits of a BiGRU's output and the gradients of x and its six
+/// parameters after one backward.
+struct BiGruRun {
+  Tensor out, dx;
+  std::vector<Tensor> grads;  // fw w_x, w_h, b, then bw's; empty if frozen
+};
+
+/// Two Grus holding `bigru`'s weights: its "fw" and "bw" children.
+void CopyWeights(BiGru& bigru, Gru& fw, Gru& bw) {
+  std::vector<NamedParameter> src = bigru.Parameters();
+  std::vector<NamedParameter> dst = fw.Parameters();
+  for (const NamedParameter& p : bw.Parameters()) dst.push_back(p);
+  ASSERT_EQ(src.size(), dst.size());
+  for (size_t i = 0; i < src.size(); ++i) {
+    dst[i].variable.mutable_value() = src[i].variable.value();
+    dst[i].variable.set_requires_grad(src[i].variable.requires_grad());
+  }
+}
+
+BiGruRun RunModule(Module& module, const Tensor& x, bool x_grad,
+                   const Tensor& seed,
+                   const std::function<ag::Variable(const ag::Variable&)>& f) {
+  for (NamedParameter& p : module.Parameters()) {
+    if (p.variable.requires_grad()) p.variable.ZeroGrad();
+  }
+  ag::Variable xv(x, x_grad);
+  BiGruRun run;
+  ag::Variable y = f(xv);
+  run.out = y.value();
+  y.Backward(seed);
+  if (x_grad) run.dx = xv.grad();
+  for (const NamedParameter& p : module.Parameters()) {
+    if (p.variable.requires_grad()) run.grads.push_back(p.variable.grad());
+  }
+  return run;
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         (a.numel() == 0 ||
+          std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0);
+}
+
+void ExpectSameRun(const BiGruRun& got, const BiGruRun& want) {
+  EXPECT_TRUE(SameBits(got.out, want.out));
+  EXPECT_TRUE(SameBits(got.dx, want.dx));
+  ASSERT_EQ(got.grads.size(), want.grads.size());
+  for (size_t i = 0; i < got.grads.size(); ++i) {
+    EXPECT_TRUE(SameBits(got.grads[i], want.grads[i])) << "parameter " << i;
+  }
+}
+
+/// A module whose parameters are a BiGru's, for RunModule's gradients.
+struct TwoGrus : Module {
+  TwoGrus(int64_t e, int64_t h, Pcg32& rng)
+      : fw(e, h, rng, false), bw(e, h, rng, true) {
+    RegisterChild("fw", &fw);
+    RegisterChild("bw", &bw);
+  }
+  Gru fw, bw;
+};
+
+TEST(BiGruSequenceTest, MatchesThreeNodeTapeBitForBit) {
+  constexpr int64_t kE = 32, kH = 24;
+  // 38 rows sit below kBiGruPairedRows, 608 at it and 2816 (64 x 44,
+  // train_dar's batch) above; every shape also runs each schedule.
+  const std::vector<std::pair<int64_t, int64_t>> shapes = {
+      {1, 1}, {1, 38}, {3, 7}, {16, 38}, {32, 40}, {64, 44}};
+  for (const auto& [b, t_len] : shapes) {
+    for (bool masked : {false, true}) {
+      for (Frozen frozen :
+           {Frozen::kNothing, Frozen::kInput, Frozen::kWeights}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "B=" << b << " T=" << t_len << " masked=" << masked
+                     << " frozen=" << static_cast<int>(frozen));
+        Pcg32 rng(static_cast<uint64_t>(31 * b + t_len));
+        BiGru bigru(kE, kH, rng);
+        TwoGrus composed(kE, kH, rng);
+        const bool x_grad = frozen != Frozen::kInput;
+        if (frozen == Frozen::kWeights) bigru.SetRequiresGrad(false);
+        CopyWeights(bigru, composed.fw, composed.bw);
+        Tensor x = Tensor::Randn({b, t_len, kE}, rng, 0.8f);
+        Tensor valid = RaggedMask(b, t_len, rng);
+        Tensor seed = Tensor::Randn({b, t_len, 2 * kH}, rng);
+        const Tensor* mask = masked ? &valid : nullptr;
+
+        const BiGruRun want = RunModule(
+            composed, x, x_grad, seed, [&](const ag::Variable& xv) {
+              return ag::ConcatCols(composed.fw.Forward(xv, mask),
+                                    composed.bw.Forward(xv, mask));
+            });
+        const BiGruRun layer = RunModule(
+            bigru, x, x_grad, seed,
+            [&](const ag::Variable& xv) { return bigru.Forward(xv, mask); });
+        ExpectSameRun(layer, want);
+        for (bool paired : {false, true}) {
+          const BiGruRun run = RunModule(
+              bigru, x, x_grad, seed, [&](const ag::Variable& xv) {
+                const ag::Variable y = BiGruSequence(
+                    xv, ChildWeights(bigru, "fw"), ChildWeights(bigru, "bw"),
+                    mask, paired);
+                EXPECT_EQ(y.node()->op, std::string("bigru"));
+                return y;
+              });
+          ExpectSameRun(run, want);
+        }
+      }
+    }
+  }
+}
+
+/// Count of BiGRU forwards the given number of threads ran so far.
+int64_t BiGruForwards(const char* threads) {
+  return obs::MetricsRegistry::Global()
+      .GetCounter(obs::LabeledName("nn_bigru_forwards_total",
+                                   {{"threads", threads}}))
+      .value();
+}
+
+TEST(BiGruSequenceTest, TrainingSizeForwardPairsWithFreeHelper) {
+  constexpr int64_t kB = 64, kT = 44;
+  static_assert(kB * kT >= kBiGruPairedRows);
+  Pcg32 rng(5);
+  BiGru bigru(32, 24, rng);
+  const Tensor x = Tensor::Randn({kB, kT, 32}, rng);
+  const int64_t one = BiGruForwards("1"), two = BiGruForwards("2");
+  bigru.Forward(ag::Variable::Constant(x));
+  EXPECT_EQ(BiGruForwards("1") - one, 0);
+  EXPECT_EQ(BiGruForwards("2") - two, 1);
+  const Tensor small = Tensor::Randn({1, 38, 32}, rng);
+  bigru.Forward(ag::Variable::Constant(small));
+  EXPECT_EQ(BiGruForwards("1") - one, 1);
+  EXPECT_EQ(BiGruForwards("2") - two, 1);
+}
+
+TEST(BiGruSequenceTest, ConcurrentLayersStayBitIdentical) {
+  // Two threads train-step their own BiGRUs at train_dar's size at once:
+  // whichever claims the helper pairs, the other runs in turn, and both
+  // keep the bits of a lone in-turn run.
+  constexpr int64_t kB = 64, kT = 44, kE = 32, kH = 24, kIterations = 12;
+  std::vector<BiGruRun> want(2);
+  std::vector<std::unique_ptr<BiGru>> layers;
+  std::vector<Tensor> xs, seeds;
+  for (uint64_t i = 0; i < 2; ++i) {
+    Pcg32 rng(40 + i);
+    layers.push_back(std::make_unique<BiGru>(kE, kH, rng));
+    xs.push_back(Tensor::Randn({kB, kT, kE}, rng, 0.8f));
+    seeds.push_back(Tensor::Randn({kB, kT, 2 * kH}, rng));
+    BiGru& layer = *layers.back();
+    want[i] = RunModule(
+        layer, xs[i], true, seeds[i], [&](const ag::Variable& xv) {
+          return BiGruSequence(xv, ChildWeights(layer, "fw"),
+                               ChildWeights(layer, "bw"), nullptr, false);
+        });
+  }
+  const int64_t one_before = BiGruForwards("1");
+  const int64_t two_before = BiGruForwards("2");
+  std::vector<int> mismatches(2, 0);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      BiGru& layer = *layers[i];
+      for (int64_t it = 0; it < kIterations; ++it) {
+        const BiGruRun run = RunModule(
+            layer, xs[i], true, seeds[i],
+            [&](const ag::Variable& xv) { return layer.Forward(xv); });
+        bool same = SameBits(run.out, want[i].out) &&
+                    SameBits(run.dx, want[i].dx) &&
+                    run.grads.size() == want[i].grads.size();
+        for (size_t p = 0; same && p < run.grads.size(); ++p) {
+          same = SameBits(run.grads[p], want[i].grads[p]);
+        }
+        if (!same) ++mismatches[i];
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches[0], 0);
+  EXPECT_EQ(mismatches[1], 0);
+  // 24 training-size forwards: the helper paired some, and some found it
+  // held by the other thread.
+  EXPECT_GT(BiGruForwards("2") - two_before, 0);
+  EXPECT_GT(BiGruForwards("1") - one_before, 0);
+  EXPECT_EQ(BiGruForwards("1") - one_before + BiGruForwards("2") - two_before,
+            2 * kIterations);
 }
 
 TEST(GruTest, OutputShape) {

@@ -1,6 +1,7 @@
 // Tests for the serving subsystem (src/serve/): session, micro-batcher,
 // registry, stats, thread pool, and checkpoint-restored serving.
 #include <atomic>
+#include <cstring>
 #include <future>
 #include <set>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "serve/registry.h"
 #include "serve/session.h"
 #include "serve/thread_pool.h"
+#include "tensor/tensor_ops.h"
 
 namespace dar {
 namespace serve {
@@ -166,6 +168,57 @@ TEST(InferenceSessionTest, BatchedForwardMatchesSingleRequests) {
   for (size_t i = 0; i < texts.size(); ++i) {
     InferenceResult single = session->Predict(texts[i]);
     ExpectSameResult(batched[i], single);
+  }
+}
+
+TEST(InferenceSessionTest, ServedModelIsFrozenAndServesTheUnfrozenBits) {
+  // A session freezes every parameter of its model, so a served forward
+  // records no backward closure and keeps no BPTT state; the answers keep
+  // the bits of the same weights left trainable.
+  datasets::SyntheticDataset dataset = TinyDataset();
+  core::TrainConfig config = TinyConfig();
+  const Tensor embeddings = eval::BuildEmbeddings(dataset, config);
+  auto served = std::make_unique<core::DarModel>(embeddings, config);
+  core::DarModel* served_model = served.get();
+  core::DarModel twin(embeddings, config);
+  twin.SetTraining(false);
+  InferenceSession session(std::move(served), dataset.vocab);
+  int64_t frozen = 0;
+  for (const nn::NamedModule& module : served_model->CheckpointModules()) {
+    for (const nn::NamedParameter& p : module.module->Parameters()) {
+      EXPECT_FALSE(p.variable.requires_grad()) << module.name << " " << p.name;
+      ++frozen;
+    }
+  }
+  EXPECT_GT(frozen, 0);
+  EXPECT_FALSE(twin.TrainableParameters().empty());
+  for (const ag::Variable& p : twin.TrainableParameters()) {
+    EXPECT_TRUE(p.requires_grad());
+  }
+
+  std::vector<std::vector<int64_t>> sequences;
+  for (const std::string& text : SampleTexts(dataset, 9)) {
+    sequences.push_back(session.Encode(text));
+  }
+  const std::vector<InferenceResult> results =
+      session.PredictTokenBatch(sequences);
+  const data::Batch batch =
+      data::Batch::FromTokenSequences(sequences, data::Vocabulary::kPadId);
+  const Tensor mask = twin.EvalMask(batch);
+  const Tensor probs = SoftmaxRows(twin.PredictLogits(batch, mask));
+  ASSERT_EQ(results.size(), sequences.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    const int64_t row = static_cast<int64_t>(i);
+    for (size_t t = 0; t < results[i].mask.size(); ++t) {
+      EXPECT_EQ(results[i].mask[t],
+                mask.at(row, static_cast<int64_t>(t)) > 0.5f ? 1 : 0);
+    }
+    ASSERT_EQ(results[i].probs.size(), static_cast<size_t>(probs.size(1)));
+    EXPECT_EQ(std::memcmp(results[i].probs.data(),
+                          probs.data() + row * probs.size(1),
+                          results[i].probs.size() * sizeof(float)),
+              0)
+        << "row " << i;
   }
 }
 
