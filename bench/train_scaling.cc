@@ -9,7 +9,11 @@
 //
 // Besides the table, the bench records a machine-readable baseline in
 // BENCH_train_scaling.json (cwd; run via run_benches.sh from the repo
-// root) so later changes can be compared against it. The host core count
+// root) so later changes can be compared against it. Each workers row
+// carries minor_faults_per_step: the process's minor page faults
+// (getrusage) over its optimizer steps, each epoch's first step, the
+// pretraining and the dev evaluations left out; a fresh page of a tensor
+// buffer is one fault. The host core count
 // is part of the record: speedup is bounded by physical parallelism, and
 // a single-core host pins every point near 1.0x. The sweep runs under
 // coarse tracing, so the record also carries the train.shard /
@@ -41,6 +45,7 @@
 #include "datasets/beer.h"
 #include "eval/table.h"
 #include "nn/gru.h"
+#include "obs/train_observer.h"
 
 namespace dar {
 namespace {
@@ -54,6 +59,35 @@ double ProcessCpuMs() {
   };
   return ms(usage.ru_utime) + ms(usage.ru_stime);
 }
+
+int64_t MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<int64_t>(usage.ru_minflt);
+}
+
+/// Minor faults per optimizer step: each interval between two steps'
+/// telemetry in one epoch holds exactly one step.
+class StepFaults : public obs::TrainObserver {
+ public:
+  void OnBatch(const obs::BatchTelemetry& telemetry) override {
+    const int64_t now = MinorFaults();
+    if (telemetry.batch > 0) {
+      faults_ += now - last_;
+      ++steps_;
+    }
+    last_ = now;
+  }
+  bool WantsRationaleShift() const override { return false; }
+  double PerStep() const {
+    return steps_ > 0 ? static_cast<double>(faults_) /
+                            static_cast<double>(steps_)
+                      : 0.0;
+  }
+
+ private:
+  int64_t last_ = 0, faults_ = 0, steps_ = 0;
+};
 
 double Median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
@@ -141,6 +175,7 @@ struct ScalingPoint {
   double examples_per_sec = 0.0;
   double speedup = 1.0;
   float final_dev_acc = 0.0f;
+  double minor_faults_per_step = 0.0;
 };
 
 int Main(int argc, char** argv) {
@@ -165,8 +200,10 @@ int Main(int argc, char** argv) {
     auto model = eval::MakeMethod("RNP", dataset, config);
     const core::ParallelTrainConfig parallel{.num_workers = workers,
                                              .num_shards = workers};
+    StepFaults faults;
     const auto start = std::chrono::steady_clock::now();
-    core::TrainRun run = core::Fit(*model, dataset, parallel);
+    core::TrainRun run =
+        core::Fit(*model, dataset, parallel, /*verbose=*/false, &faults);
     const auto end = std::chrono::steady_clock::now();
 
     ScalingPoint point;
@@ -179,21 +216,24 @@ int Main(int argc, char** argv) {
                         ? 1.0
                         : points.front().seconds / point.seconds;
     point.final_dev_acc = run.best_dev_acc;
+    point.minor_faults_per_step = faults.PerStep();
     points.push_back(point);
     std::printf("  workers=%d done in %.2fs\n", workers, point.seconds);
     std::fflush(stdout);
   }
 
   std::printf("\nhost hardware threads: %u\n\n", host_cores);
-  eval::TablePrinter table(
-      {"Workers", "Seconds", "Examples/s", "Speedup", "BestDevAcc"});
+  eval::TablePrinter table({"Workers", "Seconds", "Examples/s", "Speedup",
+                            "BestDevAcc", "FaultsPerStep"});
   for (const ScalingPoint& p : points) {
-    char seconds[32], eps[32], speedup[32], acc[32];
+    char seconds[32], eps[32], speedup[32], acc[32], faults[32];
     std::snprintf(seconds, sizeof(seconds), "%.2f", p.seconds);
     std::snprintf(eps, sizeof(eps), "%.1f", p.examples_per_sec);
     std::snprintf(speedup, sizeof(speedup), "%.2fx", p.speedup);
     std::snprintf(acc, sizeof(acc), "%.3f", p.final_dev_acc);
-    table.AddRow({std::to_string(p.workers), seconds, eps, speedup, acc});
+    std::snprintf(faults, sizeof(faults), "%.1f", p.minor_faults_per_step);
+    table.AddRow(
+        {std::to_string(p.workers), seconds, eps, speedup, acc, faults});
   }
   table.Print();
 
@@ -232,21 +272,25 @@ int Main(int argc, char** argv) {
              "Every worker's BiGRU layers pair their directions with the one "
              "helper thread (nn::BiGruSequence) when it is free, so the "
              "1-worker row runs on two threads; replicas that find it held "
-             "run their directions in turn. bigru rows: one layer's forward "
-             "+ backward, medians over interleaved rounds; cpu_ms is process "
-             "CPU time per layer.");
+             "run their directions in turn. minor_faults_per_step: "
+             "getrusage minor faults over the optimizer steps (each epoch's "
+             "first step, pretraining and dev evaluation left out). bigru "
+             "rows: one layer's forward + backward, medians over interleaved "
+             "rounds; cpu_ms is process CPU time per layer.");
   json.Field("bigru_paired_rows", static_cast<int64_t>(nn::kBiGruPairedRows));
   json.Field("bigru_spin_us", static_cast<int64_t>(nn::kBiGruSpinUs));
   std::string results = "[\n";
   for (size_t i = 0; i < points.size(); ++i) {
     const ScalingPoint& p = points[i];
-    char buf[192];
+    char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "    {\"workers\": %d, \"seconds\": %.4f, "
                   "\"examples_per_sec\": %.2f, \"speedup\": %.4f, "
-                  "\"best_dev_acc\": %.4f}%s\n",
+                  "\"best_dev_acc\": %.4f, \"minor_faults_per_step\": "
+                  "%.1f}%s\n",
                   p.workers, p.seconds, p.examples_per_sec, p.speedup,
-                  p.final_dev_acc, i + 1 < points.size() ? "," : "");
+                  p.final_dev_acc, p.minor_faults_per_step,
+                  i + 1 < points.size() ? "," : "");
     results += buf;
   }
   results += "  ]";

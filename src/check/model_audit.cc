@@ -36,6 +36,19 @@ class ScopedRecordingSentinel {
   SentinelMode previous_;
 };
 
+/// Poisons Tensor::Scratch buffers for its lifetime, then restores the
+/// previous setting.
+class ScopedPoisonScratch {
+ public:
+  ScopedPoisonScratch() : previous_(PoisonEnabled()) { SetPoisonScratch(true); }
+  ~ScopedPoisonScratch() { SetPoisonScratch(previous_); }
+  ScopedPoisonScratch(const ScopedPoisonScratch&) = delete;
+  ScopedPoisonScratch& operator=(const ScopedPoisonScratch&) = delete;
+
+ private:
+  bool previous_;
+};
+
 const datasets::SyntheticDataset& TinyDataset() {
   static const datasets::SyntheticDataset& ds = *new datasets::SyntheticDataset(
       datasets::MakeBeerDataset(datasets::BeerAspect::kAroma,
@@ -89,6 +102,10 @@ std::vector<std::string> AuditableMethods() {
 MethodAuditResult AuditMethodByName(const std::string& method, uint64_t seed) {
   MethodAuditResult result;
   result.method = method;
+  // Scratch buffers are not filled outside poison mode, so a kernel that
+  // reads an element it never wrote reads stale bytes; poisoned, it reads a
+  // NaN the sentinel attributes to its op.
+  ScopedPoisonScratch poison;
 
   core::TrainConfig config = TinyConfig();
   config.seed = seed;
@@ -218,7 +235,8 @@ std::vector<SelfTestResult> RunMutationSelfTest() {
   }
 
   // Defect 6: a kernel reading a scratch buffer it never wrote. Poison
-  // mode turns the silent zero into a NaN the op sentinel attributes.
+  // mode turns whatever the buffer last held into a NaN the op sentinel
+  // attributes.
   {
     SelfTestResult r{"unwritten_scratch_read", false, ""};
     ScopedRecordingSentinel sentinel;

@@ -34,6 +34,9 @@ struct MethodAuditResult {
 /// Builds `method` on a tiny synthetic beer-review config, runs Prepare()
 /// and one TrainLoss forward/backward under the recording sentinel, and
 /// audits the tape against the parameters Fit() would hand the optimizer.
+/// All of it runs with Tensor::Scratch poisoned (SetPoisonScratch), so a
+/// kernel that leaves a scratch element unwritten shows up as a NaN
+/// finding.
 MethodAuditResult AuditMethodByName(const std::string& method,
                                     uint64_t seed = 7);
 

@@ -78,11 +78,19 @@ void PublishProcessMetrics(MetricsRegistry& registry) {
   // Lookups first: the registry's map lock ranks below the publish lock.
   MetricsRegistry& global = MetricsRegistry::Global();
   std::vector<std::pair<Counter*, Counter*>> kernel;  // (global, registry's)
+  std::vector<std::pair<Gauge*, Gauge*>> gauges;
   if (&registry != &global) {
     for (const char* name : {"matmul_flops_total",
                              "nn_bigru_forwards_total{threads=\"1\"}",
-                             "nn_bigru_forwards_total{threads=\"2\"}"}) {
+                             "nn_bigru_forwards_total{threads=\"2\"}",
+                             "tensor_buffers_total{source=\"cache\"}",
+                             "tensor_buffers_total{source=\"resize\"}",
+                             "tensor_buffers_total{source=\"map\"}"}) {
       kernel.emplace_back(&global.GetCounter(name), &registry.GetCounter(name));
+    }
+    for (const char* name : {"tensor_mapped_bytes{state=\"live\"}",
+                             "tensor_mapped_bytes{state=\"cached\"}"}) {
+      gauges.emplace_back(&global.GetGauge(name), &registry.GetGauge(name));
     }
   }
   Counter& faults = registry.GetCounter("process.minor_faults_total");
@@ -99,6 +107,7 @@ void PublishProcessMetrics(MetricsRegistry& registry) {
     const int64_t delta = from->value() - to->value();
     if (delta > 0) to->Increment(delta);
   }
+  for (const auto& [from, to] : gauges) to->Set(from->value());
   rusage usage{};
   if (getrusage(RUSAGE_SELF, &usage) != 0) return;
   const int64_t new_faults =

@@ -45,6 +45,14 @@ void PublishSyncContentionMetrics(MetricsRegistry& registry);
 ///
 ///   matmul_flops_total                         counter
 ///   nn_bigru_forwards_total{threads="1"|"2"}   counter (nn/gru.h)
+///   tensor_buffers_total{source="cache"|"resize"|"map"}
+///                                              counter (tensor/storage.h)
+///   tensor_mapped_bytes{state="live"|"cached"} gauge (tensor/storage.h)
+///
+/// The storage series say where the large tensor buffers came from (a
+/// cached mapping, a resized one, a fresh mmap that faults every page in)
+/// and how many bytes the mappings hold, so a slow training step's page
+/// faults can be read next to process_minor_faults_total.
 ///
 /// Thread-safe, and monotone across scrapes.
 void PublishProcessMetrics(MetricsRegistry& registry);

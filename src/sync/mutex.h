@@ -29,11 +29,15 @@
 //                               obs.tail_sampler, obs.sync_publish
 //              80 kHelper       nn.bigru_helper (never holds another lock)
 //              90 kLeaf         check.findings (never holds another lock)
+//              95 kTensorStorage tensor.storage (never holds another lock;
+//                               any code may allocate a tensor under any
+//                               other lock)
 //
-//      i.e. registry < cache < batcher < stats < obs < helper < leaf. New code
-//      picks the band of the subsystem it lives in; a lock that must nest
-//      inside an existing band gets a fresh intermediate rank and a row
-//      in this table (DESIGN.md §12 is the canonical copy).
+//      i.e. registry < cache < batcher < stats < obs < helper < leaf <
+//      tensor storage. New code picks the band of the subsystem it lives
+//      in; a lock that must nest inside an existing band gets a fresh
+//      intermediate rank and a row in this table (DESIGN.md §12 is the
+//      canonical copy).
 //
 //   3. Contention observability (always on). Lock() first tries the
 //      lock; only when that try_lock fails does it time its wait and
@@ -83,6 +87,7 @@ enum class Rank : int {
   kObsDetail = 60,    // obs exemplars / trace collectors / tail sampler
   kHelper = 80,       // nn::BiGruSequence's helper-thread handoff
   kLeaf = 90,         // check:: findings list — never holds another lock
+  kTensorStorage = 95,  // tensor/storage.h's mapping caches — innermost
 };
 
 /// One detected acquisition-order inversion: the thread held

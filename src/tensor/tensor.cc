@@ -43,18 +43,23 @@ Tensor::Tensor(Shape shape, float value) : shape_(std::move(shape)) {
 }
 
 Tensor::Tensor(Shape shape, std::vector<float> values)
-    : shape_(std::move(shape)), data_(std::move(values)) {
+    : shape_(std::move(shape)), data_(values.begin(), values.end()) {
   DAR_CHECK_LE(shape_.size(), 4u);
   DAR_CHECK_EQ(NumElements(shape_), static_cast<int64_t>(data_.size()));
+}
+
+Tensor::Tensor(Shape shape, Unwritten)
+    : shape_(std::move(shape)),
+      data_(static_cast<size_t>(NumElements(shape_))) {
+  DAR_CHECK_LE(shape_.size(), 4u);
 }
 
 Tensor Tensor::Zeros(Shape shape) { return Tensor(std::move(shape)); }
 
 Tensor Tensor::Scratch(Shape shape) {
-  if (check::PoisonEnabled()) {
-    return Tensor(std::move(shape), std::numeric_limits<float>::quiet_NaN());
-  }
-  return Tensor(std::move(shape));
+  Tensor t(std::move(shape), Unwritten{});
+  if (check::PoisonEnabled()) t.Fill(std::numeric_limits<float>::quiet_NaN());
+  return t;
 }
 
 Tensor Tensor::Ones(Shape shape) { return Tensor(std::move(shape), 1.0f); }
@@ -63,7 +68,7 @@ Tensor Tensor::Full(Shape shape, float value) {
   return Tensor(std::move(shape), value);
 }
 
-Tensor Tensor::Scalar(float value) { return Tensor(Shape{}, {value}); }
+Tensor Tensor::Scalar(float value) { return Tensor(Shape{}, value); }
 
 Tensor Tensor::FromVector(std::vector<float> values) {
   Shape shape{static_cast<int64_t>(values.size())};

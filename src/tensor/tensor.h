@@ -4,7 +4,8 @@
 // neural-network modules. It deliberately supports only what the
 // rationalization pipeline needs: contiguous row-major float data with up to
 // four dimensions, value semantics, and a small set of factory functions.
-// Compute kernels live in tensor_ops.h.
+// Compute kernels live in tensor_ops.h; where the bytes live is
+// storage.h's business.
 #ifndef DAR_TENSOR_TENSOR_H_
 #define DAR_TENSOR_TENSOR_H_
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "tensor/random.h"
+#include "tensor/storage.h"
 
 namespace dar {
 
@@ -43,7 +45,7 @@ class Tensor {
   /// Creates a tensor of the given shape filled with `value`.
   Tensor(Shape shape, float value);
 
-  /// Creates a tensor wrapping a copy of `values`; sizes must agree.
+  /// Creates a tensor holding a copy of `values`; sizes must agree.
   Tensor(Shape shape, std::vector<float> values);
 
   Tensor(const Tensor&) = default;
@@ -57,11 +59,12 @@ class Tensor {
   static Tensor Zeros(Shape shape);
 
   /// Scratch buffer the caller promises to FULLY overwrite before any
-  /// element is read. Normally zero-initialized (identical to
-  /// Tensor(shape)); when the sentinel poison mode is on
+  /// element is read. Its elements are not written: a reused buffer holds
+  /// whatever its last owner left. When the sentinel poison mode is on
   /// (check::SetPoisonScratch) every element is NaN instead, so a kernel
   /// that breaks the promise and reads an unwritten element produces a NaN
-  /// the op-level sentinels attribute instead of a silent zero.
+  /// the op-level sentinels attribute; check::AuditMethodByName runs every
+  /// architecture that way.
   static Tensor Scratch(Shape shape);
 
   /// All ones.
@@ -98,8 +101,8 @@ class Tensor {
 
   float* data() { return data_.data(); }
   const float* data() const { return data_.data(); }
-  std::vector<float>& vec() { return data_; }
-  const std::vector<float>& vec() const { return data_; }
+  TensorData& vec() { return data_; }
+  const TensorData& vec() const { return data_; }
 
   // ---- Element access (bounds-checked) ------------------------------------
 
@@ -136,8 +139,12 @@ class Tensor {
   std::string ToString(int64_t max_per_dim = 8) const;
 
  private:
+  struct Unwritten {};
+  /// A tensor of `shape` whose elements are not written.
+  Tensor(Shape shape, Unwritten);
+
   Shape shape_;
-  std::vector<float> data_;
+  TensorData data_;
 };
 
 }  // namespace dar

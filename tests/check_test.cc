@@ -20,6 +20,7 @@
 #include "check/sentinel.h"
 #include "tensor/check.h"
 #include "tensor/random.h"
+#include "tensor/storage.h"
 #include "tensor/tensor.h"
 
 namespace dar {
@@ -192,10 +193,17 @@ TEST(SentinelTest, ConcurrentBackwardOnDisjointTapesIsClean) {
 // ---------------------------------------------------------------------------
 // Scratch poisoning.
 
-TEST(ScratchTest, ZeroInitializedByDefault) {
+TEST(ScratchTest, UnwrittenOutsidePoisonMode) {
+  // Scratch writes nothing unless poisoning: a reused buffer still holds
+  // its last owner's bytes. Observable only where the buffer is a cached
+  // mapping.
+  if (!storage::MappedStorageEnabled()) GTEST_SKIP() << "operator new build";
   SentinelGuard guard;
-  Tensor t = Tensor::Scratch(Shape{4});
-  for (int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(t.flat(i), 0.0f);
+  const Shape shape{64, 1021};
+  const float* first = Tensor::Full(shape, 2.5f).data();
+  Tensor t = Tensor::Scratch(shape);
+  ASSERT_EQ(t.data(), first);
+  for (int64_t i = 0; i < t.numel(); ++i) ASSERT_EQ(t.flat(i), 2.5f) << i;
 }
 
 TEST(ScratchTest, PoisonedWithNanWhenEnabled) {

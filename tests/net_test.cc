@@ -33,9 +33,11 @@
 #include "net/http.h"
 #include "net/routes.h"
 #include "net/server.h"
+#include "nn/gru.h"
 #include "serve/registry.h"
 #include "serve/session.h"
 #include "tensor/random.h"
+#include "tensor/storage.h"
 
 namespace dar {
 namespace net {
@@ -642,6 +644,47 @@ TEST(RouterTest, MetricsPublishProcessFaultsAndCpuTime) {
     ASSERT_FALSE(std::isnan(after)) << series << " missing from " << second;
     EXPECT_GE(after, before) << series;
   }
+}
+
+// Every scrape mirrors the tensor storage's series (tensor/storage.h):
+// where the large buffers came from and the bytes their mappings hold.
+TEST(RouterTest, MetricsMirrorTheTensorStorage) {
+  serve::ModelRegistry registry;
+  Router router(registry);
+  const char* kSources[] = {"tensor_buffers_total{source=\"cache\"}",
+                            "tensor_buffers_total{source=\"resize\"}",
+                            "tensor_buffers_total{source=\"map\"}"};
+  const auto buffers = [&](const std::string& exposition) {
+    double sum = 0.0;
+    for (const char* series : kSources) sum += SeriesValue(exposition, series);
+    return sum;
+  };
+  const std::string first = Call(router, "GET", "/metrics").body;
+  {
+    // One BiGRU layer at train_dar's batch (64 x 44): its projections,
+    // states and gradients are buffers of at least 64 KiB.
+    Pcg32 rng(9);
+    nn::BiGru layer(32, 24, rng);
+    ag::Variable x = ag::Variable::Param(Tensor::Randn({64, 44, 32}, rng));
+    layer.Forward(x).Backward(Tensor::Randn({64, 44, 48}, rng));
+  }
+  const std::string second = Call(router, "GET", "/metrics").body;
+  for (const char* series :
+       {kSources[0], kSources[1], kSources[2],
+        "tensor_mapped_bytes{state=\"live\"}",
+        "tensor_mapped_bytes{state=\"cached\"}"}) {
+    ASSERT_FALSE(std::isnan(SeriesValue(second, series)))
+        << series << " missing from " << second;
+  }
+  if (!storage::MappedStorageEnabled()) {
+    EXPECT_EQ(buffers(second), 0.0);
+    return;
+  }
+  EXPECT_GE(buffers(second) - buffers(first), 8.0) << second;
+  // The layer's buffers were freed on this thread and wait in its cache.
+  EXPECT_GT(SeriesValue(second, "tensor_mapped_bytes{state=\"cached\"}"),
+            0.0)
+      << second;
 }
 
 // Each Router publishes the models it serves into its own /metrics, so

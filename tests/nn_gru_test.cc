@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "autograd/gradcheck.h"
+#include "check/sentinel.h"
 #include "obs/metrics.h"
 #include "tensor/fastmath.h"
 #include "tensor/gemm.h"
@@ -32,6 +33,8 @@ ag::Variable Embed(const Tensor& t) { return ag::Variable::Constant(t); }
 
 using Floats = std::vector<float>;
 
+Floats Values(const Tensor& t) { return {t.vec().begin(), t.vec().end()}; }
+
 Floats RefGemm(gemm::Trans trans, int64_t m, int64_t n, int64_t k,
                const Floats& a, const Floats& b) {
   Floats c(static_cast<size_t>(m * n), 0.0f);
@@ -39,13 +42,12 @@ Floats RefGemm(gemm::Trans trans, int64_t m, int64_t n, int64_t k,
   return c;
 }
 
-const Floats& ParamValue(const Gru& gru, const std::string& name) {
+Floats ParamValue(const Gru& gru, const std::string& name) {
   for (const NamedParameter& p : gru.Parameters()) {
-    if (p.name == name) return p.variable.value().vec();
+    if (p.name == name) return Values(p.variable.value());
   }
   ADD_FAILURE() << "no parameter " << name;
-  static const Floats kNone;
-  return kNone;
+  return {};
 }
 
 /// One direction's forward, with what its backward reads. Rows of the
@@ -69,8 +71,8 @@ RefRun RefForward(const Gru& gru, const Tensor& x, const Tensor* valid) {
   run.b = x.size(0);
   run.t_len = x.size(1);
   const int64_t rows = run.b * run.t_len;
-  run.x = x.vec();
-  if (valid != nullptr) run.mask = valid->vec();
+  run.x = Values(x);
+  if (valid != nullptr) run.mask = Values(*valid);
   run.proj = RefGemm(gemm::Trans::kNN, rows, 3 * hd, e, run.x, w_x);
   for (int64_t row = 0; row < rows; ++row) {
     for (int64_t j = 0; j < 3 * hd; ++j) run.proj[row * 3 * hd + j] += bias[j];
@@ -246,7 +248,7 @@ TEST(GruSequenceTest, MatchesPerStepReferenceBitForBit) {
 
           RefRun run = RefForward(gru, x, mask);
           RefGrads want;
-          RefBackward(gru, run, seed.vec(), x_grad, weight_grad, want);
+          RefBackward(gru, run, Values(seed), x_grad, weight_grad, want);
           EXPECT_TRUE(SameBits(y.value(), run.out));
           if (x_grad) {
             EXPECT_TRUE(SameBits(xv.grad(), want.x));
@@ -292,11 +294,11 @@ TEST(GruSequenceTest, SameGruTwiceInOneLossMatchesReference) {
       RefRun run1 = RefForward(gru, x1, &valid);
       RefRun run2 = RefForward(gru, x2, nullptr);
       RefGrads want2, want;
-      RefBackward(gru, run2, seed.vec(), true, true, want2);
+      RefBackward(gru, run2, Values(seed), true, true, want2);
       want.w_x = want2.w_x;
       want.w_h = want2.w_h;
       want.b = want2.b;
-      RefBackward(gru, run1, seed.vec(), true, true, want);
+      RefBackward(gru, run1, Values(seed), true, true, want);
       EXPECT_TRUE(SameBits(y1.value(), run1.out));
       EXPECT_TRUE(SameBits(y2.value(), run2.out));
       EXPECT_TRUE(SameBits(v1.grad(), want.x));
@@ -536,6 +538,38 @@ TEST(BiGruSequenceTest, ConcurrentLayersStayBitIdentical) {
   EXPECT_GT(BiGruForwards("1") - one_before, 0);
   EXPECT_EQ(BiGruForwards("1") - one_before + BiGruForwards("2") - two_before,
             2 * kIterations);
+}
+
+TEST(BiGruSequenceTest, PoisonedScratchReadsNoUnwrittenElement) {
+  // The zoo audit (check::AuditMethodByName) runs with Scratch poisoned,
+  // but its tiny config never pairs a BiGRU's directions. One train_dar
+  // size layer, masked, paired and in turn: under poison the sentinel
+  // finds no NaN, and the bits equal an unpoisoned run's.
+  constexpr int64_t kB = 64, kT = 44, kE = 32, kH = 24;
+  static_assert(kB * kT >= kBiGruPairedRows);
+  Pcg32 rng(61);
+  BiGru layer(kE, kH, rng);
+  const Tensor x = Tensor::Randn({kB, kT, kE}, rng, 0.8f);
+  const Tensor valid = RaggedMask(kB, kT, rng);
+  const Tensor seed = Tensor::Randn({kB, kT, 2 * kH}, rng);
+  for (bool paired : {true, false}) {
+    SCOPED_TRACE(paired ? "paired" : "in turn");
+    const auto forward = [&](const ag::Variable& xv) {
+      return BiGruSequence(xv, ChildWeights(layer, "fw"),
+                           ChildWeights(layer, "bw"), &valid, paired);
+    };
+    const BiGruRun want = RunModule(layer, x, true, seed, forward);
+    check::DrainSentinelFindings();
+    check::SetSentinelMode(check::SentinelMode::kRecord);
+    check::SetPoisonScratch(true);
+    const BiGruRun got = RunModule(layer, x, true, seed, forward);
+    check::SetPoisonScratch(false);
+    check::SetSentinelMode(check::SentinelMode::kOff);
+    const std::vector<check::SentinelFinding> findings =
+        check::DrainSentinelFindings();
+    EXPECT_TRUE(findings.empty()) << findings.front().ToString();
+    ExpectSameRun(got, want);
+  }
 }
 
 TEST(GruTest, OutputShape) {

@@ -3,7 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
+#include <thread>
+#include <vector>
+
+#include "check/sentinel.h"
 #include "tensor/random.h"
+#include "tensor/storage.h"
 
 namespace dar {
 namespace {
@@ -148,6 +155,130 @@ TEST(TensorDeath, ShapeMismatchValues) {
 TEST(TensorDeath, ReshapeWrongCount) {
   Tensor t(Shape{4});
   EXPECT_DEATH(t.Reshape({3}), "DAR_CHECK");
+}
+
+// ---- Storage (tensor/storage.h) ---------------------------------------------
+//
+// Each case uses its own element count, so a mapping left in this thread's
+// cache by an earlier case never serves it.
+
+TEST(TensorStorageTest, FreedBufferIsReusedWithoutNewMapping) {
+  if (!storage::MappedStorageEnabled()) GTEST_SKIP() << "operator new build";
+  const Shape shape{257, 1031};  // about 1 MiB
+  const float* first = Tensor::Full(shape, 2.0f).data();
+  const storage::Stats before = storage::GetStats();
+  Tensor again = Tensor::Scratch(shape);
+  const storage::Stats after = storage::GetStats();
+  EXPECT_EQ(again.data(), first);
+  EXPECT_EQ(after.mapped - before.mapped, 0);
+  EXPECT_EQ(after.from_cache - before.from_cache, 1);
+  EXPECT_LT(after.thread_cached_bytes, before.thread_cached_bytes);
+}
+
+TEST(TensorStorageTest, FactoriesFillDirtiedBuffers) {
+  // A reused buffer holds its last owner's bytes; the factories that
+  // promise values write them. Also at a size below the mapping floor.
+  for (const Shape& shape : {Shape{263, 1039}, Shape{3, 5}}) {
+    const auto dirty = [&] { Tensor::Full(shape, 7.5f); };
+    dirty();
+    Tensor t(shape);
+    for (int64_t i = 0; i < t.numel(); ++i) ASSERT_EQ(t.flat(i), 0.0f) << i;
+    t = Tensor();
+    dirty();
+    Tensor zeros = Tensor::Zeros(shape);
+    for (int64_t i = 0; i < zeros.numel(); ++i) {
+      ASSERT_EQ(zeros.flat(i), 0.0f) << i;
+    }
+    zeros = Tensor();
+    dirty();
+    Tensor full = Tensor::Full(shape, -1.25f);
+    for (int64_t i = 0; i < full.numel(); ++i) {
+      ASSERT_EQ(full.flat(i), -1.25f) << i;
+    }
+  }
+}
+
+TEST(TensorStorageTest, PoisonedScratchReadsNanAfterReuse) {
+  for (const Shape& shape : {Shape{269, 1049}, Shape{7, 3}}) {
+    Tensor::Full(shape, 1.0f);
+    check::SetPoisonScratch(true);
+    Tensor t = Tensor::Scratch(shape);
+    check::SetPoisonScratch(false);
+    for (int64_t i = 0; i < t.numel(); ++i) {
+      ASSERT_TRUE(std::isnan(t.flat(i))) << i;
+    }
+  }
+}
+
+TEST(TensorStorageTest, BufferFreedOnAnotherThreadLandsInThatThreadsCache) {
+  if (!storage::MappedStorageEnabled()) GTEST_SKIP() << "operator new build";
+  const Shape shape{271, 1051};
+  Tensor t = Tensor::Full(shape, 3.0f);
+  const float* buffer = t.data();
+  const int64_t mine = storage::GetStats().thread_cached_bytes;
+  int64_t gained = 0;
+  const float* reused = nullptr;
+  std::thread other([&] {
+    const int64_t before = storage::GetStats().thread_cached_bytes;
+    t = Tensor();
+    gained = storage::GetStats().thread_cached_bytes - before;
+    reused = Tensor::Scratch(shape).data();
+  });
+  other.join();
+  EXPECT_GE(gained, static_cast<int64_t>(271 * 1051 * sizeof(float)));
+  EXPECT_EQ(reused, buffer);
+  EXPECT_EQ(storage::GetStats().thread_cached_bytes, mine);
+}
+
+TEST(TensorStorageTest, ThreadWithoutAFitTakesAnotherThreadsMapping) {
+  // Threads whose peaks do not coincide share the cached mappings: a new
+  // thread, its own cache empty, takes the one this thread cached instead
+  // of mapping fresh.
+  if (!storage::MappedStorageEnabled()) GTEST_SKIP() << "operator new build";
+  const Shape shape{277, 1061};
+  const float* cached = Tensor::Full(shape, 4.0f).data();
+  const storage::Stats before = storage::GetStats();
+  const float* taken = nullptr;
+  std::thread other([&] { taken = Tensor::Scratch(shape).data(); });
+  other.join();
+  const storage::Stats after = storage::GetStats();
+  EXPECT_EQ(taken, cached);
+  EXPECT_EQ(after.mapped - before.mapped, 0);
+  EXPECT_EQ(after.from_cache - before.from_cache, 1);
+  EXPECT_LT(after.thread_cached_bytes, before.thread_cached_bytes);
+}
+
+TEST(TensorStorageTest, LiveAndCachedNeverPassTheHighWaterMark) {
+  if (!storage::MappedStorageEnabled()) GTEST_SKIP() << "operator new build";
+  // Three threads allocate and free buffers of random sizes from 64 KiB to
+  // about 1.2 MiB, each holding up to 8 at once, and check the bound after
+  // every step.
+  std::atomic<int> over{0}, steps{0};
+  const auto run = [&](uint64_t seed) {
+    Pcg32 rng(seed);
+    std::vector<Tensor> held;
+    for (int step = 0; step < 600; ++step) {
+      if (held.empty() || (held.size() < 8 && rng.Bernoulli(0.55f))) {
+        const int64_t n = 16384 + rng.Below(300000);
+        held.push_back(Tensor::Scratch(Shape{n}));
+        held.back().flat(n - 1) = 1.0f;
+      } else {
+        held.erase(held.begin() + rng.Below(static_cast<uint32_t>(held.size())));
+      }
+      const storage::Stats s = storage::GetStats();
+      if (s.live_bytes + s.cached_bytes > s.high_water_bytes) ++over;
+      ++steps;
+    }
+  };
+  const storage::Stats before = storage::GetStats();
+  std::vector<std::thread> threads;
+  for (uint64_t i = 0; i < 3; ++i) threads.emplace_back(run, 31 + i);
+  for (std::thread& th : threads) th.join();
+  const storage::Stats after = storage::GetStats();
+  EXPECT_EQ(steps.load(), 1800);
+  EXPECT_EQ(over.load(), 0);
+  EXPECT_GT(after.from_cache - before.from_cache, 0);
+  EXPECT_GT(after.resized - before.resized, 0);
 }
 
 }  // namespace
